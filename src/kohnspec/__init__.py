@@ -42,9 +42,9 @@ from .eigen import (
 from .modes import (
     GridTooCoarse,
     ModeIndex,
-    ModeOperator,
     assemble,
     kernel_function,
+    mode_spectra,
     mode_spectrum,
     potential,
     rayleigh_quotient,

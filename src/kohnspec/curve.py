@@ -240,8 +240,7 @@ def _validate_grid(n: int) -> int:
     return n
 
 
-def build_curve(profile: RadiusOfCurvatureProfile, n: int,
-                closure_tol: float | None = None) -> GeneratingCurve:
+def build_curve(profile: RadiusOfCurvatureProfile, n: int) -> GeneratingCurve:
     """Construct the arc-length sampled curve described by a profile.
 
     The arc length s(phi) is the exact antiderivative of rho, inverted by
@@ -415,17 +414,24 @@ def curve_from_spec(data: dict, grid: int | None = None,
 
     Accepted forms: {"rho": {"cos": [c0, ...], "sin": [d1, ...]}, "grid": n}
     or {"kappa_samples": [...], "length": l}.  ``grid`` overrides the
-    profile's grid; it is ignored for the sampled form (the sample count is
-    the grid).
+    profile's grid and ``closure_tol`` sets the sampled form's closure
+    tolerance.  Each applies to one form only (a sampled spec's grid is
+    its sample count, and a profile closes exactly when its first
+    harmonic vanishes), so passing it with the other form is a ValueError.
     """
     if "rho" in data:
+        if closure_tol is not None:
+            raise ValueError("closure_tol applies only to kappa_samples specs")
         rho = data["rho"]
         if not isinstance(rho, dict) or "cos" not in rho:
             raise ValueError('"rho" must be an object with a "cos" list')
         profile = RadiusOfCurvatureProfile(tuple(rho["cos"]), tuple(rho.get("sin", ())))
         n = grid if grid is not None else data.get("grid", 512)
-        return build_curve(profile, n, closure_tol=closure_tol)
+        return build_curve(profile, n)
     if "kappa_samples" in data:
+        if grid is not None:
+            raise ValueError("grid applies only to rho specs; a kappa_samples "
+                             "spec's sample count is its grid")
         if "length" not in data:
             raise ValueError('sampled curve spec needs a "length" field')
         return curve_from_curvature_samples(data["kappa_samples"], data["length"],

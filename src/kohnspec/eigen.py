@@ -11,15 +11,15 @@ Three routes, each matched to a matrix class that actually occurs here:
   (Cullum & Willoughby), O(n) per sweep;
 * symmetric periodic tridiagonal matrices (band plus one wrap-around
   corner): Sturm-type bisection driven by the inertia of the shifted
-  LDL^T factorization, which costs O(n) per probe and is how the large
-  mode sweeps stay cheap.
+  LDL^T factorization, O(n) per probe.  One numpy kernel runs the
+  recurrence over the rows for a whole batch of (matrix, shift) columns
+  at once, which is how the large mode sweeps stay cheap.
 
-The inner loops are numba-compiled when numba is available and fall back
-to pure Python otherwise.  This module also hosts the sector-exclusion
-certificate for tridiagonal matrices with positive diagonal and
-nonpositive off-diagonal products: such a matrix has no eigenvalue in the
-open sector {Re z < mu, |Im z| < delta (1 - Re z / mu)} with mu the
-smallest diagonal entry, provided 0 < delta <= (pi/2) / sum_k 1/delta_k.
+This module also hosts the sector-exclusion certificate for tridiagonal
+matrices with positive diagonal and nonpositive off-diagonal products:
+such a matrix has no eigenvalue in the open sector
+{Re z < mu, |Im z| < delta (1 - Re z / mu)} with mu the smallest
+diagonal entry, provided 0 < delta <= (pi/2) / sum_k 1/delta_k.
 The certificate checks the hypotheses per instance so callers can assert
 the exclusion on computed spectra.
 """
@@ -31,22 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a hard dependency, but keep a fallback
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-_EPS = float(np.finfo(float).eps)
-_TINY_PIVOT = 1e-300
 
 
 class NoConvergence(RuntimeError):
@@ -152,11 +136,10 @@ class CertificateResult:
 
 
 # ---------------------------------------------------------------------------
-# compiled kernels
+# QL kernel
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
 def _tqli_kernel(d, e, max_sweeps):
     """Implicit-shift QL on a complex symmetric tridiagonal (d, e), eigenvalues only.
 
@@ -219,82 +202,6 @@ def _tqli_kernel(d, e, max_sweeps):
             e[low] = g
             e[m] = 0.0
     return 0
-
-
-@njit(cache=True)
-def _periodic_inertia(d, e, corner, x):
-    """Number of eigenvalues below x for the band-plus-corner symmetric matrix.
-
-    Eliminates variables in order, tracking the fill in the last row/column,
-    and counts negative pivots (Sylvester's law).  Zero pivots are nudged to
-    a tiny positive value, the standard Sturm-count safeguard.
-    """
-    n = d.shape[0]
-    neg = 0
-    if n == 1:
-        return 1 if d[0] - x < 0.0 else 0
-    if n == 2:
-        a = d[0] - x
-        b = e[0] + corner
-        g = d[1] - x
-        if a == 0.0:
-            a = 1e-300
-        if a < 0.0:
-            neg += 1
-        if g - b * b / a < 0.0:
-            neg += 1
-        return neg
-    a = d[0] - x
-    f = corner
-    g = d[n - 1] - x
-    for i in range(n - 2):
-        if a == 0.0:
-            a = 1e-300
-        if a < 0.0:
-            neg += 1
-        ei = e[i]
-        anext = d[i + 1] - x - ei * ei / a
-        fnext = -ei * f / a
-        if i + 1 == n - 2:
-            fnext += e[n - 2]
-        g = g - f * f / a
-        a = anext
-        f = fnext
-    if a == 0.0:
-        a = 1e-300
-    if a < 0.0:
-        neg += 1
-    if g - f * f / a < 0.0:
-        neg += 1
-    return neg
-
-
-@njit(cache=True)
-def _periodic_kth_eigenvalue(d, e, corner, k, tol):
-    """k-th smallest eigenvalue (0-based) via inertia bisection."""
-    n = d.shape[0]
-    r = abs(corner)
-    lo = d[0]
-    hi = d[0]
-    for i in range(n):
-        s = 0.0
-        if i > 0:
-            s += abs(e[i - 1])
-        if i < n - 1:
-            s += abs(e[i])
-        if i == 0 or i == n - 1:
-            s += r
-        if d[i] - s < lo:
-            lo = d[i] - s
-        if d[i] + s > hi:
-            hi = d[i] + s
-    while hi - lo > tol * max(1.0, abs(lo) + abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if _periodic_inertia(d, e, corner, mid) <= k:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -383,35 +290,295 @@ def eig_dense_symmetric(matrix, k: int | None = None, max_sweeps: int = 50) -> n
     return vals if k is None else vals[:k]
 
 
-def eig_sym_tridiagonal(tri: SymTridiagonal, max_sweeps: int = 50) -> np.ndarray:
-    """Eigenvalues of a symmetric tridiagonal matrix via QL, ascending."""
-    return np.sort(_ql_eigenvalues(tri.diag, tri.offdiag, max_sweeps).real)
+# ---------------------------------------------------------------------------
+# symmetric periodic tridiagonal path: batched inertia bisection
+# ---------------------------------------------------------------------------
+
+#: A pivot at most this times its matrix's largest entry is eliminated
+#: together with the next row, so the corner fill never divides by it.
+_HOLD_REL = 2.0**-60
+
+#: Pivots smaller than this times the largest entry are clamped to minus
+#: it, as with the pivmin of LAPACK's dstebz.  Far above the underflow
+#: threshold, so e^2 / pivot stays below 2^200 times the largest entry
+#: and the next pivot's e^2 / pivot cannot underflow.
+_PIVMIN_REL = 2.0**-200
+
+#: Corner fill below this times the largest entry is flushed to zero
+#: (checked every _FLUSH_EVERY rows); its square could otherwise
+#: underflow, and its effect on the count is far below roundoff.
+_FLUSH_REL = 2.0**-200
+_FLUSH_EVERY = 4
+
+#: Rows whose pivot signs the kernel buffers before adding them up.
+_SIGN_ROWS = 64
+
+#: Floor on a matrix's scale, so that the thresholds above stay normal
+#: numbers (and a zero pivot of the zero matrix is still clamped).
+_MIN_SCALE = 2.0**-800
+
+#: Fixed cost of one row step of the inertia kernel, in probe columns: a
+#: row costs about as much as this many extra columns.  Each bisection
+#: round probes ``levels`` levels of every bracket at once, with levels
+#: chosen to minimise (_ROW_COST + brackets * (2^levels - 1)) / levels,
+#: the cost per level gained.
+_ROW_COST = 1000
+
+
+class _PeriodicBands:
+    """A batch of P symmetric periodic tridiagonal matrices, column p each.
+
+    ``diag`` is (n, P), ``offdiag`` (n-1, P) and ``corner`` (P,), so one row
+    of the recurrence reads contiguous memory.  ``scale`` (P,) is each
+    matrix's largest entry in magnitude (at least _MIN_SCALE), which sets
+    its thresholds.
+    """
+
+    def __init__(self, diag, offdiag, corner):
+        self.diag = diag
+        self.offdiag = offdiag
+        self.corner = corner
+        scale = np.maximum(diag.max(axis=0, initial=0.0), -diag.min(axis=0, initial=0.0))
+        scale = np.maximum(scale, np.maximum(offdiag.max(axis=0, initial=0.0),
+                                             -offdiag.min(axis=0, initial=0.0)))
+        self.scale = np.maximum(np.maximum(scale, np.abs(corner)), _MIN_SCALE)
+
+    def gershgorin(self):
+        """Per-matrix bounds (lo, hi) on the spectrum, each of shape (P,)."""
+        d, e = self.diag, self.offdiag
+        n, p = d.shape
+        lo, hi = d[0].copy(), d[0].copy()
+        for start in range(0, n, 128):
+            stop = min(start + 128, n)
+            # radius of row i: |e[i-1]| + |e[i]|, plus |corner| at both ends
+            s = np.zeros((stop - start, p))
+            s[start == 0:] += np.abs(e[max(start - 1, 0):stop - 1])
+            s[:min(stop, n - 1) - start] += np.abs(e[start:min(stop, n - 1)])
+            if start == 0:
+                s[0] += np.abs(self.corner)
+            if stop == n and n > 1:
+                s[-1] += np.abs(self.corner)
+            np.minimum(lo, (d[start:stop] - s).min(axis=0), out=lo)
+            np.maximum(hi, (d[start:stop] + s).max(axis=0), out=hi)
+        return lo, hi
+
+
+def _screen_pivots(bands, row, a, buf, mask, may_hold, busy):
+    """Clamp tiny pivots of ``row`` in place; return the ones to hold back.
+
+    ``buf`` holds |a|.  A pivot of magnitude below pivmin becomes -pivmin
+    (counted negative).  When ``may_hold``, the pivots at most _HOLD_REL
+    times their matrix's scale whose row couples onward
+    (offdiag[row] != 0) are returned as index arrays (shift, matrix),
+    except those in ``busy``; otherwise None.
+    """
+    np.less_equal(buf, _HOLD_REL * bands.scale, out=mask)
+    if not mask.any():
+        return None
+    shifts, cols = np.nonzero(mask)
+    pivmin = _PIVMIN_REL * bands.scale[cols]
+    tiny = buf[shifts, cols] < pivmin
+    a[shifts[tiny], cols[tiny]] = -pivmin[tiny]
+    if not may_hold:
+        return None
+    if busy is not None:
+        mask[busy[:2]] = False
+    mask[:, bands.offdiag[row] == 0.0] = False
+    if not mask.any():
+        return None
+    return np.nonzero(mask)
+
+
+def _periodic_inertia(bands: _PeriodicBands, x: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues below each shift, for a batch of periodic matrices.
+
+    ``x`` is (m, P): m shifts for each matrix of ``bands``; the result is
+    the (m, P) integer counts.  Eliminates the rows in order, carrying the
+    fill f in the last row and column and that row's Schur complement g,
+    and counts negative pivots (Sylvester's law of inertia).  Pivots below
+    pivmin are clamped as in LAPACK's dstebz.  A pivot a_j that is tiny
+    against the matrix scale would make the fill of row j+1 huge and the
+    next two updates of g cancel catastrophically (or overflow to
+    inf - inf); such a column is held back for one row and rows j, j+1
+    are eliminated into g as one 2x2 block, whose determinant
+    a_j a_{j+1} = a_j c_{j+1} - e_j^2 stays of the size of e_j^2.  The
+    pivots themselves still follow the scalar recurrence, so the count is
+    unchanged wherever no pivot is tiny.
+    """
+    n = bands.diag.shape[0]
+    if bands.diag.shape[1] == 1:
+        # one matrix: Python floats broadcast faster than length-1 rows
+        d, e = bands.diag[:, 0].tolist(), bands.offdiag[:, 0].tolist()
+    else:
+        d, e = list(bands.diag), list(bands.offdiag)
+    if n == 1:
+        return (d[0] - x < 0.0).astype(np.intp)
+    shape = x.shape
+    less, sub, mul, div, absolute = np.less, np.subtract, np.multiply, np.divide, np.abs
+    smallest = np.minimum.reduce
+    screen = _HOLD_REL * float(bands.scale.max())
+    flush = _FLUSH_REL * float(bands.scale.min())
+    # f holds (-1)^i times the fill of row i, so its update needs e, not -e
+    a = d[0] - x
+    f = np.empty(shape)
+    f[...] = bands.corner if n > 2 else bands.corner + e[0]
+    g = d[n - 1] - x
+    # signs of the pivots, added up every _SIGN_ROWS rows
+    count = np.zeros(shape, dtype=np.intp)
+    negative = np.empty((_SIGN_ROWS,) + shape, dtype=bool)
+    is_negative = list(negative)
+    a_next, f_next, buf = np.empty(shape), np.empty(shape), np.empty(shape)
+    mask = np.empty(shape, dtype=bool)
+    last = bands.offdiag[n - 2] if n % 2 == 0 else -bands.offdiag[n - 2]
+    held = due = None
+    absolute(a, buf)
+    if smallest(buf, None) <= screen:
+        held = _screen_pivots(bands, 0, a, buf, mask, n >= 3, None)
+    for i in range(n - 2):
+        less(a, 0.0, is_negative[i % _SIGN_ROWS])
+        if i % _SIGN_ROWS == _SIGN_ROWS - 1:
+            count += np.count_nonzero(negative, axis=0)
+        saved = None
+        if held is not None:
+            saved = (*held, f[held], g[held], a[held], bands.offdiag[i][held[1]])
+        ei = e[i]
+        sub(d[i + 1], x, a_next)
+        div(ei * ei, a, buf)
+        sub(a_next, buf, a_next)
+        mul(ei, f, f_next)
+        div(f_next, a, f_next)
+        if i + 1 == n - 2:
+            f_next += last
+        mul(f, f, buf)
+        div(buf, a, buf)
+        sub(g, buf, g)
+        if due is not None:
+            # rows i-1 and i as one block: overwrite what the two scalar
+            # steps computed for these columns
+            shifts, cols, f_held, g_held, a_held, e_held = due
+            den = a_held * a[shifts, cols]
+            c = bands.diag[i][cols] - x[shifts, cols]
+            g[shifts, cols] = g_held - f_held * f_held * c / den
+            f_new = bands.offdiag[i][cols] * (e_held * f_held) / den
+            if i + 1 == n - 2:
+                f_new += last[cols]
+            f_next[shifts, cols] = f_new
+        a, a_next = a_next, a
+        f, f_next = f_next, f
+        due = saved
+        held = None
+        absolute(a, buf)
+        if smallest(buf, None) <= screen:
+            held = _screen_pivots(bands, i + 1, a, buf, mask, i + 1 <= n - 3, due)
+        if not i % _FLUSH_EVERY:
+            absolute(f, buf)
+            if smallest(buf, None) < flush:
+                less(buf, flush, mask)
+                f[mask] = 0.0
+    count += np.count_nonzero(negative[:(n - 2) % _SIGN_ROWS], axis=0)
+    count += a < 0.0
+    np.multiply(f, f, out=buf)
+    np.divide(buf, a, out=buf)
+    np.subtract(g, buf, out=buf)
+    if due is not None:
+        # rows n-3 and n-2 as one block, coupled to the last row by the
+        # held fill and by e[n-2]
+        shifts, cols, f_held, g_held, a_held, e_held = due
+        a_last = a[shifts, cols]
+        c = bands.diag[n - 2][cols] - x[shifts, cols]
+        phi = bands.offdiag[n - 2][cols]
+        fill = f_held if n % 2 == 1 else -f_held
+        buf[shifts, cols] = (g_held - (fill * fill * c - 2.0 * e_held * fill * phi)
+                             / (a_held * a_last) - phi * phi / a_last)
+    count += buf < 0.0
+    return count
+
+
+def _dyadic_points(lo, hi, levels):
+    """lo, hi and the 2^levels - 1 points that bisection could probe between them.
+
+    Built level by level from midpoints of neighbours, so each point is
+    bit for bit the midpoint plain bisection computes on its way there.
+    """
+    pts = np.stack([lo, hi], axis=-1)
+    for _ in range(levels):
+        out = np.empty(pts.shape[:-1] + (2 * pts.shape[-1] - 1,))
+        out[..., ::2] = pts
+        out[..., 1::2] = 0.5 * (pts[..., :-1] + pts[..., 1:])
+        pts = out
+    return pts
+
+
+def _bisect(bands: _PeriodicBands, k: int, tol: float) -> np.ndarray:
+    """The k smallest eigenvalues of every matrix in the batch, shape (P, k).
+
+    Each eigenvalue is bisected in its own bracket, starting from the
+    Gershgorin interval and stopping once hi - lo <= tol * max(1, |lo|+|hi|).
+    A round counts all 2^levels - 1 dyadic points of each bracket at once
+    (multisection) and then walks ``levels`` bisection steps down them, so
+    the result is bit for bit that of plain bisection at any level count.
+    """
+    lo, hi = bands.gershgorin()
+    lo = np.repeat(lo[:, None], k, axis=1)
+    hi = np.repeat(hi[:, None], k, axis=1)
+    index = np.arange(k)
+    levels = min(range(1, 16), key=lambda r: (_ROW_COST + lo.size * (2**r - 1)) / r)
+    top = 2**levels
+
+    def unconverged(lo, hi):
+        return hi - lo > tol * np.maximum(1.0, np.abs(lo) + np.abs(hi))
+
+    active = unconverged(lo, hi)
+    while active.any():
+        pts = _dyadic_points(lo, hi, levels)
+        shifts = pts[:, :, 1:-1].reshape(lo.shape[0], -1).T.copy()
+        counts = _periodic_inertia(bands, shifts).T.reshape(lo.shape + (top - 1,))
+        left = np.zeros(lo.shape, dtype=np.intp)
+        right = np.full(lo.shape, top)
+        for _ in range(levels):
+            mid = (left + right) // 2
+            below = np.take_along_axis(counts, mid[..., None] - 1, axis=-1)[..., 0] <= index
+            left = np.where(active & below, mid, left)
+            right = np.where(active & ~below, mid, right)
+            lo = np.take_along_axis(pts, left[..., None], axis=-1)[..., 0]
+            hi = np.take_along_axis(pts, right[..., None], axis=-1)[..., 0]
+            active = unconverged(lo, hi)
+    return 0.5 * (lo + hi)
 
 
 def sturm_count(tri: SymTridiagonal, x: float) -> int:
     """Number of eigenvalues of a symmetric tridiagonal matrix below x."""
-    d = np.ascontiguousarray(tri.diag, dtype=float)
-    e = np.ascontiguousarray(tri.offdiag, dtype=float)
-    return int(_periodic_inertia(d, e, 0.0, float(x)))
+    bands = _PeriodicBands(tri.diag[:, None], tri.offdiag[:, None], np.zeros(1))
+    return int(_periodic_inertia(bands, np.full((1, 1), float(x)))[0, 0])
 
 
-def eig_periodic_sym_tridiagonal(diag, offdiag, corner: float, k: int = 1,
+def eig_periodic_sym_tridiagonal(diag, offdiag, corner, k: int = 1,
                                  tol: float = 1e-13) -> np.ndarray:
-    """The k smallest eigenvalues of a symmetric periodic tridiagonal matrix.
+    """The k smallest eigenvalues of symmetric periodic tridiagonal matrices.
 
     The matrix is the tridiagonal (diag, offdiag) plus ``corner`` at the two
     wrap-around positions (0, n-1) and (n-1, 0).  Each eigenvalue comes from
     inertia bisection, so the result is reliable for tightly clustered pairs.
+    For one matrix, ``diag`` has length n and the result length k.  For a
+    batch of P matrices, ``diag`` is (n, P), ``offdiag`` (n-1, P) and
+    ``corner`` (P,), one matrix per column, and the result is (P, k); all
+    of them are bisected together, one row of the recurrence at a time.
+    Raises ValueError on a non-finite entry.
     """
     d = np.ascontiguousarray(diag, dtype=float)
     e = np.ascontiguousarray(offdiag, dtype=float)
-    if len(e) != len(d) - 1:
+    single = d.ndim == 1
+    if single:
+        d, e = d[:, None], e.reshape(-1, 1)
+    if d.ndim != 2 or e.shape != (d.shape[0] - 1, d.shape[1]):
         raise ValueError("offdiag must have length n-1")
-    if not 1 <= k <= len(d):
+    if not 1 <= k <= d.shape[0]:
         raise ValueError("k out of range")
-    return np.array([
-        _periodic_kth_eigenvalue(d, e, float(corner), j, tol) for j in range(k)
-    ])
+    c = np.broadcast_to(np.asarray(corner, dtype=float), (d.shape[1],))
+    if not (np.isfinite(d).all() and np.isfinite(e).all() and np.isfinite(c).all()):
+        raise ValueError("matrix entries must be finite")
+    vals = _bisect(_PeriodicBands(d, e, c), k, tol)
+    return vals[0] if single else vals
 
 
 # ---------------------------------------------------------------------------

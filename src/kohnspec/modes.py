@@ -26,7 +26,6 @@ scheme can never push below roundoff.)  The mass matrix is diag(kappa h).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -42,24 +41,6 @@ class GridTooCoarse(RuntimeError):
 class ModeIndex(NamedTuple):
     m: int
     l: int
-
-
-@dataclass(frozen=True)
-class ModeOperator:
-    """Carrier for one mode: indices, sampled potential, source curve."""
-
-    mode: ModeIndex
-    potential: np.ndarray
-    curve: GeneratingCurve
-
-    def __post_init__(self):
-        if len(self.potential) != self.curve.n:
-            raise ValueError("potential sample count must match the curve grid")
-
-    @classmethod
-    def build(cls, curve: GeneratingCurve, mode) -> "ModeOperator":
-        mode = ModeIndex(*mode)
-        return cls(mode, potential(curve, mode), curve)
 
 
 def potential(curve: GeneratingCurve, mode) -> np.ndarray:
@@ -121,29 +102,55 @@ def assemble(curve: GeneratingCurve, mode) -> DenseSymmetric:
 ZERO_MODE_TOL = 1e-6
 
 
+def _check_zero_mode(mode: ModeIndex, lam0: float, lam1: float) -> None:
+    if abs(lam0) > ZERO_MODE_TOL * max(1.0, lam1):
+        raise GridTooCoarse(f"zero mode of mode {tuple(mode)} came out as {lam0:.3e}")
+
+
+def mode_spectra(curve: GeneratingCurve, modes, k: int = 2) -> np.ndarray:
+    """First k eigenvalues of each mode operator, ascending; one row per mode.
+
+    The bands of all modes are stored once, as (n, modes) arrays, and
+    every mode is bisected in the same batch, one row of the inertia
+    recurrence at a time.  Each mode's smallest eigenvalue is asserted to
+    be the analytically guaranteed zero mode; GridTooCoarse names the
+    first mode, in the given order, where it is not.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    modes = [ModeIndex(*mode) for mode in modes]
+    want = max(k, 2)
+    diag = np.empty((curve.n, len(modes)))
+    off = np.empty((curve.n - 1, len(modes)))
+    corner = np.empty(len(modes))
+    for j, mode in enumerate(modes):
+        diag[:, j], off[:, j], corner[j] = assemble_bands(curve, mode)
+    vals = eig_periodic_sym_tridiagonal(diag, off, corner, k=want)
+    for mode, row in zip(modes, vals):
+        _check_zero_mode(mode, row[0], row[1])
+    return vals[:, :k]
+
+
 def mode_spectrum(curve: GeneratingCurve, mode, k: int = 2,
                   method: str = "bisect") -> np.ndarray:
     """First k eigenvalues of the mode operator, ascending.
 
-    The default path runs inertia bisection on the banded form; ``dense``
-    routes through the full Householder + QL backend instead (identical
-    spectra, used for cross-checks).  The smallest eigenvalue is asserted
-    to be the analytically guaranteed zero mode; GridTooCoarse signals a
+    The default path is the one-mode case of ``mode_spectra`` (inertia
+    bisection on the banded form); ``dense`` routes through the full
+    Householder + QL backend instead (identical spectra, used for
+    cross-checks).  The smallest eigenvalue is asserted to be the
+    analytically guaranteed zero mode; GridTooCoarse signals a
     discretization failure.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    want = max(k, 2)
     if method == "bisect":
-        vals = eig_periodic_sym_tridiagonal(*assemble_bands(curve, mode), k=want)
-    elif method == "dense":
-        vals = eig_dense_symmetric(assemble(curve, mode), k=want)
-    else:
+        return mode_spectra(curve, [mode], k)[0]
+    if method != "dense":
         raise ValueError(f"unknown method {method!r}")
-    lam0, lam1 = vals[0], vals[1]
-    if abs(lam0) > ZERO_MODE_TOL * max(1.0, lam1):
-        raise GridTooCoarse(
-            f"zero mode of mode {tuple(ModeIndex(*mode))} came out as {lam0:.3e}")
+    mode = ModeIndex(*mode)
+    vals = eig_dense_symmetric(assemble(curve, mode), k=max(k, 2))
+    _check_zero_mode(mode, vals[0], vals[1])
     return vals[:k]
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .curve import GeneratingCurve, geometric_invariants, periodic_quadrature, \
     webster_scalar_curvature
-from .modes import ModeIndex, mode_spectrum
+from .modes import ModeIndex, mode_spectra
 
 #: Slack tolerance when checking lambda_1 <= bound_rhs numerically.
 BOUND_TOL = 1e-6
@@ -113,10 +113,9 @@ def lambda1_kohn(curve: GeneratingCurve, window: ModeWindow,
     table: dict[ModeIndex, ModeEigenvalues] = {}
 
     def sweep(modes):
-        for mode in modes:
-            if mode not in table:
-                lam = mode_spectrum(curve, mode, k=2)
-                table[mode] = ModeEigenvalues(mode.m, mode.l, float(lam[0]), float(lam[1]))
+        new = [mode for mode in modes if mode not in table]
+        for mode, (lam0, lam1) in zip(new, mode_spectra(curve, new, k=2)):
+            table[mode] = ModeEigenvalues(mode.m, mode.l, float(lam0), float(lam1))
 
     sweep(window.modes())
     rounds = 0

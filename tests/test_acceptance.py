@@ -20,6 +20,7 @@ from kohnspec import (
     ince_matrix,
     kernel_function,
     lambda1_kohn,
+    mode_spectra,
     mode_spectrum,
     random_profile,
     rayleigh_quotient,
@@ -87,22 +88,22 @@ def test_criterion_03_bracketing_on_random_curves():
 
 def test_criterion_04_mode_kernels():
     worst_lam0, worst_quotient = 0.0, 0.0
+    modes = [(m, l) for m in range(-4, 5) for l in range(-4, 5)]
     for seed in range(5):
         curve = build_curve(random_profile(seed), GRID)
-        for m in range(-4, 5):
-            for l in range(-4, 5):
-                lam0 = mode_spectrum(curve, (m, l), k=1)[0]
-                quotient = rayleigh_quotient(curve, (m, l), kernel_function(curve, (m, l)))
-                assert abs(lam0) < 1e-6
-                assert quotient < 1e-8
-                worst_lam0 = max(worst_lam0, abs(lam0))
-                worst_quotient = max(worst_quotient, quotient)
+        # one batch per curve; each row equals mode_spectrum's bit for bit
+        for mode, (lam0,) in zip(modes, mode_spectra(curve, modes, k=1)):
+            quotient = rayleigh_quotient(curve, mode, kernel_function(curve, mode))
+            assert abs(lam0) < 1e-6
+            assert quotient < 1e-8
+            worst_lam0 = max(worst_lam0, abs(lam0))
+            worst_quotient = max(worst_quotient, quotient)
     _report(f"ACCEPTANCE 04 mode kernels: PASS  5 curves x 81 modes, "
             f"max|lam0|={worst_lam0:.2e}, max kernel quotient={worst_quotient:.2e}")
 
 
 def test_criterion_05_spectral_floor_sweep():
-    verify_E_geq_1([0.3], N=10)  # warm up (numba compilation, when present) before timing
+    verify_E_geq_1([0.3], N=10)  # warm up before timing
     a_values = np.linspace(0.0, 10.0, 41)
     start = time.perf_counter()
     result = verify_E_geq_1(a_values, N=60)

@@ -85,6 +85,15 @@ class TestAnalyze:
         payload = json.loads(report.read_text())
         assert payload["lambda1_estimate"] == pytest.approx(1.0, abs=1e-3)
 
+    def test_grid_with_kappa_samples_exits_one(self, tmp_path, capsys):
+        spec = tmp_path / "samples.json"
+        spec.write_text(json.dumps({
+            "kappa_samples": list(np.full(128, 2.0)),
+            "length": np.pi,
+        }))
+        assert run(["analyze", str(spec), "--grid", "256", "--window", "1", "1"]) == 1
+        assert "grid" in capsys.readouterr().err
+
     def test_deterministic_output(self, tmp_path):
         spec = tmp_path / "circle.json"
         run(["make-curve", "circle", "--out", str(spec)])

@@ -1,7 +1,13 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kohnspec import (
+    build_curve,
+    random_profile,
     DenseSymmetric,
     NoConvergence,
     SectorRegion,
@@ -15,8 +21,15 @@ from kohnspec import (
     sector_exclusion_certificate,
     sturm_count,
 )
-from kohnspec.eigen import eig_sym_tridiagonal
-from kohnspec.whittakerhill import ince_matrix
+import kohnspec.eigen as eigen_mod
+from kohnspec.eigen import _PeriodicBands, _periodic_inertia, _ql_eigenvalues
+from kohnspec.modes import assemble_bands
+from kohnspec.whittakerhill import _wh_bands, ince_matrix
+
+
+def eig_sym_tridiagonal(tri: SymTridiagonal) -> np.ndarray:
+    """Eigenvalues of a symmetric tridiagonal matrix by the QL kernel, ascending."""
+    return np.sort(_ql_eigenvalues(tri.diag, tri.offdiag, 50).real)
 
 
 def charpoly_bisection_roots(a, samples=20000):
@@ -94,6 +107,7 @@ class TestDenseSymmetric:
         np.testing.assert_allclose(eig_dense_symmetric(tri.to_dense()),
                                    eig_sym_tridiagonal(tri), atol=1e-10)
 
+    @pytest.mark.usefixtures("raise_fp")
     def test_sturm_counts_agree(self):
         rng = np.random.default_rng(12)
         tri = SymTridiagonal(rng.standard_normal(25), rng.standard_normal(24))
@@ -104,6 +118,114 @@ class TestDenseSymmetric:
             assert sturm_count(tri, lam + 1e-9 * scale) >= i + 1
 
 
+@pytest.fixture
+def raise_fp():
+    with np.errstate(all="raise"):
+        yield
+
+
+def periodic_dense(diag, offdiag, corner):
+    a = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
+    a[0, -1] += corner
+    a[-1, 0] += corner
+    return a
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_case(kind, n, seed, m, l):
+    """Bands of one test matrix and their eigenvalues from LAPACK."""
+    if kind == "wh0":
+        bands = _wh_bands(0.0, n)
+    else:
+        bands = assemble_bands(build_curve(random_profile(seed), n), (m, l))
+    return bands, np.linalg.eigvalsh(periodic_dense(*bands))
+
+
+def check_counts(bands, ev, shifts):
+    """Kernel counts at ``shifts`` against LAPACK, away from eigenvalues."""
+    diag, offdiag, corner = bands
+    batch = _PeriodicBands(diag[:, None], offdiag[:, None], np.array([corner]))
+    x = np.asarray(shifts, dtype=float)[:, None]
+    with np.errstate(all="raise"):
+        counts = _periodic_inertia(batch, x)[:, 0]
+    scale = np.abs(ev).max()
+    for xi, count in zip(x[:, 0], counts):
+        if np.min(np.abs(ev - xi)) > 1e-9 * scale:
+            assert count == np.count_nonzero(ev < xi), xi
+
+
+cases = st.one_of(
+    st.tuples(st.just("wh0"), st.sampled_from([3, 4, 16, 64, 512]),
+              st.just(0), st.just(0), st.just(0)),
+    st.tuples(st.just("mode"), st.sampled_from([64, 512]), st.integers(0, 2),
+              st.integers(-4, 4), st.integers(-4, 4)),
+)
+
+
+class TestPeriodicInertia:
+    def test_zero_pivot_at_dyadic_shift(self):
+        # x = 1.5 * d[0] makes every third pivot of the free Laplacian
+        # exactly zero; the fill past it used to overflow and lose a count
+        bands, ev = oracle_case("wh0", 64, 0, 0, 0)
+        x = 1.5 * bands[0][0]
+        assert np.count_nonzero(ev < x) == 43
+        check_counts(bands, ev, [x])
+
+    def test_zero_pivots_next_to_the_corner(self):
+        # quarter steps of d[0] put zero pivots every second to fourth row;
+        # n = 3..12 moves them onto each row next to the wrap-around corner
+        for n in range(3, 13):
+            bands = _wh_bands(0.0, n)
+            ev = np.linalg.eigvalsh(periodic_dense(*bands))
+            check_counts(bands, ev, [bands[0][0] * j / 4 for j in range(-1, 18)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=cases, fractions=st.lists(st.floats(-0.05, 1.05), min_size=1, max_size=8))
+    def test_random_shifts_match_lapack(self, case, fractions):
+        bands, ev = oracle_case(*case)
+        lo, hi = ev[0], ev[-1]
+        check_counts(bands, ev, [lo + t * (hi - lo) for t in fractions])
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=cases, k=st.integers(0, 12), data=st.data())
+    def test_dyadic_shifts_match_lapack(self, case, k, data):
+        bands, ev = oracle_case(*case)
+        d0 = bands[0][0]
+        top = int(np.ceil(ev[-1] / abs(d0) * 2**k)) + 1
+        j = data.draw(st.lists(st.integers(-2, top), min_size=1, max_size=8))
+        check_counts(bands, ev, [d0 * ji / 2**k for ji in j])
+
+    @pytest.mark.usefixtures("raise_fp")
+    def test_batch_matches_single_matrices(self):
+        # columns with and without zero pivots side by side in one batch
+        n = 64
+        mats = [oracle_case("wh0", n, 0, 0, 0)[0],
+                oracle_case("mode", n, 1, 2, -1)[0],
+                oracle_case("mode", n, 2, 0, 0)[0]]
+        batch = _PeriodicBands(np.stack([m[0] for m in mats], axis=1),
+                               np.stack([m[1] for m in mats], axis=1),
+                               np.array([m[2] for m in mats]))
+        d0 = mats[0][0][0]
+        x = np.repeat(d0 * np.arange(-2, 33)[:, None] / 8, 3, axis=1)
+        x[:, 1] = np.linspace(-1.0, 2.0 * np.abs(mats[1][0]).max(), len(x))
+        counts = _periodic_inertia(batch, x)
+        for p, bands in enumerate(mats):
+            single = _PeriodicBands(bands[0][:, None], bands[1][:, None],
+                                    np.array([bands[2]]))
+            np.testing.assert_array_equal(counts[:, p], _periodic_inertia(single, x[:, p:p + 1])[:, 0])
+
+    @pytest.mark.usefixtures("raise_fp")
+    def test_plain_tridiagonal_zero_pivots(self):
+        # sturm_count on the free Dirichlet Laplacian at its own diagonal
+        n = 40
+        tri = SymTridiagonal(np.full(n, 2.0), np.full(n - 1, -1.0))
+        ev = np.linalg.eigvalsh(tri.to_dense())
+        for x in (0.0, 1.0, 2.0, 3.0, 4.0):
+            if np.min(np.abs(ev - x)) > 1e-9:
+                assert sturm_count(tri, x) == np.count_nonzero(ev < x)
+
+
+@pytest.mark.usefixtures("raise_fp")
 class TestPeriodicTridiagonal:
     def test_against_dense_path(self):
         rng = np.random.default_rng(17)
@@ -126,6 +248,54 @@ class TestPeriodicTridiagonal:
         vals = eig_periodic_sym_tridiagonal(d, e, -1.0, k=5)
         expected = 4 * np.sin(np.pi * np.array([0, 1, 1, 2, 2]) / n) ** 2
         np.testing.assert_allclose(vals, expected, atol=1e-10)
+
+    def test_multisection_on_degenerate_pairs(self, monkeypatch):
+        # one matrix probes many dyadic points per bracket and round; same
+        # spectrum and bound as above
+        n = 64
+        widths = []
+
+        def spy(bands, x):
+            widths.append(x.shape[0])
+            return _periodic_inertia(bands, x)
+
+        monkeypatch.setattr(eigen_mod, "_periodic_inertia", spy)
+        vals = eig_periodic_sym_tridiagonal(np.full(n, 2.0), np.full(n - 1, -1.0), -1.0, k=5)
+        assert min(widths) > 5
+        expected = np.linalg.eigvalsh(periodic_dense(np.full(n, 2.0), np.full(n - 1, -1.0), -1.0))
+        np.testing.assert_allclose(vals, expected[:5], atol=1e-10)
+
+    def test_multisection_equals_bisection(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        n = 48
+        d = rng.uniform(1.0, 5.0, n)
+        e = rng.standard_normal(n - 1)
+        multi = eig_periodic_sym_tridiagonal(d, e, 0.4, k=4)
+        monkeypatch.setattr(eigen_mod, "_ROW_COST", 0)
+        plain = eig_periodic_sym_tridiagonal(d, e, 0.4, k=4)
+        np.testing.assert_array_equal(multi, plain)
+
+    def test_batch_equals_single(self):
+        rng = np.random.default_rng(23)
+        n, p = 40, 5
+        d = rng.uniform(1.0, 5.0, (n, p))
+        e = rng.standard_normal((n - 1, p))
+        corner = rng.standard_normal(p)
+        batch = eig_periodic_sym_tridiagonal(d, e, corner, k=3)
+        assert batch.shape == (p, 3)
+        for j in range(p):
+            np.testing.assert_array_equal(
+                batch[j], eig_periodic_sym_tridiagonal(d[:, j], e[:, j], corner[j], k=3))
+
+    def test_bad_input_rejected(self):
+        with pytest.raises(ValueError):
+            eig_periodic_sym_tridiagonal(np.ones(4), np.ones(4), 0.0)
+        with pytest.raises(ValueError):
+            eig_periodic_sym_tridiagonal(np.ones(4), np.ones(3), 0.0, k=5)
+        with pytest.raises(ValueError, match="finite"):
+            eig_periodic_sym_tridiagonal([np.nan, 1.0, 2.0], [1.0, 1.0], 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            eig_periodic_sym_tridiagonal([1.0, 1.0, 2.0], [1.0, 1.0], np.inf)
 
 
 class TestGeneralTridiagonal:

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from kohnspec import (
+    GridTooCoarse,
     ModeIndex,
-    ModeOperator,
     assemble,
     build_curve,
     circle_profile,
     eig_dense_symmetric,
     kernel_function,
+    mode_spectra,
     mode_spectrum,
     periodic_quadrature,
     potential,
@@ -48,12 +49,10 @@ class TestPotential:
             np.testing.assert_allclose(potential(ellipse_03, (2 * m, 2 * l)) - 4 * sq,
                                        2 * curl, atol=1e-12)
 
-    def test_mode_operator_carrier(self, unit_circle):
-        op = ModeOperator.build(unit_circle, (1, 2))
-        assert op.mode == ModeIndex(1, 2)
-        assert len(op.potential) == unit_circle.n
+    def test_samples_match_grid(self, unit_circle):
+        assert len(potential(unit_circle, ModeIndex(1, 2))) == unit_circle.n
         with pytest.raises(ValueError):
-            ModeOperator(ModeIndex(0, 0), np.zeros(3), unit_circle)
+            rayleigh_quotient(unit_circle, (0, 0), np.zeros(3))
 
 
 class TestAssemble:
@@ -117,6 +116,31 @@ class TestModeSpectrum:
     def test_invalid_k(self, unit_circle):
         with pytest.raises(ValueError):
             mode_spectrum(unit_circle, (0, 0), k=0)
+
+
+class TestModeSpectra:
+    def test_rows_follow_mode_order(self, ellipse_03):
+        modes = [(2, 1), (0, 0), (-1, 3)]
+        vals = mode_spectra(ellipse_03, modes, k=3)
+        assert vals.shape == (3, 3)
+        for mode, row in zip(modes, vals):
+            np.testing.assert_array_equal(row, mode_spectrum(ellipse_03, mode, k=3))
+
+    def test_empty_window(self, unit_circle):
+        assert mode_spectra(unit_circle, [], k=2).shape == (0, 2)
+
+    def test_grid_too_coarse_names_mode_in_batch(self, unit_circle, monkeypatch):
+        import kohnspec.modes as modes_mod
+        solve = modes_mod.eig_periodic_sym_tridiagonal
+
+        def drifted(diag, off, corner, k):
+            vals = solve(diag, off, corner, k=k)
+            vals[2, 0] = 1e-3  # third mode's zero mode strays
+            return vals
+
+        monkeypatch.setattr(modes_mod, "eig_periodic_sym_tridiagonal", drifted)
+        with pytest.raises(GridTooCoarse, match=r"\(1, -2\)"):
+            mode_spectra(unit_circle, [(0, 0), (3, 1), (1, -2), (2, 2)])
 
 
 class TestKernelFunction:

@@ -13,6 +13,7 @@ from kohnspec import (
     emit_report,
     geometric_invariants,
     lambda1_kohn,
+    mode_spectra,
     mode_spectrum,
     random_profile,
     rayleigh_quotient,
@@ -60,6 +61,34 @@ class TestLambda1:
         assert report.adaptive_rounds == 1
         assert report.window == (1, 1)
         assert report.lambda1_estimate == pytest.approx(0.5, abs=1e-4)
+
+    def test_adaptive_solves_only_new_modes(self, unit_circle, monkeypatch):
+        import kohnspec.spectrum as spectrum_mod
+        calls = []
+
+        def recording(curve, modes, k=2):
+            calls.append(list(modes))
+            return mode_spectra(curve, modes, k)
+
+        monkeypatch.setattr(spectrum_mod, "mode_spectra", recording)
+        report = lambda1_kohn(unit_circle, ModeWindow(0, 0), adaptive=True)
+        solved = [mode for call in calls for mode in call]
+        assert len(calls) == 2
+        assert len(solved) == len(set(solved)) == 9
+        assert sorted(solved) == sorted((row.m, row.l) for row in report.modes)
+
+    @pytest.mark.parametrize("curve_name", ["unit_circle", "ellipse_03", "random_7"])
+    def test_rows_equal_single_mode_solves(self, curve_name, request):
+        # the batched sweep and the one-mode path agree bit for bit
+        if curve_name == "random_7":
+            curve = build_curve(random_profile(7), 512)
+        else:
+            curve = request.getfixturevalue(curve_name)
+        report = lambda1_kohn(curve, ModeWindow(4, 4))
+        assert len(report.modes) == 81
+        for row in report.modes:
+            lam0, lam1 = mode_spectrum(curve, (row.m, row.l), k=2)
+            assert (row.lambda0, row.lambda1) == (lam0, lam1)
 
     def test_circle_radius_reciprocal(self):
         for radius in (0.5, 1.0, 2.0):
