@@ -49,6 +49,9 @@ class RunConfig:
             raise ValueError("--grid must be an even integer >= 64")
         if self.window[0] < 0 or self.window[1] < 0:
             raise ValueError("--window bounds must be nonnegative")
+        for flag, value in (("--a-min", self.a_min), ("--a-max", self.a_max)):
+            if not np.isfinite(value):
+                raise ValueError(f"{flag} must be finite, got {value!r}")
         if self.a_min > self.a_max:
             raise ValueError("--a-min must not exceed --a-max")
         if self.steps < 1:

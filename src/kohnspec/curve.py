@@ -137,6 +137,10 @@ class RadiusOfCurvatureProfile:
         object.__setattr__(self, "sin_coeffs", tuple(float(d) for d in self.sin_coeffs))
         if not self.cos_coeffs:
             raise ValueError("profile needs at least the constant coefficient c_0")
+        for name in ("cos_coeffs", "sin_coeffs"):
+            for j, c in enumerate(getattr(self, name)):
+                if not np.isfinite(c):
+                    raise ValueError(f"profile coefficient {name}[{j}] must be finite, got {c!r}")
 
     def series(self) -> _TrigSeries:
         return _TrigSeries.from_cos_sin(self.cos_coeffs, self.sin_coeffs)
@@ -310,8 +314,11 @@ def curve_from_curvature_samples(kappa_samples, length: float,
     kappa = np.asarray(kappa_samples, dtype=float)
     n = _validate_grid(len(kappa))
     length = float(length)
-    if length <= 0:
-        raise ValueError("length must be positive")
+    if not (np.isfinite(length) and length > 0):
+        raise ValueError(f"length must be finite and positive, got {length!r}")
+    bad = np.flatnonzero(~np.isfinite(kappa))
+    if len(bad):
+        raise ValueError(f"curvature samples must be finite; sample {bad[0]} is {kappa[bad[0]]!r}")
     if kappa.min() <= 0.0:
         raise NonPositiveCurvature(
             f"curvature samples must be positive; min is {kappa.min():.6g}")

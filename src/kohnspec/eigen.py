@@ -499,29 +499,45 @@ def _dyadic_points(lo, hi, levels):
 
     Built level by level from midpoints of neighbours, so each point is
     bit for bit the midpoint plain bisection computes on its way there.
+    The midpoint of a bracket [a, b] is geometric, sqrt(a) sqrt(b), while
+    0 < 2a < b, and arithmetic, (a + b) / 2, otherwise: from a positive
+    lower end the bracket's ratio shrinks to two in about log2(log2(b/a))
+    steps before halving its width takes over.
     """
     pts = np.stack([lo, hi], axis=-1)
     for _ in range(levels):
+        a, b = pts[..., :-1], pts[..., 1:]
+        mid = 0.5 * (a + b)
+        geometric = (a > 0.0) & (2.0 * a < b)
+        if geometric.any():
+            mid[geometric] = np.sqrt(a[geometric]) * np.sqrt(b[geometric])
         out = np.empty(pts.shape[:-1] + (2 * pts.shape[-1] - 1,))
         out[..., ::2] = pts
-        out[..., 1::2] = 0.5 * (pts[..., :-1] + pts[..., 1:])
+        out[..., 1::2] = mid
         pts = out
     return pts
 
 
-def _bisect(bands: _PeriodicBands, k: int, tol: float) -> np.ndarray:
-    """The k smallest eigenvalues of every matrix in the batch, shape (P, k).
+def _bisect(bands: _PeriodicBands, k: int, tol: float, start: int = 0,
+            lower=None) -> np.ndarray:
+    """Eigenvalues start, ..., k-1 of every matrix in the batch, shape (P, k - start).
 
     Each eigenvalue is bisected in its own bracket, starting from the
-    Gershgorin interval and stopping once hi - lo <= tol * max(1, |lo|+|hi|).
-    A round counts all 2^levels - 1 dyadic points of each bracket at once
+    Gershgorin interval, whose lower end is raised to ``lower`` (P,) where
+    that is larger, and stopping once hi - lo <= tol * max(1, |lo|+|hi|).
+    ``lower`` must have at most ``start`` eigenvalues below it.  Midpoints
+    are geometric while the bracket is positive and spans more than a
+    factor of two (see _dyadic_points), arithmetic after that.  A round
+    counts all 2^levels - 1 dyadic points of each bracket at once
     (multisection) and then walks ``levels`` bisection steps down them, so
     the result is bit for bit that of plain bisection at any level count.
     """
     lo, hi = bands.gershgorin()
-    lo = np.repeat(lo[:, None], k, axis=1)
-    hi = np.repeat(hi[:, None], k, axis=1)
-    index = np.arange(k)
+    if lower is not None:
+        lo = np.maximum(lo, lower)
+    lo = np.repeat(lo[:, None], k - start, axis=1)
+    hi = np.repeat(hi[:, None], k - start, axis=1)
+    index = np.arange(start, k)
     levels = min(range(1, 16), key=lambda r: (_ROW_COST + lo.size * (2**r - 1)) / r)
     top = 2**levels
 
@@ -552,8 +568,36 @@ def sturm_count(tri: SymTridiagonal, x: float) -> int:
     return int(_periodic_inertia(bands, np.full((1, 1), float(x)))[0, 0])
 
 
+def _periodic_batch(diag, offdiag, corner) -> _PeriodicBands:
+    """Validated (n, P) bands of a batch of periodic matrices."""
+    d = np.ascontiguousarray(diag, dtype=float)
+    e = np.ascontiguousarray(offdiag, dtype=float)
+    if d.ndim != 2 or e.shape != (d.shape[0] - 1, d.shape[1]):
+        raise ValueError("offdiag must have length n-1")
+    c = np.broadcast_to(np.asarray(corner, dtype=float), (d.shape[1],))
+    if not (np.isfinite(d).all() and np.isfinite(e).all() and np.isfinite(c).all()):
+        raise ValueError("matrix entries must be finite")
+    return _PeriodicBands(d, e, c)
+
+
+def periodic_eigenvalue_counts(diag, offdiag, corner, shifts) -> np.ndarray:
+    """Number of eigenvalues below each shift, for a batch of periodic matrices.
+
+    The bands are laid out as in ``eig_periodic_sym_tridiagonal``'s batch
+    form, one matrix per column; ``shifts`` is (m, P), m shifts for each
+    matrix, and so is the integer result.  All of them take one pass of
+    the inertia recurrence.  Raises ValueError on a non-finite entry.
+    """
+    bands = _periodic_batch(diag, offdiag, corner)
+    x = np.asarray(shifts, dtype=float)
+    if x.ndim != 2 or x.shape[1] != bands.diag.shape[1]:
+        raise ValueError("shifts must be (m, P), m shifts for each of the P matrices")
+    return _periodic_inertia(bands, x)
+
+
 def eig_periodic_sym_tridiagonal(diag, offdiag, corner, k: int = 1,
-                                 tol: float = 1e-13) -> np.ndarray:
+                                 tol: float = 1e-13, start: int = 0,
+                                 lower=None) -> np.ndarray:
     """The k smallest eigenvalues of symmetric periodic tridiagonal matrices.
 
     The matrix is the tridiagonal (diag, offdiag) plus ``corner`` at the two
@@ -563,21 +607,22 @@ def eig_periodic_sym_tridiagonal(diag, offdiag, corner, k: int = 1,
     batch of P matrices, ``diag`` is (n, P), ``offdiag`` (n-1, P) and
     ``corner`` (P,), one matrix per column, and the result is (P, k); all
     of them are bisected together, one row of the recurrence at a time.
-    Raises ValueError on a non-finite entry.
+    With ``start`` the first ``start`` eigenvalues are skipped (the result
+    has k - start columns), and ``lower`` (scalar or (P,)), a point with at
+    most ``start`` eigenvalues below it, replaces the Gershgorin lower end
+    of the brackets where it is larger.  Raises ValueError on a non-finite
+    entry.
     """
-    d = np.ascontiguousarray(diag, dtype=float)
-    e = np.ascontiguousarray(offdiag, dtype=float)
+    d = np.asarray(diag, dtype=float)
     single = d.ndim == 1
     if single:
-        d, e = d[:, None], e.reshape(-1, 1)
-    if d.ndim != 2 or e.shape != (d.shape[0] - 1, d.shape[1]):
-        raise ValueError("offdiag must have length n-1")
-    if not 1 <= k <= d.shape[0]:
+        d, offdiag = d[:, None], np.reshape(offdiag, (-1, 1))
+    bands = _periodic_batch(d, offdiag, corner)
+    if not 0 <= start < k <= bands.diag.shape[0]:
         raise ValueError("k out of range")
-    c = np.broadcast_to(np.asarray(corner, dtype=float), (d.shape[1],))
-    if not (np.isfinite(d).all() and np.isfinite(e).all() and np.isfinite(c).all()):
-        raise ValueError("matrix entries must be finite")
-    vals = _bisect(_PeriodicBands(d, e, c), k, tol)
+    if lower is not None:
+        lower = np.broadcast_to(np.asarray(lower, dtype=float), bands.corner.shape)
+    vals = _bisect(bands, k, tol, start, lower)
     return vals[0] if single else vals
 
 
@@ -680,7 +725,9 @@ def sector_exclusion_certificate(tri: Tridiagonal, delta: float) -> CertificateR
         failures.append("empty matrix")
     if tri.n and not np.all(diag > 0.0):
         failures.append("diagonal entries must be positive")
-    if tri.n > 1 and not np.all(tri.upper * tri.lower <= 0.0):
+    # the sign of each product, without forming it (it can overflow)
+    up, lo = tri.upper, tri.lower
+    if tri.n > 1 and not np.all(((up <= 0.0) & (lo >= 0.0)) | ((up >= 0.0) & (lo <= 0.0))):
         failures.append("off-diagonal products must be nonpositive")
     delta = float(delta)
     if not failures:

@@ -31,7 +31,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .curve import GeneratingCurve, periodic_quadrature
-from .eigen import DenseSymmetric, eig_dense_symmetric, eig_periodic_sym_tridiagonal
+from .eigen import DenseSymmetric, eig_dense_symmetric, eig_periodic_sym_tridiagonal, \
+    periodic_eigenvalue_counts
 
 
 class GridTooCoarse(RuntimeError):
@@ -60,11 +61,16 @@ def potential_parts(curve: GeneratingCurve, mode):
     return w**2, curve.kappa * (l * curve.q - m * curve.p)
 
 
+def _next(u: np.ndarray) -> np.ndarray:
+    """Periodic samples moved one cell back: entry i is u[i+1], wrapping."""
+    return np.concatenate((u[1:], u[:1]))
+
+
 def _transport_factors(curve: GeneratingCurve, mode) -> np.ndarray:
     """r_i = exp of the exact increment of l*eta + m*xi across cell i."""
     m, l = ModeIndex(*mode)
     w_log = l * curve.eta + m * curve.xi
-    return np.exp(np.roll(w_log, -1) - w_log)
+    return np.exp(_next(w_log) - w_log)
 
 
 def assemble_bands(curve: GeneratingCurve, mode):
@@ -77,7 +83,8 @@ def assemble_bands(curve: GeneratingCurve, mode):
     n = curve.n
     h = curve.grid_spacing
     r = _transport_factors(curve, mode)
-    s_diag = (r + np.roll(1.0 / r, 1)) / (2.0 * h)
+    inv = 1.0 / r
+    s_diag = (r + np.concatenate((inv[-1:], inv[:-1]))) / (2.0 * h)
     s_off = np.full(n - 1, -1.0 / (2.0 * h))
     s_corner = -1.0 / (2.0 * h)
     w = 1.0 / np.sqrt(curve.kappa * h)
@@ -98,7 +105,8 @@ def assemble(curve: GeneratingCurve, mode) -> DenseSymmetric:
     return DenseSymmetric(a)
 
 
-#: Zero-mode acceptance threshold: |lambda_0| < this * max(1, lambda_1).
+#: Zero-mode acceptance threshold: the zero mode must be the only
+#: eigenvalue in (-tau, tau) for tau = this * max(1, lambda_1).
 ZERO_MODE_TOL = 1e-6
 
 
@@ -107,40 +115,75 @@ def _check_zero_mode(mode: ModeIndex, lam0: float, lam1: float) -> None:
         raise GridTooCoarse(f"zero mode of mode {tuple(mode)} came out as {lam0:.3e}")
 
 
+def _zero_mode_counts(diag, off, corner, tau):
+    """Eigenvalues of each matrix below -tau and below tau, two (P,) arrays."""
+    below = periodic_eigenvalue_counts(diag, off, corner, np.stack([-tau, tau]))
+    return below[0], below[1]
+
+
 def mode_spectra(curve: GeneratingCurve, modes, k: int = 2) -> np.ndarray:
     """First k eigenvalues of each mode operator, ascending; one row per mode.
 
-    The bands of all modes are stored once, as (n, modes) arrays, and
-    every mode is bisected in the same batch, one row of the inertia
-    recurrence at a time.  Each mode's smallest eigenvalue is asserted to
-    be the analytically guaranteed zero mode; GridTooCoarse names the
-    first mode, in the given order, where it is not.
+    The bands of all modes are stored once, as (n, modes) arrays.  The
+    zero mode is not bisected: one inertia pass at the shifts -tau and tau,
+    tau = ZERO_MODE_TOL, certifies for every mode that exactly one
+    eigenvalue lies in (-tau, tau) (Sylvester's law of inertia), and
+    lambda_0 is reported as the Rayleigh quotient of the sampled kernel,
+    which the factored discretization annihilates up to roundoff.  The
+    eigenvalues from lambda_1 on are bisected in one batch, from tau where
+    the certificate holds and from the Gershgorin bound elsewhere; a mode
+    that failed is probed again at tau = ZERO_MODE_TOL * max(1, lambda_1)
+    once its lambda_1 is known.  GridTooCoarse names the first mode, in
+    the given order, that fails that second probe too.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     modes = [ModeIndex(*mode) for mode in modes]
-    want = max(k, 2)
+    if not modes:
+        return np.empty((0, k))
     diag = np.empty((curve.n, len(modes)))
     off = np.empty((curve.n - 1, len(modes)))
     corner = np.empty(len(modes))
     for j, mode in enumerate(modes):
         diag[:, j], off[:, j], corner[j] = assemble_bands(curve, mode)
-    vals = eig_periodic_sym_tridiagonal(diag, off, corner, k=want)
-    for mode, row in zip(modes, vals):
-        _check_zero_mode(mode, row[0], row[1])
-    return vals[:, :k]
+    low, high = _zero_mode_counts(diag, off, corner, np.full(len(modes), ZERO_MODE_TOL))
+    certified = (low == 0) & (high == 1)
+    # lambda_1 onwards: for every mode when asked for, else only for the
+    # modes whose second probe needs it
+    upper = np.empty((len(modes), max(k, 2) - 1))
+    solve = slice(None) if k > 1 else np.flatnonzero(~certified)
+    if k > 1 or not certified.all():
+        upper[solve] = eig_periodic_sym_tridiagonal(
+            diag[:, solve], off[:, solve], corner[solve], k=max(k, 2), start=1,
+            lower=np.where(certified[solve], ZERO_MODE_TOL, -np.inf))
+    retry = np.flatnonzero(~certified)
+    if len(retry):
+        tau = ZERO_MODE_TOL * np.maximum(1.0, upper[retry, 0])
+        low, high = _zero_mode_counts(diag[:, retry], off[:, retry], corner[retry], tau)
+        failed = np.flatnonzero((low != 0) | (high != 1))
+        if len(failed):
+            j = failed[0]
+            raise GridTooCoarse(
+                f"zero mode of mode {tuple(modes[retry[j]])} is not isolated: "
+                f"{low[j]} eigenvalue(s) below -{tau[j]:.3e} and "
+                f"{high[j] - low[j]} in [-{tau[j]:.3e}, {tau[j]:.3e})")
+    vals = np.empty((len(modes), k))
+    vals[:, 0] = [rayleigh_quotient(curve, mode, kernel_function(curve, mode)) for mode in modes]
+    vals[:, 1:] = upper[:, :k - 1]
+    return vals
 
 
 def mode_spectrum(curve: GeneratingCurve, mode, k: int = 2,
                   method: str = "bisect") -> np.ndarray:
     """First k eigenvalues of the mode operator, ascending.
 
-    The default path is the one-mode case of ``mode_spectra`` (inertia
-    bisection on the banded form); ``dense`` routes through the full
-    Householder + QL backend instead (identical spectra, used for
-    cross-checks).  The smallest eigenvalue is asserted to be the
-    analytically guaranteed zero mode; GridTooCoarse signals a
-    discretization failure.
+    The default path is the one-mode case of ``mode_spectra``: lambda_0 is
+    the certified zero mode, reported as the Rayleigh quotient of the
+    sampled kernel, and the rest come from inertia bisection on the banded
+    form.  ``dense`` routes through the full Householder + QL backend
+    instead and computes lambda_0 too (the same spectrum, used for
+    cross-checks), asserting |lambda_0| <= ZERO_MODE_TOL * max(1, lambda_1).
+    GridTooCoarse signals a discretization failure.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -178,7 +221,7 @@ def rayleigh_quotient(curve: GeneratingCurve, mode, values) -> float:
         raise ValueError("sample count must match the curve grid")
     h = curve.grid_spacing
     r = _transport_factors(curve, mode)
-    diff = np.roll(u, -1) - r * u
+    diff = _next(u) - r * u
     num = float(np.sum(diff**2 / r) / (2.0 * h))
     den = float(np.sum(u**2 * curve.kappa) * h)
     return num / den

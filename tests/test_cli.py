@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,39 @@ class TestWHSweep:
 
     def test_inverted_range_exits_one(self):
         assert run(["wh-sweep", "--a-min", "5", "--a-max", "1"]) == 1
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("argv, field", [
+        (["make-curve", "circle", "--radius", "nan"], "cos_coeffs[0]"),
+        (["make-curve", "circle", "--radius", "inf"], "cos_coeffs[0]"),
+        (["make-curve", "ellipse", "--eps", "nan"], "cos_coeffs[2]"),
+        (["wh-sweep", "--a-min", "nan"], "--a-min"),
+        (["wh-sweep", "--a-min", "inf", "--a-max", "inf"], "--a-min"),
+        (["wh-sweep", "--a-max", "nan"], "--a-max"),
+    ])
+    def test_option_exits_one_without_warning(self, argv, field, tmp_path, capsys):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv + ["--out", str(out)]) == 1
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec, field", [
+        ({"rho": {"cos": [1.0, 0.0, 0.1], "sin": [0.0, float("nan")]}, "grid": 128},
+         "sin_coeffs[1]"),
+        ({"kappa_samples": [2.0] * 5 + [float("nan")] + [2.0] * 122, "length": np.pi},
+         "sample 5"),
+        ({"kappa_samples": [2.0] * 128, "length": float("inf")}, "length"),
+    ])
+    def test_spec_exits_one_without_warning(self, spec, field, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["analyze", str(path), "--window", "1", "1"]) == 1
+        assert field in capsys.readouterr().err
 
 
 class TestUsage:

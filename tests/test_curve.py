@@ -48,6 +48,15 @@ class TestBuildCurve:
         with pytest.raises(ClosureViolated):
             build_curve(RadiusOfCurvatureProfile((1.0,), (0.05,)), 256)
 
+    @pytest.mark.parametrize("cos, sin, field", [
+        ((np.nan,), (), r"cos_coeffs\[0\]"),
+        ((1.0, 0.0, np.inf), (), r"cos_coeffs\[2\]"),
+        ((1.0,), (0.0, -np.inf), r"sin_coeffs\[1\]"),
+    ])
+    def test_rejects_non_finite_coefficients(self, cos, sin, field):
+        with pytest.raises(ValueError, match=field):
+            RadiusOfCurvatureProfile(cos, sin)
+
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
             build_curve(circle_profile(), 8)
@@ -96,6 +105,16 @@ class TestCurveFromSamples:
         kappa = 1.0 + 0.5 * np.cos(s)
         kappa *= TWO_PI / (periodic_quadrature(kappa, TWO_PI))
         with pytest.raises(NotClosed):
+            curve_from_curvature_samples(kappa, TWO_PI)
+
+    def test_non_finite_input_rejected(self):
+        kappa = np.ones(512)
+        with pytest.raises(ValueError, match="length"):
+            curve_from_curvature_samples(kappa, np.nan)
+        with pytest.raises(ValueError, match="length"):
+            curve_from_curvature_samples(kappa, np.inf)
+        kappa[10] = np.inf
+        with pytest.raises(ValueError, match="sample 10"):
             curve_from_curvature_samples(kappa, TWO_PI)
 
     def test_nonpositive_samples_rejected(self):

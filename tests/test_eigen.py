@@ -22,7 +22,12 @@ from kohnspec import (
     sturm_count,
 )
 import kohnspec.eigen as eigen_mod
-from kohnspec.eigen import _PeriodicBands, _periodic_inertia, _ql_eigenvalues
+from kohnspec.eigen import (
+    _PeriodicBands,
+    _periodic_inertia,
+    _ql_eigenvalues,
+    periodic_eigenvalue_counts,
+)
 from kohnspec.modes import assemble_bands
 from kohnspec.whittakerhill import _wh_bands, ince_matrix
 
@@ -275,6 +280,60 @@ class TestPeriodicTridiagonal:
         plain = eig_periodic_sym_tridiagonal(d, e, 0.4, k=4)
         np.testing.assert_array_equal(multi, plain)
 
+    def test_multisection_equals_bisection_from_positive_lower_end(self, monkeypatch):
+        # a mode matrix with its zero eigenvalue skipped: lambda_1 is
+        # bisected from 1e-6, so the first midpoints are geometric
+        curve = build_curve(random_profile(3), 128)
+        d, e, corner = assemble_bands(curve, (2, -1))
+        multi = eig_periodic_sym_tridiagonal(d, e, corner, k=4, start=1, lower=1e-6)
+        shifts = []
+
+        def spy(bands, x):
+            shifts.append(x[:, 0].copy())
+            return _periodic_inertia(bands, x)
+
+        monkeypatch.setattr(eigen_mod, "_ROW_COST", 0)
+        monkeypatch.setattr(eigen_mod, "_periodic_inertia", spy)
+        plain = eig_periodic_sym_tridiagonal(d, e, corner, k=4, start=1, lower=1e-6)
+        np.testing.assert_array_equal(multi, plain)
+        hi = _PeriodicBands(d[:, None], e[:, None], np.array([corner])).gershgorin()[1][0]
+        assert len(shifts[0]) == 3  # one level, three brackets
+        assert shifts[0][0] == np.sqrt(1e-6) * np.sqrt(hi)
+        want = np.linalg.eigvalsh(periodic_dense(d, e, corner))[1:4]
+        np.testing.assert_allclose(plain, want, rtol=1e-10)
+
+    def test_start_and_lower(self):
+        rng = np.random.default_rng(29)
+        n, p = 32, 3
+        d = rng.uniform(1.0, 5.0, (n, p))
+        e = rng.standard_normal((n - 1, p))
+        corner = rng.standard_normal(p)
+        full = eig_periodic_sym_tridiagonal(d, e, corner, k=4)
+        np.testing.assert_array_equal(
+            eig_periodic_sym_tridiagonal(d, e, corner, k=4, start=2), full[:, 2:])
+        # any point at or below the start-th eigenvalue is a valid lower end
+        lower = 0.5 * (full[:, 1] + full[:, 2])
+        part = eig_periodic_sym_tridiagonal(d, e, corner, k=4, start=2, lower=lower)
+        np.testing.assert_allclose(part, full[:, 2:], atol=1e-12)
+        with pytest.raises(ValueError):
+            eig_periodic_sym_tridiagonal(d, e, corner, k=2, start=2)
+
+    def test_eigenvalue_counts(self):
+        rng = np.random.default_rng(31)
+        n, p = 24, 4
+        d = rng.uniform(-2.0, 2.0, (n, p))
+        e = rng.standard_normal((n - 1, p))
+        corner = rng.standard_normal(p)
+        x = rng.uniform(-3.0, 3.0, (5, p))
+        counts = periodic_eigenvalue_counts(d, e, corner, x)
+        for j in range(p):
+            ev = np.linalg.eigvalsh(periodic_dense(d[:, j], e[:, j], corner[j]))
+            np.testing.assert_array_equal(counts[:, j], np.searchsorted(ev, x[:, j]))
+        with pytest.raises(ValueError, match="shifts"):
+            periodic_eigenvalue_counts(d, e, corner, x[:, :2])
+        with pytest.raises(ValueError, match="finite"):
+            periodic_eigenvalue_counts(d, e, np.full(p, np.nan), x)
+
     def test_batch_equals_single(self):
         rng = np.random.default_rng(23)
         n, p = 40, 5
@@ -404,6 +463,16 @@ class TestSectorCertificate:
         tri = Tridiagonal([1.0, 2.0], [1.0], [1.0])
         cert = sector_exclusion_certificate(tri, 0.1)
         assert not cert.hypotheses_ok
+
+    def test_huge_coupling_without_overflow(self):
+        # upper * lower would overflow to -inf; the signs are compared instead
+        with np.errstate(all="raise"):
+            cert = sector_exclusion_certificate(ince_matrix(1e200, 4), 3 / np.pi)
+        assert cert.hypotheses_ok, cert.failures
+
+    def test_nan_coupling_fails(self):
+        tri = Tridiagonal([1.0, 2.0], [np.nan], [-1.0])
+        assert not sector_exclusion_certificate(tri, 0.1).hypotheses_ok
 
     def test_oversized_delta_fails(self):
         cert = sector_exclusion_certificate(ince_matrix(1.0, 10), 10.0)

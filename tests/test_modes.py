@@ -13,10 +13,37 @@ from kohnspec import (
     mode_spectrum,
     periodic_quadrature,
     potential,
+    random_profile,
     rayleigh_quotient,
     wh_spectrum,
 )
-from kohnspec.modes import potential_parts
+from kohnspec.modes import ZERO_MODE_TOL, potential_parts
+
+
+def shift_modes(monkeypatch, shifts):
+    """Add shifts[mode] to the diagonal of those modes' matrices (so to every eigenvalue)."""
+    import kohnspec.modes as modes_mod
+    bands = modes_mod.assemble_bands
+
+    def shifted(curve, mode):
+        diag, off, corner = bands(curve, mode)
+        return diag + shifts.get(tuple(mode), 0.0), off, corner
+
+    monkeypatch.setattr(modes_mod, "assemble_bands", shifted)
+
+
+def record_zero_mode_probes(monkeypatch):
+    """Record the shifts of every zero-mode certificate probe."""
+    import kohnspec.modes as modes_mod
+    count = modes_mod.periodic_eigenvalue_counts
+    probes = []
+
+    def recording(diag, off, corner, shifts):
+        probes.append(shifts)
+        return count(diag, off, corner, shifts)
+
+    monkeypatch.setattr(modes_mod, "periodic_eigenvalue_counts", recording)
+    return probes
 
 
 class TestPotential:
@@ -127,20 +154,93 @@ class TestModeSpectra:
             np.testing.assert_array_equal(row, mode_spectrum(ellipse_03, mode, k=3))
 
     def test_empty_window(self, unit_circle):
-        assert mode_spectra(unit_circle, [], k=2).shape == (0, 2)
+        for k in (1, 2, 3):
+            assert mode_spectra(unit_circle, [], k=k).shape == (0, k)
 
     def test_grid_too_coarse_names_mode_in_batch(self, unit_circle, monkeypatch):
-        import kohnspec.modes as modes_mod
-        solve = modes_mod.eig_periodic_sym_tridiagonal
-
-        def drifted(diag, off, corner, k):
-            vals = solve(diag, off, corner, k=k)
-            vals[2, 0] = 1e-3  # third mode's zero mode strays
-            return vals
-
-        monkeypatch.setattr(modes_mod, "eig_periodic_sym_tridiagonal", drifted)
-        with pytest.raises(GridTooCoarse, match=r"\(1, -2\)"):
+        # two modes' zero eigenvalues drift to -1e-3, far below
+        # -ZERO_MODE_TOL * lambda_1; the inertia certificate rejects both
+        # and the error names the first of them in batch order
+        probes = record_zero_mode_probes(monkeypatch)
+        shift_modes(monkeypatch, {(1, -2): -1e-3, (2, 2): -1e-3})
+        with pytest.raises(GridTooCoarse, match=r"mode \(1, -2\) is not isolated"):
             mode_spectra(unit_circle, [(0, 0), (3, 1), (1, -2), (2, 2)])
+        assert len(probes) == 2  # the certificate, then its retry at tau * lambda_1
+
+    @pytest.mark.parametrize("lam0", [2e-6, -2e-6])
+    def test_zero_mode_within_relative_tolerance_accepted(self, unit_circle, monkeypatch, lam0):
+        # ZERO_MODE_TOL < |lambda_0| <= ZERO_MODE_TOL * lambda_1: the first
+        # certificate at +-ZERO_MODE_TOL fails, the retry at
+        # +-ZERO_MODE_TOL * lambda_1 passes, and lambda_1 is bisected from
+        # the Gershgorin bound instead of from ZERO_MODE_TOL
+        probes = record_zero_mode_probes(monkeypatch)
+        shift_modes(monkeypatch, {(3, 1): lam0})
+        modes = [(1, 0), (3, 1), (1, -2)]
+        vals = mode_spectra(unit_circle, modes, k=3)
+        assert len(probes) == 2
+        for mode, row in zip(modes, vals):
+            # assemble() goes through the shifted bands as well
+            want = np.linalg.eigvalsh(assemble(unit_circle, mode).data)[:3]
+            if mode == (3, 1):
+                assert ZERO_MODE_TOL < abs(want[0]) <= ZERO_MODE_TOL * want[1]
+            np.testing.assert_allclose(row[1:], want[1:], rtol=1e-10)
+
+    def test_second_eigenvalue_near_zero_raises(self, unit_circle, monkeypatch):
+        # a double zero eigenvalue has |lambda_0| <= ZERO_MODE_TOL, but the
+        # certificate needs exactly one eigenvalue in (-tau, tau)
+        import kohnspec.modes as modes_mod
+        bands = modes_mod.assemble_bands
+
+        def doubled(curve, mode):
+            if tuple(mode) != (2, 2):
+                return bands(curve, mode)
+            diag = np.ones(curve.n)
+            diag[:2] = 0.0
+            return diag, np.zeros(curve.n - 1), 0.0
+
+        monkeypatch.setattr(modes_mod, "assemble_bands", doubled)
+        with pytest.raises(GridTooCoarse, match=r"\(2, 2\).* 2 in \["):
+            mode_spectra(unit_circle, [(0, 0), (2, 2)], k=1)
+
+    def test_lambda0_is_kernel_rayleigh_quotient(self, random_curves):
+        curve = random_curves[1]
+        modes = [(0, 0), (3, -1), (-4, 2), (1, 4)]
+        vals = mode_spectra(curve, modes, k=2)
+        for mode, row in zip(modes, vals):
+            assert row[0] == rayleigh_quotient(curve, mode, kernel_function(curve, mode))
+            assert 0.0 <= row[0] < 1e-20
+
+    def test_k1_certified_window_runs_no_bisection(self, ellipse_03, monkeypatch):
+        import kohnspec.modes as modes_mod
+
+        def no_bisection(*args, **kwargs):
+            raise AssertionError("bisected although every mode certified")
+
+        monkeypatch.setattr(modes_mod, "eig_periodic_sym_tridiagonal", no_bisection)
+        assert mode_spectra(ellipse_03, [(0, 0), (2, -1)], k=1).shape == (2, 1)
+
+    @pytest.mark.parametrize("curve_name", ["random_7", "ellipse_03"])
+    def test_lambda1_matches_lapack(self, curve_name, request):
+        if curve_name == "random_7":
+            curve = build_curve(random_profile(7), 512)
+        else:
+            curve = request.getfixturevalue(curve_name)
+        modes = [(m, l) for m in range(-1, 2) for l in range(-1, 2)]
+        for mode, (_, lam1) in zip(modes, mode_spectra(curve, modes)):
+            want = np.linalg.eigvalsh(assemble(curve, mode).data)[1]
+            assert abs(lam1 - want) <= 1e-10 * max(1.0, want)
+
+    def test_circle_double_eigenvalue_accuracy(self, unit_circle):
+        # Pins today's accuracy at a known defect rather than the 1e-13
+        # bisection tolerance.  Mode (0, 0) of the circle has a double
+        # lambda_1 = lambda_2 (split by 2.2e-13 at grid 512).  Every leading
+        # (n-1) submatrix has an eigenvalue there (interlacing), so the
+        # corner Schur complement of the periodic inertia count is
+        # ill-conditioned exactly at that point and the count is not
+        # monotone within a few 1e-9 of it; bisection lands 2.4e-9 off.
+        lam1 = mode_spectrum(unit_circle, (0, 0), k=2)[1]
+        want = np.linalg.eigvalsh(assemble(unit_circle, (0, 0)).data)[1]
+        assert abs(lam1 - want) <= 5e-9
 
 
 class TestKernelFunction:
