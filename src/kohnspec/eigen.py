@@ -494,23 +494,24 @@ def _periodic_inertia(bands: _PeriodicBands, x: np.ndarray) -> np.ndarray:
     return count
 
 
-def _dyadic_points(lo, hi, levels):
+def _dyadic_points(lo, hi, levels, geometric=None):
     """lo, hi and the 2^levels - 1 points that bisection could probe between them.
 
     Built level by level from midpoints of neighbours, so each point is
     bit for bit the midpoint plain bisection computes on its way there.
-    The midpoint of a bracket [a, b] is geometric, sqrt(a) sqrt(b), while
-    0 < 2a < b, and arithmetic, (a + b) / 2, otherwise: from a positive
-    lower end the bracket's ratio shrinks to two in about log2(log2(b/a))
-    steps before halving its width takes over.
+    The midpoint of a bracket [a, b] is arithmetic, (a + b) / 2, except in
+    the brackets that the boolean ``geometric`` (broadcast against lo)
+    flags, which must have positive lower ends: there it is geometric,
+    sqrt(a) sqrt(b), while 2a < b, so the bracket's ratio shrinks to two in
+    about log2(log2(b/a)) steps before halving its width takes over.
     """
     pts = np.stack([lo, hi], axis=-1)
     for _ in range(levels):
         a, b = pts[..., :-1], pts[..., 1:]
         mid = 0.5 * (a + b)
-        geometric = (a > 0.0) & (2.0 * a < b)
-        if geometric.any():
-            mid[geometric] = np.sqrt(a[geometric]) * np.sqrt(b[geometric])
+        if geometric is not None:
+            geo = geometric[..., None] & (2.0 * a < b)
+            mid[geo] = np.sqrt(a[geo]) * np.sqrt(b[geo])
         out = np.empty(pts.shape[:-1] + (2 * pts.shape[-1] - 1,))
         out[..., ::2] = pts
         out[..., 1::2] = mid
@@ -525,16 +526,20 @@ def _bisect(bands: _PeriodicBands, k: int, tol: float, start: int = 0,
     Each eigenvalue is bisected in its own bracket, starting from the
     Gershgorin interval, whose lower end is raised to ``lower`` (P,) where
     that is larger, and stopping once hi - lo <= tol * max(1, |lo|+|hi|).
-    ``lower`` must have at most ``start`` eigenvalues below it.  Midpoints
-    are geometric while the bracket is positive and spans more than a
-    factor of two (see _dyadic_points), arithmetic after that.  A round
-    counts all 2^levels - 1 dyadic points of each bracket at once
-    (multisection) and then walks ``levels`` bisection steps down them, so
-    the result is bit for bit that of plain bisection at any level count.
+    ``lower`` must have at most ``start`` eigenvalues below it.  Where
+    ``lower`` is given and the lower end is positive, midpoints are
+    geometric while the bracket spans more than a factor of two (see
+    _dyadic_points); all others are arithmetic, so without ``lower`` this
+    is plain bisection.  A round counts all 2^levels - 1 dyadic points of
+    each bracket at once (multisection) and then walks ``levels``
+    bisection steps down them, so the result is bit for bit that of plain
+    bisection at any level count.
     """
     lo, hi = bands.gershgorin()
+    geometric = None
     if lower is not None:
         lo = np.maximum(lo, lower)
+        geometric = (lo > 0.0)[:, None]
     lo = np.repeat(lo[:, None], k - start, axis=1)
     hi = np.repeat(hi[:, None], k - start, axis=1)
     index = np.arange(start, k)
@@ -546,7 +551,7 @@ def _bisect(bands: _PeriodicBands, k: int, tol: float, start: int = 0,
 
     active = unconverged(lo, hi)
     while active.any():
-        pts = _dyadic_points(lo, hi, levels)
+        pts = _dyadic_points(lo, hi, levels, geometric)
         shifts = pts[:, :, 1:-1].reshape(lo.shape[0], -1).T.copy()
         counts = _periodic_inertia(bands, shifts).T.reshape(lo.shape + (top - 1,))
         left = np.zeros(lo.shape, dtype=np.intp)
@@ -610,7 +615,8 @@ def eig_periodic_sym_tridiagonal(diag, offdiag, corner, k: int = 1,
     With ``start`` the first ``start`` eigenvalues are skipped (the result
     has k - start columns), and ``lower`` (scalar or (P,)), a point with at
     most ``start`` eigenvalues below it, replaces the Gershgorin lower end
-    of the brackets where it is larger.  Raises ValueError on a non-finite
+    of the brackets where it is larger; from a positive lower end the
+    first midpoints are geometric.  Raises ValueError on a non-finite
     entry.
     """
     d = np.asarray(diag, dtype=float)

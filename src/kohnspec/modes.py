@@ -61,16 +61,11 @@ def potential_parts(curve: GeneratingCurve, mode):
     return w**2, curve.kappa * (l * curve.q - m * curve.p)
 
 
-def _next(u: np.ndarray) -> np.ndarray:
-    """Periodic samples moved one cell back: entry i is u[i+1], wrapping."""
-    return np.concatenate((u[1:], u[:1]))
-
-
 def _transport_factors(curve: GeneratingCurve, mode) -> np.ndarray:
     """r_i = exp of the exact increment of l*eta + m*xi across cell i."""
     m, l = ModeIndex(*mode)
     w_log = l * curve.eta + m * curve.xi
-    return np.exp(_next(w_log) - w_log)
+    return np.exp(np.roll(w_log, -1) - w_log)
 
 
 def assemble_bands(curve: GeneratingCurve, mode):
@@ -83,8 +78,7 @@ def assemble_bands(curve: GeneratingCurve, mode):
     n = curve.n
     h = curve.grid_spacing
     r = _transport_factors(curve, mode)
-    inv = 1.0 / r
-    s_diag = (r + np.concatenate((inv[-1:], inv[:-1]))) / (2.0 * h)
+    s_diag = (r + np.roll(1.0 / r, 1)) / (2.0 * h)
     s_off = np.full(n - 1, -1.0 / (2.0 * h))
     s_corner = -1.0 / (2.0 * h)
     w = 1.0 / np.sqrt(curve.kappa * h)
@@ -105,20 +99,15 @@ def assemble(curve: GeneratingCurve, mode) -> DenseSymmetric:
     return DenseSymmetric(a)
 
 
-#: Zero-mode acceptance threshold: the zero mode must be the only
-#: eigenvalue in (-tau, tau) for tau = this * max(1, lambda_1).
+#: Zero-mode acceptance threshold.  ``mode_spectra`` certifies that the
+#: zero mode is the only eigenvalue in (-tau, tau) for tau = this; the
+#: dense path of ``mode_spectrum`` checks |lambda_0| <= this * max(1, lambda_1).
 ZERO_MODE_TOL = 1e-6
 
 
 def _check_zero_mode(mode: ModeIndex, lam0: float, lam1: float) -> None:
     if abs(lam0) > ZERO_MODE_TOL * max(1.0, lam1):
         raise GridTooCoarse(f"zero mode of mode {tuple(mode)} came out as {lam0:.3e}")
-
-
-def _zero_mode_counts(diag, off, corner, tau):
-    """Eigenvalues of each matrix below -tau and below tau, two (P,) arrays."""
-    below = periodic_eigenvalue_counts(diag, off, corner, np.stack([-tau, tau]))
-    return below[0], below[1]
 
 
 def mode_spectra(curve: GeneratingCurve, modes, k: int = 2) -> np.ndarray:
@@ -129,12 +118,10 @@ def mode_spectra(curve: GeneratingCurve, modes, k: int = 2) -> np.ndarray:
     tau = ZERO_MODE_TOL, certifies for every mode that exactly one
     eigenvalue lies in (-tau, tau) (Sylvester's law of inertia), and
     lambda_0 is reported as the Rayleigh quotient of the sampled kernel,
-    which the factored discretization annihilates up to roundoff.  The
-    eigenvalues from lambda_1 on are bisected in one batch, from tau where
-    the certificate holds and from the Gershgorin bound elsewhere; a mode
-    that failed is probed again at tau = ZERO_MODE_TOL * max(1, lambda_1)
-    once its lambda_1 is known.  GridTooCoarse names the first mode, in
-    the given order, that fails that second probe too.
+    which the factored discretization annihilates up to roundoff.
+    GridTooCoarse names the first mode, in the given order, that fails the
+    certificate.  The eigenvalues from lambda_1 on are then bisected in one
+    batch, with tau as the lower end of every bracket.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -146,29 +133,19 @@ def mode_spectra(curve: GeneratingCurve, modes, k: int = 2) -> np.ndarray:
     corner = np.empty(len(modes))
     for j, mode in enumerate(modes):
         diag[:, j], off[:, j], corner[j] = assemble_bands(curve, mode)
-    low, high = _zero_mode_counts(diag, off, corner, np.full(len(modes), ZERO_MODE_TOL))
-    certified = (low == 0) & (high == 1)
-    # lambda_1 onwards: for every mode when asked for, else only for the
-    # modes whose second probe needs it
-    upper = np.empty((len(modes), max(k, 2) - 1))
-    solve = slice(None) if k > 1 else np.flatnonzero(~certified)
-    if k > 1 or not certified.all():
-        upper[solve] = eig_periodic_sym_tridiagonal(
-            diag[:, solve], off[:, solve], corner[solve], k=max(k, 2), start=1,
-            lower=np.where(certified[solve], ZERO_MODE_TOL, -np.inf))
-    retry = np.flatnonzero(~certified)
-    if len(retry):
-        tau = ZERO_MODE_TOL * np.maximum(1.0, upper[retry, 0])
-        low, high = _zero_mode_counts(diag[:, retry], off[:, retry], corner[retry], tau)
-        failed = np.flatnonzero((low != 0) | (high != 1))
-        if len(failed):
-            j = failed[0]
-            raise GridTooCoarse(
-                f"zero mode of mode {tuple(modes[retry[j]])} is not isolated: "
-                f"{low[j]} eigenvalue(s) below -{tau[j]:.3e} and "
-                f"{high[j] - low[j]} in [-{tau[j]:.3e}, {tau[j]:.3e})")
+    tau = np.full(len(modes), ZERO_MODE_TOL)
+    low, high = periodic_eigenvalue_counts(diag, off, corner, np.stack([-tau, tau]))
+    failed = np.flatnonzero((low != 0) | (high != 1))
+    if len(failed):
+        j = failed[0]
+        raise GridTooCoarse(
+            f"zero mode of mode {tuple(modes[j])} is not isolated: "
+            f"{low[j]} eigenvalue(s) below -{ZERO_MODE_TOL:.0e} and "
+            f"{high[j] - low[j]} in [-{ZERO_MODE_TOL:.0e}, {ZERO_MODE_TOL:.0e})")
     vals = np.empty((len(modes), k))
     vals[:, 0] = [rayleigh_quotient(curve, mode, kernel_function(curve, mode)) for mode in modes]
+    upper = eig_periodic_sym_tridiagonal(diag, off, corner, k=max(k, 2), start=1,
+                                         lower=ZERO_MODE_TOL)
     vals[:, 1:] = upper[:, :k - 1]
     return vals
 
@@ -221,7 +198,7 @@ def rayleigh_quotient(curve: GeneratingCurve, mode, values) -> float:
         raise ValueError("sample count must match the curve grid")
     h = curve.grid_spacing
     r = _transport_factors(curve, mode)
-    diff = _next(u) - r * u
+    diff = np.roll(u, -1) - r * u
     num = float(np.sum(diff**2 / r) / (2.0 * h))
     den = float(np.sum(u**2 * curve.kappa) * h)
     return num / den

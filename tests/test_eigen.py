@@ -280,6 +280,27 @@ class TestPeriodicTridiagonal:
         plain = eig_periodic_sym_tridiagonal(d, e, 0.4, k=4)
         np.testing.assert_array_equal(multi, plain)
 
+    def test_arithmetic_midpoints_without_lower_end(self):
+        # without ``lower`` every midpoint is (lo + hi) / 2, also in the
+        # positive brackets left after a negative Gershgorin lower end:
+        # the result is plain arithmetic bisection's, bit for bit
+        rng = np.random.default_rng(37)
+        n = 24
+        d = rng.uniform(2.0, 3.0, n)
+        e = rng.uniform(-1.6, 1.6, n - 1)
+        corner = 0.5
+        lo0, hi0 = _PeriodicBands(d[:, None], e[:, None], np.array([corner])).gershgorin()
+        assert lo0[0] < 0.0 < np.linalg.eigvalsh(periodic_dense(d, e, corner))[0]
+        want = []
+        for index in range(3):
+            lo, hi = lo0[0], hi0[0]
+            while hi - lo > 1e-13 * max(1.0, abs(lo) + abs(hi)):
+                mid = 0.5 * (lo + hi)
+                below = periodic_eigenvalue_counts(d[:, None], e[:, None], [corner], [[mid]])
+                lo, hi = (mid, hi) if below[0, 0] <= index else (lo, mid)
+            want.append(0.5 * (lo + hi))
+        np.testing.assert_array_equal(eig_periodic_sym_tridiagonal(d, e, corner, k=3), want)
+
     def test_multisection_equals_bisection_from_positive_lower_end(self, monkeypatch):
         # a mode matrix with its zero eigenvalue skipped: lambda_1 is
         # bisected from 1e-6, so the first midpoints are geometric

@@ -32,20 +32,6 @@ def shift_modes(monkeypatch, shifts):
     monkeypatch.setattr(modes_mod, "assemble_bands", shifted)
 
 
-def record_zero_mode_probes(monkeypatch):
-    """Record the shifts of every zero-mode certificate probe."""
-    import kohnspec.modes as modes_mod
-    count = modes_mod.periodic_eigenvalue_counts
-    probes = []
-
-    def recording(diag, off, corner, shifts):
-        probes.append(shifts)
-        return count(diag, off, corner, shifts)
-
-    monkeypatch.setattr(modes_mod, "periodic_eigenvalue_counts", recording)
-    return probes
-
-
 class TestPotential:
     def test_zero_mode_vanishes(self, random_curves):
         for curve in random_curves:
@@ -158,32 +144,24 @@ class TestModeSpectra:
             assert mode_spectra(unit_circle, [], k=k).shape == (0, k)
 
     def test_grid_too_coarse_names_mode_in_batch(self, unit_circle, monkeypatch):
-        # two modes' zero eigenvalues drift to -1e-3, far below
-        # -ZERO_MODE_TOL * lambda_1; the inertia certificate rejects both
-        # and the error names the first of them in batch order
-        probes = record_zero_mode_probes(monkeypatch)
+        # two modes' zero eigenvalues drift to -1e-3: the inertia
+        # certificate rejects both and names the first in batch order
         shift_modes(monkeypatch, {(1, -2): -1e-3, (2, 2): -1e-3})
-        with pytest.raises(GridTooCoarse, match=r"mode \(1, -2\) is not isolated"):
+        with pytest.raises(GridTooCoarse, match=r"mode \(1, -2\) is not isolated: 1 eigenvalue"):
             mode_spectra(unit_circle, [(0, 0), (3, 1), (1, -2), (2, 2)])
-        assert len(probes) == 2  # the certificate, then its retry at tau * lambda_1
 
     @pytest.mark.parametrize("lam0", [2e-6, -2e-6])
-    def test_zero_mode_within_relative_tolerance_accepted(self, unit_circle, monkeypatch, lam0):
-        # ZERO_MODE_TOL < |lambda_0| <= ZERO_MODE_TOL * lambda_1: the first
-        # certificate at +-ZERO_MODE_TOL fails, the retry at
-        # +-ZERO_MODE_TOL * lambda_1 passes, and lambda_1 is bisected from
-        # the Gershgorin bound instead of from ZERO_MODE_TOL
-        probes = record_zero_mode_probes(monkeypatch)
+    def test_zero_mode_beyond_absolute_tolerance_raises(self, unit_circle, monkeypatch, lam0):
+        # the certificate is absolute: ZERO_MODE_TOL < |lambda_0| raises even
+        # where |lambda_0| <= ZERO_MODE_TOL * lambda_1, which the dense
+        # path's relative check still accepts
         shift_modes(monkeypatch, {(3, 1): lam0})
-        modes = [(1, 0), (3, 1), (1, -2)]
-        vals = mode_spectra(unit_circle, modes, k=3)
-        assert len(probes) == 2
-        for mode, row in zip(modes, vals):
-            # assemble() goes through the shifted bands as well
-            want = np.linalg.eigvalsh(assemble(unit_circle, mode).data)[:3]
-            if mode == (3, 1):
-                assert ZERO_MODE_TOL < abs(want[0]) <= ZERO_MODE_TOL * want[1]
-            np.testing.assert_allclose(row[1:], want[1:], rtol=1e-10)
+        want = np.linalg.eigvalsh(assemble(unit_circle, (3, 1)).data)[:2]
+        assert ZERO_MODE_TOL < abs(want[0]) <= ZERO_MODE_TOL * want[1]
+        np.testing.assert_allclose(mode_spectrum(unit_circle, (3, 1), method="dense"),
+                                   want, rtol=1e-9, atol=1e-10)
+        with pytest.raises(GridTooCoarse, match=r"mode \(3, 1\)"):
+            mode_spectra(unit_circle, [(1, 0), (3, 1), (1, -2)])
 
     def test_second_eigenvalue_near_zero_raises(self, unit_circle, monkeypatch):
         # a double zero eigenvalue has |lambda_0| <= ZERO_MODE_TOL, but the
@@ -209,15 +187,6 @@ class TestModeSpectra:
         for mode, row in zip(modes, vals):
             assert row[0] == rayleigh_quotient(curve, mode, kernel_function(curve, mode))
             assert 0.0 <= row[0] < 1e-20
-
-    def test_k1_certified_window_runs_no_bisection(self, ellipse_03, monkeypatch):
-        import kohnspec.modes as modes_mod
-
-        def no_bisection(*args, **kwargs):
-            raise AssertionError("bisected although every mode certified")
-
-        monkeypatch.setattr(modes_mod, "eig_periodic_sym_tridiagonal", no_bisection)
-        assert mode_spectra(ellipse_03, [(0, 0), (2, -1)], k=1).shape == (2, 1)
 
     @pytest.mark.parametrize("curve_name", ["random_7", "ellipse_03"])
     def test_lambda1_matches_lapack(self, curve_name, request):
