@@ -29,7 +29,6 @@ from .eigen import (
     DenseSymmetric,
     NoConvergence,
     SectorRegion,
-    SymTridiagonal,
     Tridiagonal,
     char_poly_tridiagonal,
     eig_dense_symmetric,
@@ -37,7 +36,6 @@ from .eigen import (
     eig_periodic_sym_tridiagonal,
     point_in_sector,
     sector_exclusion_certificate,
-    sturm_count,
 )
 from .modes import (
     GridTooCoarse,
@@ -56,7 +54,6 @@ from .spectrum import (
     emit_report,
     lambda1_kohn,
     rayleigh_test_functions,
-    verify_upper_bound,
 )
 from .whittakerhill import (
     CertificateFailed,

@@ -207,25 +207,31 @@ def ellipse_profile(eps: float) -> RadiusOfCurvatureProfile:
     return RadiusOfCurvatureProfile((1.0, 0.0, float(eps)))
 
 
-def random_profile(seed: int, harmonics: int = 5, amplitude: float = 0.3,
-                   min_rho: float = 0.2) -> RadiusOfCurvatureProfile:
+#: Highest harmonic, coefficient amplitude and smallest radius of
+#: curvature of ``random_profile``.
+_RANDOM_HARMONICS = 5
+_RANDOM_AMPLITUDE = 0.3
+_RANDOM_MIN_RHO = 0.2
+
+
+def random_profile(seed: int) -> RadiusOfCurvatureProfile:
     """Seeded random profile with vanishing first harmonic and rho > 0.
 
-    Coefficients for j >= 2 are drawn uniformly and damped by 1/j^2; if the
-    resulting profile dips below ``min_rho`` the oscillating part is shrunk
-    so the minimum lands at ``min_rho``.
+    Coefficients for j = 2..5 are drawn uniformly from [-0.3, 0.3] and
+    damped by 1/j^2; if the resulting profile dips below 0.2 the
+    oscillating part is shrunk so the minimum lands at 0.2.
     """
     rng = np.random.default_rng(seed)
     cos_c = [1.0, 0.0]
     sin_c = [0.0]
-    for j in range(2, harmonics + 1):
-        cos_c.append(amplitude * rng.uniform(-1.0, 1.0) / j**2)
-        sin_c.append(amplitude * rng.uniform(-1.0, 1.0) / j**2)
+    for j in range(2, _RANDOM_HARMONICS + 1):
+        cos_c.append(_RANDOM_AMPLITUDE * rng.uniform(-1.0, 1.0) / j**2)
+        sin_c.append(_RANDOM_AMPLITUDE * rng.uniform(-1.0, 1.0) / j**2)
     profile = RadiusOfCurvatureProfile(tuple(cos_c), tuple(sin_c))
     phi = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
     low = profile.rho(phi).min()
-    if low < min_rho:
-        t = (1.0 - min_rho) / (1.0 - low)
+    if low < _RANDOM_MIN_RHO:
+        t = (1.0 - _RANDOM_MIN_RHO) / (1.0 - low)
         cos_c = [1.0] + [t * c for c in cos_c[1:]]
         sin_c = [t * d for d in sin_c]
         profile = RadiusOfCurvatureProfile(tuple(cos_c), tuple(sin_c))
@@ -415,20 +421,15 @@ def profile_to_dict(profile: RadiusOfCurvatureProfile, grid: int) -> dict:
     }
 
 
-def curve_from_spec(data: dict, grid: int | None = None,
-                    closure_tol: float | None = None) -> GeneratingCurve:
+def curve_from_spec(data: dict, grid: int | None = None) -> GeneratingCurve:
     """Build a curve from the JSON curve-spec dictionary.
 
     Accepted forms: {"rho": {"cos": [c0, ...], "sin": [d1, ...]}, "grid": n}
     or {"kappa_samples": [...], "length": l}.  ``grid`` overrides the
-    profile's grid and ``closure_tol`` sets the sampled form's closure
-    tolerance.  Each applies to one form only (a sampled spec's grid is
-    its sample count, and a profile closes exactly when its first
-    harmonic vanishes), so passing it with the other form is a ValueError.
+    profile's grid; a sampled spec's grid is its sample count, so passing
+    ``grid`` with it is a ValueError.
     """
     if "rho" in data:
-        if closure_tol is not None:
-            raise ValueError("closure_tol applies only to kappa_samples specs")
         rho = data["rho"]
         if not isinstance(rho, dict) or "cos" not in rho:
             raise ValueError('"rho" must be an object with a "cos" list')
@@ -441,6 +442,5 @@ def curve_from_spec(data: dict, grid: int | None = None,
                              "spec's sample count is its grid")
         if "length" not in data:
             raise ValueError('sampled curve spec needs a "length" field')
-        return curve_from_curvature_samples(data["kappa_samples"], data["length"],
-                                            closure_tol=closure_tol)
+        return curve_from_curvature_samples(data["kappa_samples"], data["length"])
     raise ValueError('curve spec must contain either "rho" or "kappa_samples"')

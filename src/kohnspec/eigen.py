@@ -43,29 +43,6 @@ class NoConvergence(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SymTridiagonal:
-    """Symmetric tridiagonal matrix: diagonal (n) and off-diagonal (n-1)."""
-
-    diag: np.ndarray
-    offdiag: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.diag, dtype=float)
-        e = np.asarray(self.offdiag, dtype=float)
-        if d.ndim != 1 or e.ndim != 1 or len(e) != max(len(d) - 1, 0):
-            raise ValueError("need diag of length n and offdiag of length n-1")
-        object.__setattr__(self, "diag", d)
-        object.__setattr__(self, "offdiag", e)
-
-    @property
-    def n(self) -> int:
-        return len(self.diag)
-
-    def to_dense(self) -> np.ndarray:
-        return np.diag(self.diag) + np.diag(self.offdiag, 1) + np.diag(self.offdiag, -1)
-
-
-@dataclass(frozen=True)
 class DenseSymmetric:
     """Dense symmetric matrix; symmetry is validated to 1e-12 relative."""
 
@@ -317,6 +294,9 @@ _SIGN_ROWS = 64
 #: numbers (and a zero pivot of the zero matrix is still clamped).
 _MIN_SCALE = 2.0**-800
 
+#: Bisection stops once hi - lo <= this * max(1, |lo| + |hi|).
+_BISECT_TOL = 1e-13
+
 #: Fixed cost of one row step of the inertia kernel, in probe columns: a
 #: row costs about as much as this many extra columns.  Each bisection
 #: round probes ``levels`` levels of every bracket at once, with levels
@@ -494,24 +474,22 @@ def _periodic_inertia(bands: _PeriodicBands, x: np.ndarray) -> np.ndarray:
     return count
 
 
-def _dyadic_points(lo, hi, levels, geometric=None):
+def _dyadic_points(lo, hi, levels):
     """lo, hi and the 2^levels - 1 points that bisection could probe between them.
 
     Built level by level from midpoints of neighbours, so each point is
     bit for bit the midpoint plain bisection computes on its way there.
-    The midpoint of a bracket [a, b] is arithmetic, (a + b) / 2, except in
-    the brackets that the boolean ``geometric`` (broadcast against lo)
-    flags, which must have positive lower ends: there it is geometric,
-    sqrt(a) sqrt(b), while 2a < b, so the bracket's ratio shrinks to two in
-    about log2(log2(b/a)) steps before halving its width takes over.
+    The midpoint of a bracket [a, b] is geometric, sqrt(a) sqrt(b), where
+    0 < 2a < b, so a bracket with a positive lower end shrinks its ratio to
+    two in about log2(log2(b/a)) steps before halving its width takes over;
+    everywhere else it is arithmetic, (a + b) / 2.
     """
     pts = np.stack([lo, hi], axis=-1)
     for _ in range(levels):
         a, b = pts[..., :-1], pts[..., 1:]
         mid = 0.5 * (a + b)
-        if geometric is not None:
-            geo = geometric[..., None] & (2.0 * a < b)
-            mid[geo] = np.sqrt(a[geo]) * np.sqrt(b[geo])
+        geo = (0.0 < a) & (2.0 * a < b)
+        mid[geo] = np.sqrt(a[geo]) * np.sqrt(b[geo])
         out = np.empty(pts.shape[:-1] + (2 * pts.shape[-1] - 1,))
         out[..., ::2] = pts
         out[..., 1::2] = mid
@@ -519,27 +497,23 @@ def _dyadic_points(lo, hi, levels, geometric=None):
     return pts
 
 
-def _bisect(bands: _PeriodicBands, k: int, tol: float, start: int = 0,
-            lower=None) -> np.ndarray:
+def _bisect(bands: _PeriodicBands, k: int, start: int = 0, lower=None) -> np.ndarray:
     """Eigenvalues start, ..., k-1 of every matrix in the batch, shape (P, k - start).
 
     Each eigenvalue is bisected in its own bracket, starting from the
     Gershgorin interval, whose lower end is raised to ``lower`` (P,) where
-    that is larger, and stopping once hi - lo <= tol * max(1, |lo|+|hi|).
-    ``lower`` must have at most ``start`` eigenvalues below it.  Where
-    ``lower`` is given and the lower end is positive, midpoints are
-    geometric while the bracket spans more than a factor of two (see
-    _dyadic_points); all others are arithmetic, so without ``lower`` this
-    is plain bisection.  A round counts all 2^levels - 1 dyadic points of
-    each bracket at once (multisection) and then walks ``levels``
-    bisection steps down them, so the result is bit for bit that of plain
-    bisection at any level count.
+    that is larger, and stopping once hi - lo <= _BISECT_TOL * max(1,
+    |lo| + |hi|).  ``lower`` must have at most ``start`` eigenvalues below
+    it.  Midpoints follow _dyadic_points: geometric while a bracket with a
+    positive lower end spans more than a factor of two, arithmetic
+    otherwise.  A round counts all 2^levels - 1 dyadic points of each
+    bracket at once (multisection) and then walks ``levels`` bisection
+    steps down them, so the result is bit for bit that of plain bisection
+    at any level count.
     """
     lo, hi = bands.gershgorin()
-    geometric = None
     if lower is not None:
         lo = np.maximum(lo, lower)
-        geometric = (lo > 0.0)[:, None]
     lo = np.repeat(lo[:, None], k - start, axis=1)
     hi = np.repeat(hi[:, None], k - start, axis=1)
     index = np.arange(start, k)
@@ -547,11 +521,11 @@ def _bisect(bands: _PeriodicBands, k: int, tol: float, start: int = 0,
     top = 2**levels
 
     def unconverged(lo, hi):
-        return hi - lo > tol * np.maximum(1.0, np.abs(lo) + np.abs(hi))
+        return hi - lo > _BISECT_TOL * np.maximum(1.0, np.abs(lo) + np.abs(hi))
 
     active = unconverged(lo, hi)
     while active.any():
-        pts = _dyadic_points(lo, hi, levels, geometric)
+        pts = _dyadic_points(lo, hi, levels)
         shifts = pts[:, :, 1:-1].reshape(lo.shape[0], -1).T.copy()
         counts = _periodic_inertia(bands, shifts).T.reshape(lo.shape + (top - 1,))
         left = np.zeros(lo.shape, dtype=np.intp)
@@ -565,12 +539,6 @@ def _bisect(bands: _PeriodicBands, k: int, tol: float, start: int = 0,
             hi = np.take_along_axis(pts, right[..., None], axis=-1)[..., 0]
             active = unconverged(lo, hi)
     return 0.5 * (lo + hi)
-
-
-def sturm_count(tri: SymTridiagonal, x: float) -> int:
-    """Number of eigenvalues of a symmetric tridiagonal matrix below x."""
-    bands = _PeriodicBands(tri.diag[:, None], tri.offdiag[:, None], np.zeros(1))
-    return int(_periodic_inertia(bands, np.full((1, 1), float(x)))[0, 0])
 
 
 def _periodic_batch(diag, offdiag, corner) -> _PeriodicBands:
@@ -600,8 +568,7 @@ def periodic_eigenvalue_counts(diag, offdiag, corner, shifts) -> np.ndarray:
     return _periodic_inertia(bands, x)
 
 
-def eig_periodic_sym_tridiagonal(diag, offdiag, corner, k: int = 1,
-                                 tol: float = 1e-13, start: int = 0,
+def eig_periodic_sym_tridiagonal(diag, offdiag, corner, k: int = 1, start: int = 0,
                                  lower=None) -> np.ndarray:
     """The k smallest eigenvalues of symmetric periodic tridiagonal matrices.
 
@@ -615,9 +582,10 @@ def eig_periodic_sym_tridiagonal(diag, offdiag, corner, k: int = 1,
     With ``start`` the first ``start`` eigenvalues are skipped (the result
     has k - start columns), and ``lower`` (scalar or (P,)), a point with at
     most ``start`` eigenvalues below it, replaces the Gershgorin lower end
-    of the brackets where it is larger; from a positive lower end the
-    first midpoints are geometric.  Raises ValueError on a non-finite
-    entry.
+    of the brackets where it is larger.  Midpoints are geometric while a
+    bracket with a positive lower end spans more than a factor of two, and
+    arithmetic otherwise; bisection stops at a relative bracket width of
+    1e-13.  Raises ValueError on a non-finite entry.
     """
     d = np.asarray(diag, dtype=float)
     single = d.ndim == 1
@@ -628,7 +596,7 @@ def eig_periodic_sym_tridiagonal(diag, offdiag, corner, k: int = 1,
         raise ValueError("k out of range")
     if lower is not None:
         lower = np.broadcast_to(np.asarray(lower, dtype=float), bands.corner.shape)
-    vals = _bisect(bands, k, tol, start, lower)
+    vals = _bisect(bands, k, start, lower)
     return vals[0] if single else vals
 
 

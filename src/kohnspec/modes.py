@@ -31,8 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .curve import GeneratingCurve, periodic_quadrature
-from .eigen import DenseSymmetric, eig_dense_symmetric, eig_periodic_sym_tridiagonal, \
-    periodic_eigenvalue_counts
+from .eigen import DenseSymmetric, eig_periodic_sym_tridiagonal, periodic_eigenvalue_counts
 
 
 class GridTooCoarse(RuntimeError):
@@ -99,29 +98,47 @@ def assemble(curve: GeneratingCurve, mode) -> DenseSymmetric:
     return DenseSymmetric(a)
 
 
-#: Zero-mode acceptance threshold.  ``mode_spectra`` certifies that the
-#: zero mode is the only eigenvalue in (-tau, tau) for tau = this; the
-#: dense path of ``mode_spectrum`` checks |lambda_0| <= this * max(1, lambda_1).
+#: Zero-mode acceptance threshold: ``certified_spectra`` certifies that the
+#: zero mode is the only eigenvalue in (-tau, tau) for tau = this.
 ZERO_MODE_TOL = 1e-6
 
 
-def _check_zero_mode(mode: ModeIndex, lam0: float, lam1: float) -> None:
-    if abs(lam0) > ZERO_MODE_TOL * max(1.0, lam1):
-        raise GridTooCoarse(f"zero mode of mode {tuple(mode)} came out as {lam0:.3e}")
+def certified_spectra(diag, off, corner, k: int, labels) -> np.ndarray:
+    """Eigenvalues 1, ..., k-1 of periodic matrices with a certified zero mode.
+
+    The bands hold one matrix per column, as in the batch form of
+    ``eig_periodic_sym_tridiagonal``; ``labels`` names each matrix.  One
+    inertia pass at the shifts -tau and tau, tau = ZERO_MODE_TOL, certifies
+    for every matrix that exactly one eigenvalue lies in (-tau, tau)
+    (Sylvester's law of inertia); GridTooCoarse names the first label, in
+    the given order, that fails.  The eigenvalues from the first positive
+    one on are then bisected in one batch, with tau as the lower end of
+    every bracket.  The result is (P, k - 1); the zero eigenvalue itself is
+    left to the caller, who knows its null vector.
+    """
+    tau = np.full(len(labels), ZERO_MODE_TOL)
+    low, high = periodic_eigenvalue_counts(diag, off, corner, np.stack([-tau, tau]))
+    failed = np.flatnonzero((low != 0) | (high != 1))
+    if len(failed):
+        j = failed[0]
+        raise GridTooCoarse(
+            f"zero mode of {labels[j]} is not isolated: "
+            f"{low[j]} eigenvalue(s) below -{ZERO_MODE_TOL:.0e} and "
+            f"{high[j] - low[j]} in [-{ZERO_MODE_TOL:.0e}, {ZERO_MODE_TOL:.0e})")
+    upper = eig_periodic_sym_tridiagonal(diag, off, corner, k=max(k, 2), start=1,
+                                         lower=ZERO_MODE_TOL)
+    return upper[:, :k - 1]
 
 
 def mode_spectra(curve: GeneratingCurve, modes, k: int = 2) -> np.ndarray:
     """First k eigenvalues of each mode operator, ascending; one row per mode.
 
-    The bands of all modes are stored once, as (n, modes) arrays.  The
-    zero mode is not bisected: one inertia pass at the shifts -tau and tau,
-    tau = ZERO_MODE_TOL, certifies for every mode that exactly one
-    eigenvalue lies in (-tau, tau) (Sylvester's law of inertia), and
-    lambda_0 is reported as the Rayleigh quotient of the sampled kernel,
-    which the factored discretization annihilates up to roundoff.
-    GridTooCoarse names the first mode, in the given order, that fails the
-    certificate.  The eigenvalues from lambda_1 on are then bisected in one
-    batch, with tau as the lower end of every bracket.
+    The bands of all modes are stored once, as (n, modes) arrays, and go
+    through ``certified_spectra``: the zero mode is certified by inertia,
+    not bisected, and lambda_0 is reported as the Rayleigh quotient of the
+    sampled kernel, which the factored discretization annihilates up to
+    roundoff.  GridTooCoarse names the first mode, in the given order,
+    that fails the certificate.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -133,45 +150,14 @@ def mode_spectra(curve: GeneratingCurve, modes, k: int = 2) -> np.ndarray:
     corner = np.empty(len(modes))
     for j, mode in enumerate(modes):
         diag[:, j], off[:, j], corner[j] = assemble_bands(curve, mode)
-    tau = np.full(len(modes), ZERO_MODE_TOL)
-    low, high = periodic_eigenvalue_counts(diag, off, corner, np.stack([-tau, tau]))
-    failed = np.flatnonzero((low != 0) | (high != 1))
-    if len(failed):
-        j = failed[0]
-        raise GridTooCoarse(
-            f"zero mode of mode {tuple(modes[j])} is not isolated: "
-            f"{low[j]} eigenvalue(s) below -{ZERO_MODE_TOL:.0e} and "
-            f"{high[j] - low[j]} in [-{ZERO_MODE_TOL:.0e}, {ZERO_MODE_TOL:.0e})")
-    vals = np.empty((len(modes), k))
-    vals[:, 0] = [rayleigh_quotient(curve, mode, kernel_function(curve, mode)) for mode in modes]
-    upper = eig_periodic_sym_tridiagonal(diag, off, corner, k=max(k, 2), start=1,
-                                         lower=ZERO_MODE_TOL)
-    vals[:, 1:] = upper[:, :k - 1]
-    return vals
+    upper = certified_spectra(diag, off, corner, k, [f"mode {tuple(mode)}" for mode in modes])
+    lam0 = [rayleigh_quotient(curve, mode, kernel_function(curve, mode)) for mode in modes]
+    return np.column_stack([lam0, upper])
 
 
-def mode_spectrum(curve: GeneratingCurve, mode, k: int = 2,
-                  method: str = "bisect") -> np.ndarray:
-    """First k eigenvalues of the mode operator, ascending.
-
-    The default path is the one-mode case of ``mode_spectra``: lambda_0 is
-    the certified zero mode, reported as the Rayleigh quotient of the
-    sampled kernel, and the rest come from inertia bisection on the banded
-    form.  ``dense`` routes through the full Householder + QL backend
-    instead and computes lambda_0 too (the same spectrum, used for
-    cross-checks), asserting |lambda_0| <= ZERO_MODE_TOL * max(1, lambda_1).
-    GridTooCoarse signals a discretization failure.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if method == "bisect":
-        return mode_spectra(curve, [mode], k)[0]
-    if method != "dense":
-        raise ValueError(f"unknown method {method!r}")
-    mode = ModeIndex(*mode)
-    vals = eig_dense_symmetric(assemble(curve, mode), k=max(k, 2))
-    _check_zero_mode(mode, vals[0], vals[1])
-    return vals[:k]
+def mode_spectrum(curve: GeneratingCurve, mode, k: int = 2) -> np.ndarray:
+    """First k eigenvalues of one mode operator: the one-mode case of ``mode_spectra``."""
+    return mode_spectra(curve, [mode], k)[0]
 
 
 def kernel_function(curve: GeneratingCurve, mode) -> np.ndarray:

@@ -35,6 +35,9 @@ EQUALITY_TOL = 1e-4
 #: Relative curvature variance below this counts as "constant curvature".
 KAPPA_VARIANCE_TOL = 1e-10
 
+#: Cap on the window expansions of an adaptive sweep.
+MAX_ADAPTIVE_ROUNDS = 6
+
 WINDOW_CAVEAT = ("window truncation is heuristic: no growth rate of the "
                  "per-mode spectra in (m, l) is certified")
 
@@ -102,13 +105,13 @@ def _kappa_variance(curve: GeneratingCurve) -> float:
 
 
 def lambda1_kohn(curve: GeneratingCurve, window: ModeWindow,
-                 adaptive: bool = False, max_rounds: int = 6) -> SpectrumReport:
+                 adaptive: bool = False) -> SpectrumReport:
     """Sweep the mode window and report the minimal first positive eigenvalue.
 
     The (0, 0) mode is always part of the window.  With ``adaptive`` set,
     the window grows by one in each direction while some boundary mode
     attains the current minimum within 10 percent (capped at
-    ``max_rounds`` expansions).
+    MAX_ADAPTIVE_ROUNDS expansions).
     """
     table: dict[ModeIndex, ModeEigenvalues] = {}
 
@@ -120,7 +123,7 @@ def lambda1_kohn(curve: GeneratingCurve, window: ModeWindow,
     sweep(window.modes())
     rounds = 0
     if adaptive:
-        while rounds < max_rounds:
+        while rounds < MAX_ADAPTIVE_ROUNDS:
             best = min(entry.lambda1 for entry in table.values())
             boundary_best = min(table[mode].lambda1 for mode in window.boundary_modes())
             if boundary_best > 1.1 * best:
@@ -149,19 +152,6 @@ def lambda1_kohn(curve: GeneratingCurve, window: ModeWindow,
     report.equality = bool(abs(report.slack) < EQUALITY_TOL
                            and _kappa_variance(curve) < KAPPA_VARIANCE_TOL)
     return report
-
-
-def verify_upper_bound(curve: GeneratingCurve, window: ModeWindow,
-                       adaptive: bool = False) -> dict:
-    """Compare the swept eigenvalue estimate against the curvature-energy bound."""
-    report = lambda1_kohn(curve, window, adaptive=adaptive)
-    return {
-        "lhs": report.lambda1_estimate,
-        "rhs": report.bound_rhs,
-        "slack": report.slack,
-        "holds": report.holds,
-        "equality": report.equality,
-    }
 
 
 def rayleigh_test_functions(curve: GeneratingCurve) -> dict:

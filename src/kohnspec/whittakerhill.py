@@ -23,10 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import (CertificateResult, Tridiagonal, eig_general_tridiagonal,
-                    eig_periodic_sym_tridiagonal, point_in_sector,
+from .eigen import (CertificateResult, Tridiagonal, eig_general_tridiagonal, point_in_sector,
                     sector_exclusion_certificate)
-from .modes import GridTooCoarse, ModeIndex, ZERO_MODE_TOL
+from .modes import ModeIndex, certified_spectra
 
 #: Sector half-height used in all exclusion sweeps; valid for every
 #: truncation size since sum(1/k^2) < pi^2/6 makes (pi/2)/sum > 3/pi.
@@ -74,14 +73,21 @@ def mode_to_wh(kappa: float, mode) -> WHParameters:
     return WHParameters(a=float(np.hypot(m, l)) / kappa, kappa=float(kappa))
 
 
-def _wh_bands(a: float, n: int):
-    # transport-factored discretization of -d^2/dtau^2 + a^2 sin^2 + a cos;
-    # exact increments of the antiderivative of a sin(tau) keep the kernel
-    # exp(-a cos tau) an exact discrete null vector
+def _wh_transport(a: float, n: int):
+    """Grid step h, kernel exponent -a cos(tau) and transport factors r.
+
+    r_i = exp of the exact increment of -a cos across cell i, so the
+    stiffness form sum_i (u_{i+1} - r_i u_i)^2 / r_i / h^2 annihilates the
+    sampled kernel exp(-a cos tau) exactly.
+    """
     h = 2.0 * np.pi / n
-    tau = np.arange(n) * h
-    w_log = -a * np.cos(tau)
-    r = np.exp(np.roll(w_log, -1) - w_log)
+    w_log = -a * np.cos(np.arange(n) * h)
+    return h, w_log, np.exp(np.roll(w_log, -1) - w_log)
+
+
+def _wh_bands(a: float, n: int):
+    # transport-factored discretization of -d^2/dtau^2 + a^2 sin^2 + a cos
+    h, _, r = _wh_transport(a, n)
     diag = (r + np.roll(1.0 / r, 1)) / h**2
     off = np.full(n - 1, -1.0 / h**2)
     corner = -1.0 / h**2
@@ -92,7 +98,11 @@ def wh_spectrum(params, n: int = 1024, k: int = 2) -> np.ndarray:
     """First k eigenvalues E of the 2pi-periodic Whittaker-Hill operator.
 
     ``params`` is a WHParameters or a bare coupling a >= 0.  The grid must
-    be even with n >= 64.  E_0 is asserted to be the zero ground state.
+    be even with n >= 64.  The ground state goes through the shared
+    zero-mode certificate (``modes.certified_spectra``), which raises
+    GridTooCoarse naming the coupling if it fails; E_0 is then the
+    factored Rayleigh quotient of the sampled kernel exp(-a cos tau), zero
+    up to roundoff.
     """
     a = params.a if isinstance(params, WHParameters) else float(params)
     if a < 0:
@@ -101,11 +111,12 @@ def wh_spectrum(params, n: int = 1024, k: int = 2) -> np.ndarray:
         raise ValueError(f"grid must be even with n >= 64, got {n}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    want = max(k, 2)
-    vals = eig_periodic_sym_tridiagonal(*_wh_bands(a, n), k=want)
-    if abs(vals[0]) > ZERO_MODE_TOL * max(1.0, vals[1]):
-        raise GridTooCoarse(f"ground state at coupling a={a} came out as {vals[0]:.3e}")
-    return vals[:k]
+    diag, off, corner = _wh_bands(a, n)
+    upper = certified_spectra(diag[:, None], off[:, None], [corner], k, [f"coupling a={a}"])
+    h, w_log, r = _wh_transport(a, n)
+    u = np.exp(w_log - w_log.max())
+    E0 = np.sum((np.roll(u, -1) - r * u) ** 2 / r) / h**2 / np.sum(u**2)
+    return np.concatenate([[E0], upper[0]])
 
 
 def ince_matrix(a: float, N: int) -> Tridiagonal:
@@ -152,20 +163,14 @@ def convergence_differences(rows) -> list:
     return [abs(r2["E1"] - r1["E1"]) for r1, r2 in zip(rows, rows[1:])]
 
 
-def _assert_outside_sector(eigs: np.ndarray, region, context: str) -> None:
-    for z in eigs:
-        if point_in_sector(z, region):
-            raise CertificateFailed(f"eigenvalue {z} {context} lies in the excluded sector")
-
-
 def verify_E_geq_1(a_values, N: int = 60, delta: float = SECTOR_DELTA) -> dict:
     """Certify the spectral floor E >= 1 for a sweep of couplings.
 
     For each coupling: check the sector-certificate hypotheses on the
     truncation, compute its eigenvalues, record whether any lies in the
-    sector (``in_sector``), raise CertificateFailed if one does while the
-    hypotheses hold, and check every real eigenvalue against the floor
-    1 - 1e-8.  Returns {"all_pass": bool, "table": rows}.
+    sector (``in_sector``), raising CertificateFailed at the first one that
+    does while the hypotheses hold, and check every real eigenvalue
+    against the floor 1 - 1e-8.  Returns {"all_pass": bool, "table": rows}.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -176,10 +181,12 @@ def verify_E_geq_1(a_values, N: int = 60, delta: float = SECTOR_DELTA) -> dict:
         tri = ince_matrix(a, N)
         cert: CertificateResult = sector_exclusion_certificate(tri, delta)
         eigs = eig_general_tridiagonal(tri)
-        in_sector = cert.region is not None and any(
-            point_in_sector(z, cert.region) for z in eigs)
-        if cert.hypotheses_ok and in_sector:
-            _assert_outside_sector(eigs, cert.region, f"of the size-{N} truncation at a={a}")
+        hit = None if cert.region is None else next(
+            (z for z in eigs if point_in_sector(z, cert.region)), None)
+        if hit is not None and cert.hypotheses_ok:
+            raise CertificateFailed(
+                f"eigenvalue {hit} of the size-{N} truncation at a={a} lies in the excluded sector")
+        in_sector = hit is not None
         real_mask = np.abs(eigs.imag) <= REAL_PART_TOL * np.maximum(1.0, np.abs(eigs))
         reals = eigs.real[real_mask]
         floor_ok = bool(reals.size == 0 or reals.min() >= 1.0 - REAL_FLOOR_TOL)

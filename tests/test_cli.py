@@ -123,6 +123,19 @@ class TestAnalyze:
         run(["make-curve", "circle", "--out", str(spec)])
         assert run(["analyze", str(spec), "--grid", "63"]) == 1
 
+    def test_coarse_grid_follows_the_library_rule(self, tmp_path, capsys):
+        # one grid rule, the library's (even, >= 16): a circle resolves at
+        # grid 32, a coarse oval fails the total-turning check
+        circle = tmp_path / "circle.json"
+        oval = tmp_path / "oval.json"
+        run(["make-curve", "circle", "--out", str(circle)])
+        run(["make-curve", "ellipse", "--eps", "0.3", "--out", str(oval)])
+        capsys.readouterr()
+        assert run(["analyze", str(circle), "--grid", "32", "--window", "1", "1",
+                    "--out", str(tmp_path / "report.json")]) == 0
+        assert run(["analyze", str(oval), "--grid", "32", "--window", "1", "1"]) == 1
+        assert "total curvature" in capsys.readouterr().err
+
 
 class TestWHSweep:
     def test_default_style_sweep(self, tmp_path):
@@ -157,6 +170,10 @@ class TestWHSweep:
 
     def test_inverted_range_exits_one(self):
         assert run(["wh-sweep", "--a-min", "5", "--a-max", "1"]) == 1
+
+    def test_zero_steps_exits_one(self, capsys):
+        assert run(["wh-sweep", "--steps", "0"]) == 1
+        assert "--steps" in capsys.readouterr().err
 
 
 class TestNonFiniteInput:

@@ -218,12 +218,10 @@ class TestCurveSpec:
         assert curve.n == 64
 
     def test_option_for_the_other_form_rejected(self):
-        # grid belongs to profiles, closure_tol to samples; neither is
-        # accepted and then ignored
+        # grid belongs to profiles: a sampled spec does not accept and then
+        # ignore it
         with pytest.raises(ValueError, match="grid"):
             curve_from_spec({"kappa_samples": list(np.ones(64)), "length": TWO_PI}, grid=128)
-        with pytest.raises(ValueError, match="closure_tol"):
-            curve_from_spec({"rho": {"cos": [1.0]}, "grid": 128}, closure_tol=1e-11)
         with pytest.raises(TypeError):
             build_curve(circle_profile(1.0), 128, closure_tol=1e-11)
 

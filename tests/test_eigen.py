@@ -11,7 +11,6 @@ from kohnspec import (
     DenseSymmetric,
     NoConvergence,
     SectorRegion,
-    SymTridiagonal,
     Tridiagonal,
     char_poly_tridiagonal,
     eig_dense_symmetric,
@@ -19,11 +18,11 @@ from kohnspec import (
     eig_periodic_sym_tridiagonal,
     point_in_sector,
     sector_exclusion_certificate,
-    sturm_count,
 )
 import kohnspec.eigen as eigen_mod
 from kohnspec.eigen import (
     _PeriodicBands,
+    _dyadic_points,
     _periodic_inertia,
     _ql_eigenvalues,
     periodic_eigenvalue_counts,
@@ -32,9 +31,14 @@ from kohnspec.modes import assemble_bands
 from kohnspec.whittakerhill import _wh_bands, ince_matrix
 
 
-def eig_sym_tridiagonal(tri: SymTridiagonal) -> np.ndarray:
-    """Eigenvalues of a symmetric tridiagonal matrix by the QL kernel, ascending."""
-    return np.sort(_ql_eigenvalues(tri.diag, tri.offdiag, 50).real)
+def eig_sym_tridiagonal(d, e) -> np.ndarray:
+    """Eigenvalues of the symmetric tridiagonal (d, e) by the QL kernel, ascending."""
+    return np.sort(_ql_eigenvalues(d, e, 50).real)
+
+
+def tridiagonal_count(d, e, x) -> int:
+    """Eigenvalues of the symmetric tridiagonal (d, e) below x: a periodic count with corner 0."""
+    return int(periodic_eigenvalue_counts(d[:, None], e[:, None], [0.0], [[x]])[0, 0])
 
 
 def charpoly_bisection_roots(a, samples=20000):
@@ -108,19 +112,19 @@ class TestDenseSymmetric:
 
     def test_matches_ql_on_tridiagonal_input(self):
         rng = np.random.default_rng(11)
-        tri = SymTridiagonal(rng.standard_normal(30), rng.standard_normal(29))
-        np.testing.assert_allclose(eig_dense_symmetric(tri.to_dense()),
-                                   eig_sym_tridiagonal(tri), atol=1e-10)
+        d, e = rng.standard_normal(30), rng.standard_normal(29)
+        np.testing.assert_allclose(eig_dense_symmetric(np.diag(d) + np.diag(e, 1) + np.diag(e, -1)),
+                                   eig_sym_tridiagonal(d, e), atol=1e-10)
 
     @pytest.mark.usefixtures("raise_fp")
     def test_sturm_counts_agree(self):
         rng = np.random.default_rng(12)
-        tri = SymTridiagonal(rng.standard_normal(25), rng.standard_normal(24))
-        vals = eig_sym_tridiagonal(tri)
+        d, e = rng.standard_normal(25), rng.standard_normal(24)
+        vals = eig_sym_tridiagonal(d, e)
         scale = np.max(np.abs(vals))
         for i, lam in enumerate(vals):
-            assert sturm_count(tri, lam - 1e-9 * scale) == i
-            assert sturm_count(tri, lam + 1e-9 * scale) >= i + 1
+            assert tridiagonal_count(d, e, lam - 1e-9 * scale) == i
+            assert tridiagonal_count(d, e, lam + 1e-9 * scale) >= i + 1
 
 
 @pytest.fixture
@@ -221,13 +225,13 @@ class TestPeriodicInertia:
 
     @pytest.mark.usefixtures("raise_fp")
     def test_plain_tridiagonal_zero_pivots(self):
-        # sturm_count on the free Dirichlet Laplacian at its own diagonal
+        # the free Dirichlet Laplacian counted at its own diagonal
         n = 40
-        tri = SymTridiagonal(np.full(n, 2.0), np.full(n - 1, -1.0))
-        ev = np.linalg.eigvalsh(tri.to_dense())
+        d, e = np.full(n, 2.0), np.full(n - 1, -1.0)
+        ev = np.linalg.eigvalsh(periodic_dense(d, e, 0.0))
         for x in (0.0, 1.0, 2.0, 3.0, 4.0):
             if np.min(np.abs(ev - x)) > 1e-9:
-                assert sturm_count(tri, x) == np.count_nonzero(ev < x)
+                assert tridiagonal_count(d, e, x) == np.count_nonzero(ev < x)
 
 
 @pytest.mark.usefixtures("raise_fp")
@@ -280,26 +284,12 @@ class TestPeriodicTridiagonal:
         plain = eig_periodic_sym_tridiagonal(d, e, 0.4, k=4)
         np.testing.assert_array_equal(multi, plain)
 
-    def test_arithmetic_midpoints_without_lower_end(self):
-        # without ``lower`` every midpoint is (lo + hi) / 2, also in the
-        # positive brackets left after a negative Gershgorin lower end:
-        # the result is plain arithmetic bisection's, bit for bit
-        rng = np.random.default_rng(37)
-        n = 24
-        d = rng.uniform(2.0, 3.0, n)
-        e = rng.uniform(-1.6, 1.6, n - 1)
-        corner = 0.5
-        lo0, hi0 = _PeriodicBands(d[:, None], e[:, None], np.array([corner])).gershgorin()
-        assert lo0[0] < 0.0 < np.linalg.eigvalsh(periodic_dense(d, e, corner))[0]
-        want = []
-        for index in range(3):
-            lo, hi = lo0[0], hi0[0]
-            while hi - lo > 1e-13 * max(1.0, abs(lo) + abs(hi)):
-                mid = 0.5 * (lo + hi)
-                below = periodic_eigenvalue_counts(d[:, None], e[:, None], [corner], [[mid]])
-                lo, hi = (mid, hi) if below[0, 0] <= index else (lo, mid)
-            want.append(0.5 * (lo + hi))
-        np.testing.assert_array_equal(eig_periodic_sym_tridiagonal(d, e, corner, k=3), want)
+    def test_one_midpoint_rule(self):
+        # geometric exactly where 0 < 2a < b, arithmetic everywhere else
+        lo = np.array([-1.0, 0.0, 1e-6, 1.0])
+        hi = np.array([1.0, 1.0, 1.0, 1.5])
+        mid = _dyadic_points(lo, hi, 1)[:, 1]
+        np.testing.assert_array_equal(mid, [0.0, 0.5, np.sqrt(1e-6) * np.sqrt(1.0), 1.25])
 
     def test_multisection_equals_bisection_from_positive_lower_end(self, monkeypatch):
         # a mode matrix with its zero eigenvalue skipped: lambda_1 is

@@ -89,8 +89,8 @@ class TestAssemble:
 
     def test_bisect_agrees_with_dense(self, ellipse_03):
         for mode in [(0, 0), (1, 0), (2, 1), (-1, -1)]:
-            fast = mode_spectrum(ellipse_03, mode, k=3, method="bisect")
-            dense = mode_spectrum(ellipse_03, mode, k=3, method="dense")
+            fast = mode_spectrum(ellipse_03, mode, k=3)
+            dense = eig_dense_symmetric(assemble(ellipse_03, mode), k=3)
             np.testing.assert_allclose(fast, dense, atol=1e-9)
 
 
@@ -153,13 +153,10 @@ class TestModeSpectra:
     @pytest.mark.parametrize("lam0", [2e-6, -2e-6])
     def test_zero_mode_beyond_absolute_tolerance_raises(self, unit_circle, monkeypatch, lam0):
         # the certificate is absolute: ZERO_MODE_TOL < |lambda_0| raises even
-        # where |lambda_0| <= ZERO_MODE_TOL * lambda_1, which the dense
-        # path's relative check still accepts
+        # where |lambda_0| <= ZERO_MODE_TOL * lambda_1
         shift_modes(monkeypatch, {(3, 1): lam0})
         want = np.linalg.eigvalsh(assemble(unit_circle, (3, 1)).data)[:2]
         assert ZERO_MODE_TOL < abs(want[0]) <= ZERO_MODE_TOL * want[1]
-        np.testing.assert_allclose(mode_spectrum(unit_circle, (3, 1), method="dense"),
-                                   want, rtol=1e-9, atol=1e-10)
         with pytest.raises(GridTooCoarse, match=r"mode \(3, 1\)"):
             mode_spectra(unit_circle, [(1, 0), (3, 1), (1, -2)])
 

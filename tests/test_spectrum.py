@@ -18,7 +18,6 @@ from kohnspec import (
     random_profile,
     rayleigh_quotient,
     rayleigh_test_functions,
-    verify_upper_bound,
 )
 
 
@@ -99,21 +98,21 @@ class TestLambda1:
 
 class TestVerifyUpperBound:
     def test_circle_equality(self, unit_circle):
-        res = verify_upper_bound(unit_circle, ModeWindow(3, 3))
-        assert res["holds"] and res["equality"]
-        assert res["lhs"] == pytest.approx(res["rhs"], abs=1e-4)
-        assert res["rhs"] == pytest.approx(0.5, abs=1e-10)
+        report = lambda1_kohn(unit_circle, ModeWindow(3, 3))
+        assert report.holds and report.equality
+        assert report.lambda1_estimate == pytest.approx(report.bound_rhs, abs=1e-4)
+        assert report.bound_rhs == pytest.approx(0.5, abs=1e-10)
 
     def test_kappa2_circle(self, circle_kappa2):
-        res = verify_upper_bound(circle_kappa2, ModeWindow(2, 2))
-        assert res["rhs"] == pytest.approx(1.0, abs=1e-10)
-        assert res["lhs"] == pytest.approx(1.0, abs=2e-4)
-        assert res["holds"] and res["equality"]
+        report = lambda1_kohn(circle_kappa2, ModeWindow(2, 2))
+        assert report.bound_rhs == pytest.approx(1.0, abs=1e-10)
+        assert report.lambda1_estimate == pytest.approx(1.0, abs=2e-4)
+        assert report.holds and report.equality
 
     def test_oval(self, ellipse_03):
-        res = verify_upper_bound(ellipse_03, ModeWindow(2, 2))
-        assert res["holds"] and not res["equality"]
-        assert res["slack"] > 1e-3
+        report = lambda1_kohn(ellipse_03, ModeWindow(2, 2))
+        assert report.holds and not report.equality
+        assert report.slack > 1e-3
 
 
 class TestBracketing:

@@ -3,7 +3,6 @@ import pytest
 
 from kohnspec import (
     CertificateFailed,
-    SectorRegion,
     WHParameters,
     ince_eigenvalues,
     ince_matrix,
@@ -14,11 +13,7 @@ from kohnspec import (
 )
 from kohnspec import whittakerhill
 from kohnspec.modes import GridTooCoarse
-from kohnspec.whittakerhill import (
-    _assert_outside_sector,
-    _wh_bands,
-    convergence_differences,
-)
+from kohnspec.whittakerhill import _wh_bands, convergence_differences
 
 #: differences below this are eigensolver roundoff, not truncation error
 CONVERGENCE_FLOOR = 1e-11
@@ -211,11 +206,6 @@ class TestVerifyFloor:
         assert row["complex_bottom"]
         assert row["E1"] == pytest.approx(2.5)
 
-    def test_sector_violation_raises(self):
-        region = SectorRegion(mu=1.0, delta=3 / np.pi)
-        with pytest.raises(CertificateFailed):
-            _assert_outside_sector(np.array([0.5 + 0.0j]), region, "synthetic")
-
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
             verify_E_geq_1([1.0], N=0)
@@ -237,6 +227,34 @@ class TestWHGridGuard:
         # the ground state is pinned by construction; the guard only fires
         # on a genuinely broken discretization
         assert issubclass(GridTooCoarse, RuntimeError)
+
+    def test_certificate_names_the_coupling(self, monkeypatch):
+        # the ground state drifts to -1e-3: the shared zero-mode
+        # certificate rejects it and names the coupling
+        def shifted(a, n):
+            diag, off, corner = _wh_bands(a, n)
+            return diag - 1e-3, off, corner
+
+        monkeypatch.setattr(whittakerhill, "_wh_bands", shifted)
+        with pytest.raises(GridTooCoarse, match=r"coupling a=2\.5 is not isolated: 1 eigenvalue"):
+            wh_spectrum(2.5, n=128)
+
+    @pytest.mark.parametrize("a", [0.0, 0.5, 1.0, 3.0, 10.0, 40.0])
+    def test_spectrum_matches_lapack(self, a):
+        # E_0 is the factored quotient of the kernel, zero up to roundoff;
+        # E_1..E_4 are bisected from the certified lower end.  At a = 0 the
+        # eigenvalues are exactly double, where the periodic inertia count
+        # is not monotone (ROADMAP item 2), so the bound there is 1e-8.
+        bound = 1e-8 if a == 0.0 else 1e-10
+        for n in (64, 256, 1024):
+            diag, off, corner = _wh_bands(a, n)
+            dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            dense[0, -1] += corner
+            dense[-1, 0] += corner
+            want = np.linalg.eigvalsh(dense)[1:5]
+            vals = wh_spectrum(a, n=n, k=5)
+            assert 0.0 <= vals[0] < 1e-20, (a, n)
+            assert np.all(np.abs(vals[1:] - want) <= bound * np.maximum(1.0, want)), (a, n)
 
 
 class TestEqualityPipeline:
