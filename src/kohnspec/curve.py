@@ -364,15 +364,17 @@ def _check_total_turning(curve: GeneratingCurve) -> None:
 # ---------------------------------------------------------------------------
 
 
-def periodic_quadrature(samples, length: float) -> float:
+def periodic_quadrature(samples, length: float):
     """Trapezoidal rule on the periodic uniform grid: (length/n) * sum.
 
-    Spectrally accurate for smooth periodic integrands.
+    Spectrally accurate for smooth periodic integrands.  Sums over the last
+    axis: a float for one row of samples, an array for a stack of rows.
     """
     samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 1 or len(samples) < 2:
+    if samples.ndim < 1 or samples.shape[-1] < 2:
         raise ValueError("need at least two samples")
-    return float(length / len(samples) * samples.sum())
+    total = length / samples.shape[-1] * samples.sum(axis=-1)
+    return float(total) if samples.ndim == 1 else total
 
 
 def webster_scalar_curvature(curve: GeneratingCurve) -> np.ndarray:

@@ -10,10 +10,14 @@ Three routes, each matched to a matrix class that actually occurs here:
   vanishes, then the same implicit-shift QL in complex arithmetic
   (Cullum & Willoughby), O(n) per sweep;
 * symmetric periodic tridiagonal matrices (band plus one wrap-around
-  corner): Sturm-type bisection driven by the inertia of the shifted
-  LDL^T factorization, O(n) per probe.  One numpy kernel runs the
-  recurrence over the rows for a whole batch of (matrix, shift) columns
-  at once, which is how the large mode sweeps stay cheap.
+  corner): Sturm-type bisection driven by inertia counts, O(n) per probe.
+  Four separator rows split the shifted matrix into four tridiagonal
+  blocks, whose LDL^T recurrences one numpy kernel runs side by side for
+  a whole batch of (matrix, shift) columns, n/4 row steps in all, which
+  is how the large mode sweeps stay cheap.  Haynsworth's inertia
+  additivity adds the inertia of the 4 x 4 cyclic Schur complement on the
+  separators, made tridiagonal by two Givens rotations, so the count
+  stays monotone at double eigenvalues.
 
 This module also hosts the sector-exclusion certificate for tridiagonal
 matrices with positive diagonal and nonpositive off-diagonal products:
@@ -271,9 +275,14 @@ def eig_dense_symmetric(matrix, k: int | None = None, max_sweeps: int = 50) -> n
 # symmetric periodic tridiagonal path: batched inertia bisection
 # ---------------------------------------------------------------------------
 
-#: A pivot at most this times its matrix's largest entry is eliminated
-#: together with the next row, so the corner fill never divides by it.
-_HOLD_REL = 2.0**-60
+#: Separator rows of the inertia kernel (``_cycle_negatives`` is for 4).
+_SEPARATORS = 4
+
+#: A pivot at most this times its matrix's largest entry is eliminated with
+#: the next row, so that no f^2 / pivot term is left for the next row's to
+#: cancel (costing up to 2^26 roundoffs); a block's last pivot that small
+#: keeps its row out of S.
+_HOLD_REL = 2.0**-26
 
 #: Pivots smaller than this times the largest entry are clamped to minus
 #: it, as with the pivmin of LAPACK's dstebz.  Far above the underflow
@@ -281,9 +290,9 @@ _HOLD_REL = 2.0**-60
 #: and the next pivot's e^2 / pivot cannot underflow.
 _PIVMIN_REL = 2.0**-200
 
-#: Corner fill below this times the largest entry is flushed to zero
-#: (checked every _FLUSH_EVERY rows); its square could otherwise
-#: underflow, and its effect on the count is far below roundoff.
+#: Fill below this times the largest entry is flushed to zero (checked
+#: every _FLUSH_EVERY rows), and so are entries of S below it: their
+#: squares could underflow, and their effect is far below roundoff.
 _FLUSH_REL = 2.0**-200
 _FLUSH_EVERY = 4
 
@@ -297,12 +306,12 @@ _MIN_SCALE = 2.0**-800
 #: Bisection stops once hi - lo <= this * max(1, |lo| + |hi|).
 _BISECT_TOL = 1e-13
 
-#: Fixed cost of one row step of the inertia kernel, in probe columns: a
-#: row costs about as much as this many extra columns.  Each bisection
+#: Fixed cost of one inertia kernel call, in probe columns: at n = 512 a
+#: call costs about 2.5 ms, mostly per-row overhead of its n/4 row steps,
+#: plus 4.2 us per column (2 CPUs, Python 3.11, numpy 2.4).  A bisection
 #: round probes ``levels`` levels of every bracket at once, with levels
-#: chosen to minimise (_ROW_COST + brackets * (2^levels - 1)) / levels,
-#: the cost per level gained.
-_ROW_COST = 1000
+#: minimising (_ROW_COST + brackets * (2^levels - 1)) / levels.
+_ROW_COST = 600
 
 
 class _PeriodicBands:
@@ -343,134 +352,210 @@ class _PeriodicBands:
         return lo, hi
 
 
-def _screen_pivots(bands, row, a, buf, mask, may_hold, busy):
-    """Clamp tiny pivots of ``row`` in place; return the ones to hold back.
+def _screen_pivots(bands, a, buf, mask, couplings, busy=None):
+    """Clamp pivots below pivmin to -pivmin in place; return those to hold back.
 
-    ``buf`` holds |a|.  A pivot of magnitude below pivmin becomes -pivmin
-    (counted negative).  When ``may_hold``, the pivots at most _HOLD_REL
-    times their matrix's scale whose row couples onward
-    (offdiag[row] != 0) are returned as index arrays (shift, matrix),
-    except those in ``busy``; otherwise None.
+    ``buf`` holds |a|, both (shift, block, matrix).  Given ``couplings``,
+    each block's entry to its next row, returns the index arrays of the
+    pivots at most _HOLD_REL times their scale that couple onward, except
+    those in ``busy``; otherwise None.
     """
     np.less_equal(buf, _HOLD_REL * bands.scale, out=mask)
     if not mask.any():
         return None
-    shifts, cols = np.nonzero(mask)
+    shifts, blocks, cols = np.nonzero(mask)
     pivmin = _PIVMIN_REL * bands.scale[cols]
-    tiny = buf[shifts, cols] < pivmin
-    a[shifts[tiny], cols[tiny]] = -pivmin[tiny]
-    if not may_hold:
+    tiny = buf[shifts, blocks, cols] < pivmin
+    a[shifts[tiny], blocks[tiny], cols[tiny]] = -pivmin[tiny]
+    if couplings is None:
         return None
     if busy is not None:
-        mask[busy[:2]] = False
-    mask[:, bands.offdiag[row] == 0.0] = False
-    if not mask.any():
-        return None
-    return np.nonzero(mask)
+        mask[busy[:3]] = False
+    mask[:, couplings == 0.0] = False
+    return np.nonzero(mask) if mask.any() else None
+
+
+def _flush(*arrays):
+    """Zero the entries below _FLUSH_REL in place."""
+    for t in arrays:
+        t[np.abs(t) < _FLUSH_REL] = 0.0
+
+
+def _rotation(f, g):
+    """r = hypot(f, g) and (c, s) = (f, g) / r, the identity where r = 0."""
+    r = np.hypot(f, g)
+    return (r, np.divide(f, r, out=np.ones_like(r), where=r > 0.0),
+            np.divide(g, r, out=np.zeros_like(r), where=r > 0.0))
+
+
+def _sturm_negatives(diag, off):
+    """Negative pivots of tridiagonals (diag, off), elementwise, entries below
+    about 2; pivots below _PIVMIN_REL are clamped to minus it as in dstebz."""
+    count = piv = 0
+    for k, d in enumerate(diag):
+        piv = d - off[k - 1] * off[k - 1] / piv if k else d
+        piv = np.where(np.abs(piv) < _PIVMIN_REL, -_PIVMIN_REL, piv)
+        count = count + (piv < 0.0)
+    return count
+
+
+def _cycle_negatives(sd, so):
+    """Negative eigenvalues of 4 x 4 cyclic matrices, elementwise.
+
+    ``sd`` and ``so`` (m, 4, P) hold the diagonals and the couplings (j,
+    j+1 mod 4).  Each matrix is scaled by a power of two, then made
+    tridiagonal by two Givens rotations: plane (1, 3) zeroes the corner
+    (0, 3), plane (2, 3) the fill at (3, 1).  Rotations are orthogonal, so
+    the count holds for a matrix within roundoff of S, singular or not.
+    """
+    t = np.concatenate([sd, so], axis=1)
+    t *= np.ldexp(1.0, -np.frexp(np.abs(t).max(axis=1, keepdims=True))[1])
+    _flush(t)
+    a0, a1, a2, a3, b0, b1, b2, b3 = t.transpose(1, 0, 2)
+    r1, c, s = _rotation(b0, b3)
+    a1, a3, h, p, q = (c * c * a1 + s * s * a3, s * s * a1 + c * c * a3, c * s * (a3 - a1),
+                       c * b1 + s * b2, c * b2 - s * b1)
+    _flush(a1, a3, h, p, q)
+    r2, c, s = _rotation(p, h)
+    a2, a3, r3 = (c * c * a2 + 2.0 * c * s * q + s * s * a3, s * s * a2 - 2.0 * c * s * q
+                  + c * c * a3, c * s * (a3 - a2) + (c * c - s * s) * q)
+    _flush(r3)
+    return _sturm_negatives([a0, a1, a2, a3], [r1, r2, r3])
+
+
+def _dense_negatives(mat):
+    """Negative eigenvalues of one small symmetric matrix: Householder, then Sturm."""
+    mat = mat * math.ldexp(1.0, -math.frexp(np.abs(mat).max())[1])
+    _flush(mat)
+    d, e = _householder_tridiagonalize(mat)
+    _flush(e)
+    return int(_sturm_negatives(d, e))
 
 
 def _periodic_inertia(bands: _PeriodicBands, x: np.ndarray) -> np.ndarray:
     """Number of eigenvalues below each shift, for a batch of periodic matrices.
 
-    ``x`` is (m, P): m shifts for each matrix of ``bands``; the result is
-    the (m, P) integer counts.  Eliminates the rows in order, carrying the
-    fill f in the last row and column and that row's Schur complement g,
-    and counts negative pivots (Sylvester's law of inertia).  Pivots below
-    pivmin are clamped as in LAPACK's dstebz.  A pivot a_j that is tiny
-    against the matrix scale would make the fill of row j+1 huge and the
-    next two updates of g cancel catastrophically (or overflow to
-    inf - inf); such a column is held back for one row and rows j, j+1
-    are eliminated into g as one 2x2 block, whose determinant
-    a_j a_{j+1} = a_j c_{j+1} - e_j^2 stays of the size of e_j^2.  The
-    pivots themselves still follow the scalar recurrence, so the count is
-    unchanged wherever no pivot is tiny.
+    ``x`` is (m, P): m shifts for each matrix of ``bands``; so is the result.
+    With q, r = divmod(n, 4), separator rows 0, q+r, 2q+r and 3q+r split
+    A - x into four blocks, tridiagonals of q-1 rows (the first has r more,
+    taken first while the others wait on pivots of +inf).  By Haynsworth's
+    inertia additivity the count is the blocks' negative pivots plus the
+    negative eigenvalues of the 4 x 4 cyclic Schur complement S on the
+    separators (``_cycle_negatives``).  The blocks run side by side as
+    extra batch columns, through strided views of the bands: n/4 row steps.
+    Each carries the fill f of its row into its opening separator and that
+    separator's update g; a last step onto the closing separator (coupling
+    v) leaves -f^2/a in g, the coupling -f v/a and the pivot -v^2/a.
+
+    Pivots below pivmin are clamped as in LAPACK's dstebz.  A pivot a_j
+    tiny against the matrix scale would make the next fill huge and the
+    next two updates of g cancel; such a column is held back for one row
+    and rows j, j+1 are eliminated as one 2x2 block, whose determinant
+    a_j a_{j+1} = a_j c_{j+1} - e_j^2 stays of the size of e_j^2.  A tiny
+    last pivot means a singular block: that row stays beside S as a node
+    of its own, and the small matrix is counted densely, as are matrices
+    of at most four rows.
     """
-    n = bands.diag.shape[0]
-    if bands.diag.shape[1] == 1:
-        # one matrix: Python floats broadcast faster than length-1 rows
-        d, e = bands.diag[:, 0].tolist(), bands.offdiag[:, 0].tolist()
-    else:
-        d, e = list(bands.diag), list(bands.offdiag)
-    if n == 1:
-        return (d[0] - x < 0.0).astype(np.intp)
-    shape = x.shape
+    n, p = bands.diag.shape
+    diag, off = bands.diag, bands.offdiag
+    count = np.zeros(x.shape, dtype=np.intp)
+    if n <= _SEPARATORS:
+        for k in range(p):
+            mat = np.diag(diag[:, k]) + np.diag(off[:, k], 1)
+            mat[0, -1] += bands.corner[k] if n > 1 else 0.0
+            mat += np.triu(mat, 1).T
+            for i in range(x.shape[0]):
+                count[i, k] = _dense_negatives(mat - x[i, k] * np.eye(n))
+        return count
+    q, rem = divmod(n, _SEPARATORS)
+    rows = q - 1 + rem
+    seps = [0, q + rem, 2 * q + rem, 3 * q + rem]
+    # v[j]: coupling of block j's last row to separator j + 1.  f holds
+    # (-1)^i times the fill of a block's row i, so its update needs e, not
+    # -e; ``sign`` turns the fill of the step onto the separator back
+    v = np.concatenate([off[q + rem - 1::q][:3], bands.corner[None]])
+    sign = np.array([(-1.0) ** rows] + [(-1.0) ** (q - 1)] * 3)[:, None]
+    x3 = x[:, None, :]
+    shape = (x.shape[0], _SEPARATORS, p)
+    # rows of every block (the separators' last, x, makes the last pivot
+    # -v^2/a) and the couplings to the next row (None at the last, where
+    # no row is held)
+    diag_rows = [diag[1 + i:2 + i + 3 * q:q] for i in range(rows)] + [x3]
+    for i in range(rem):
+        diag_rows[i] = np.concatenate([diag[1 + i:2 + i], np.full((3, p), np.inf)])
+    couplings = [off[1 + i:2 + i + 3 * q:q] for i in range(rows - 1)] + [None]
     less, sub, mul, div, absolute = np.less, np.subtract, np.multiply, np.divide, np.abs
     smallest = np.minimum.reduce
     screen = _HOLD_REL * float(bands.scale.max())
     flush = _FLUSH_REL * float(bands.scale.min())
-    # f holds (-1)^i times the fill of row i, so its update needs e, not -e
-    a = d[0] - x
-    f = np.empty(shape)
-    f[...] = bands.corner if n > 2 else bands.corner + e[0]
-    g = d[n - 1] - x
-    # signs of the pivots, added up every _SIGN_ROWS rows
-    count = np.zeros(shape, dtype=np.intp)
+    a = diag_rows[0] - x3
+    f = np.zeros(shape)
+    starting = seps[:1] if rem else seps  # blocks whose first row is row 0
+    f[:, :len(starting)] = off[starting]
+    g = np.zeros(shape)
     negative = np.empty((_SIGN_ROWS,) + shape, dtype=bool)
     is_negative = list(negative)
     a_next, f_next, buf = np.empty(shape), np.empty(shape), np.empty(shape)
     mask = np.empty(shape, dtype=bool)
-    last = bands.offdiag[n - 2] if n % 2 == 0 else -bands.offdiag[n - 2]
-    held = due = None
-    absolute(a, buf)
-    if smallest(buf, None) <= screen:
-        held = _screen_pivots(bands, 0, a, buf, mask, n >= 3, None)
-    for i in range(n - 2):
+    due = tiny = None
+    for i in range(rows):
+        e, held = couplings[i], None
+        absolute(a, buf)
+        if smallest(buf, None) <= screen:
+            held = _screen_pivots(bands, a, buf, mask, e, due)
+            if e is None:
+                # a singular block: its last row leaves the elimination
+                tiny = buf <= _HOLD_REL * bands.scale
+                last = a[tiny], -f[tiny] * np.broadcast_to(sign, shape)[tiny]
+                a[tiny], f[tiny] = np.inf, 0.0
+        e = v if e is None else e
         less(a, 0.0, is_negative[i % _SIGN_ROWS])
         if i % _SIGN_ROWS == _SIGN_ROWS - 1:
-            count += np.count_nonzero(negative, axis=0)
-        saved = None
-        if held is not None:
-            saved = (*held, f[held], g[held], a[held], bands.offdiag[i][held[1]])
-        ei = e[i]
-        sub(d[i + 1], x, a_next)
-        div(ei * ei, a, buf)
+            count += np.count_nonzero(negative, axis=(0, 2))
+        saved = None if held is None else (*held, f[held], g[held], a[held], e[held[1:]])
+        sub(diag_rows[i + 1], x3, a_next)
+        div(e * e, a, buf)
         sub(a_next, buf, a_next)
-        mul(ei, f, f_next)
+        mul(e, f, f_next)
         div(f_next, a, f_next)
-        if i + 1 == n - 2:
-            f_next += last
+        if i + 1 == rem:
+            f_next[:, 1:] += e[1:]  # the other blocks enter their first row
         mul(f, f, buf)
         div(buf, a, buf)
         sub(g, buf, g)
         if due is not None:
             # rows i-1 and i as one block: overwrite what the two scalar
             # steps computed for these columns
-            shifts, cols, f_held, g_held, a_held, e_held = due
-            den = a_held * a[shifts, cols]
-            c = bands.diag[i][cols] - x[shifts, cols]
-            g[shifts, cols] = g_held - f_held * f_held * c / den
-            f_new = bands.offdiag[i][cols] * (e_held * f_held) / den
-            if i + 1 == n - 2:
-                f_new += last[cols]
-            f_next[shifts, cols] = f_new
+            shifts, blocks, cols, f_held, g_held, a_held, e_held = due
+            den = a_held * a[shifts, blocks, cols]
+            c = diag_rows[i][blocks, cols] - x[shifts, cols]
+            g[shifts, blocks, cols] = g_held - f_held * f_held * c / den
+            f_next[shifts, blocks, cols] = e[blocks, cols] * (e_held * f_held) / den
         a, a_next = a_next, a
         f, f_next = f_next, f
         due = saved
-        held = None
-        absolute(a, buf)
-        if smallest(buf, None) <= screen:
-            held = _screen_pivots(bands, i + 1, a, buf, mask, i + 1 <= n - 3, due)
         if not i % _FLUSH_EVERY:
             absolute(f, buf)
             if smallest(buf, None) < flush:
                 less(buf, flush, mask)
                 f[mask] = 0.0
-    count += np.count_nonzero(negative[:(n - 2) % _SIGN_ROWS], axis=0)
-    count += a < 0.0
-    np.multiply(f, f, out=buf)
-    np.divide(buf, a, out=buf)
-    np.subtract(g, buf, out=buf)
-    if due is not None:
-        # rows n-3 and n-2 as one block, coupled to the last row by the
-        # held fill and by e[n-2]
-        shifts, cols, f_held, g_held, a_held, e_held = due
-        a_last = a[shifts, cols]
-        c = bands.diag[n - 2][cols] - x[shifts, cols]
-        phi = bands.offdiag[n - 2][cols]
-        fill = f_held if n % 2 == 1 else -f_held
-        buf[shifts, cols] = (g_held - (fill * fill * c - 2.0 * e_held * fill * phi)
-                             / (a_held * a_last) - phi * phi / a_last)
-    count += buf < 0.0
+    count += np.count_nonzero(negative[:rows % _SIGN_ROWS], axis=(0, 2))
+    sd = diag[seps] - x3 + g + np.roll(a, 1, axis=1)
+    so = sign * f
+    s_count = _cycle_negatives(sd, so)
+    count += s_count
+    if tiny is not None:
+        # each singular block's last row as a node between the separators
+        # it joins, in a small matrix with S
+        nodes = np.zeros(shape + (3,))
+        nodes[tiny] = np.column_stack([*last, np.broadcast_to(v, shape)[tiny]])
+        for i, k in zip(*np.nonzero(tiny.any(axis=1))):
+            js = np.flatnonzero(tiny[i, :, k])
+            mat = np.pad(np.diag(sd[i, :, k]), (0, len(js)))
+            mat[[0, 1, 2, 0], [1, 2, 3, 3]] = so[i, :, k]
+            for node, j in enumerate(js, _SEPARATORS):
+                mat[node, node], mat[j, node], mat[(j + 1) % _SEPARATORS, node] = nodes[i, j, k]
+            count[i, k] += _dense_negatives(mat + np.triu(mat, 1).T) - s_count[i, k]
     return count
 
 

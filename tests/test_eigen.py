@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from kohnspec import (
     build_curve,
+    circle_profile,
     random_profile,
     DenseSymmetric,
     NoConvergence,
@@ -146,7 +147,8 @@ def oracle_case(kind, n, seed, m, l):
     if kind == "wh0":
         bands = _wh_bands(0.0, n)
     else:
-        bands = assemble_bands(build_curve(random_profile(seed), n), (m, l))
+        profile = circle_profile(1.0) if kind == "circle" else random_profile(seed)
+        bands = assemble_bands(build_curve(profile, n), (m, l))
     return bands, np.linalg.eigvalsh(periodic_dense(*bands))
 
 
@@ -163,10 +165,14 @@ def check_counts(bands, ev, shifts):
             assert count == np.count_nonzero(ev < xi), xi
 
 
+# n covers every remainder mod 4 of the separator layout; the free
+# operator (wh0) and the circle's modes have double eigenvalues
 cases = st.one_of(
-    st.tuples(st.just("wh0"), st.sampled_from([3, 4, 16, 64, 512]),
+    st.tuples(st.just("wh0"), st.sampled_from([3, 4, 16, 18, 50, 64, 512, 514]),
               st.just(0), st.just(0), st.just(0)),
-    st.tuples(st.just("mode"), st.sampled_from([64, 512]), st.integers(0, 2),
+    st.tuples(st.just("mode"), st.sampled_from([50, 64, 512, 514]), st.integers(0, 2),
+              st.integers(-4, 4), st.integers(-4, 4)),
+    st.tuples(st.just("circle"), st.sampled_from([18, 50, 64, 512, 514]), st.just(0),
               st.integers(-4, 4), st.integers(-4, 4)),
 )
 
@@ -187,6 +193,43 @@ class TestPeriodicInertia:
             bands = _wh_bands(0.0, n)
             ev = np.linalg.eigvalsh(periodic_dense(*bands))
             check_counts(bands, ev, [bands[0][0] * j / 4 for j in range(-1, 18)])
+
+    def test_zero_pivots_next_to_the_separators(self):
+        # the same quarter steps for n = 5..44: zero pivots land on the rows
+        # next to each of the four separators, for every remainder of n mod
+        # 4, among them each block's last row, where the block is singular
+        # and that row is counted beside the Schur complement
+        for n in range(5, 45):
+            bands = _wh_bands(0.0, n)
+            ev = np.linalg.eigvalsh(periodic_dense(*bands))
+            check_counts(bands, ev, [bands[0][0] * j / 4 for j in range(-1, 18)])
+
+    @pytest.mark.usefixtures("raise_fp")
+    def test_zero_pivot_in_the_schur_complement(self):
+        # separators (rows 0, 4, 8, 12 at n = 16) decoupled from the
+        # blocks: S is diag(d[s] - x), and x = d[s] makes one of its pivots
+        # exactly zero, counted negative like every clamped pivot
+        n = 16
+        rng = np.random.default_rng(41)
+        d, e = rng.uniform(1.0, 5.0, n), rng.uniform(0.5, 1.0, n - 1)
+        e[[0, 3, 4, 7, 8, 11, 12]] = 0.0
+        ev = np.linalg.eigvalsh(periodic_dense(d, e, 0.0))
+        for s in (0, 4, 8, 12):
+            assert np.count_nonzero(np.abs(ev - d[s]) < 1e-9) == 1
+            assert tridiagonal_count(d, e, d[s]) == np.count_nonzero(ev < d[s] - 1e-9) + 1
+
+    def test_counts_monotone_next_to_double_eigenvalues(self):
+        # the circle's mode (0, 0), the paper's equality case, and the free
+        # Whittaker-Hill operator have a double lambda_1 = lambda_2; across
+        # it the count must rise from 1 to 3 and never fall
+        circle = assemble_bands(build_curve(circle_profile(1.0), 512), (0, 0))
+        for diag, off, corner in (circle, _wh_bands(0.0, 256)):
+            lam = np.linalg.eigvalsh(periodic_dense(diag, off, corner))[1]
+            x = lam + np.linspace(-6e-9, 6e-9, 61)
+            counts = periodic_eigenvalue_counts(diag[:, None], off[:, None], [corner],
+                                                x[:, None])[:, 0]
+            assert np.all(np.diff(counts) >= 0), counts
+            assert counts[0] == 1 and counts[-1] == 3
 
     @settings(max_examples=150, deadline=None)
     @given(case=cases, fractions=st.lists(st.floats(-0.05, 1.05), min_size=1, max_size=8))

@@ -23,13 +23,14 @@ from kohnspec.modes import ZERO_MODE_TOL, potential_parts
 def shift_modes(monkeypatch, shifts):
     """Add shifts[mode] to the diagonal of those modes' matrices (so to every eigenvalue)."""
     import kohnspec.modes as modes_mod
-    bands = modes_mod.assemble_bands
+    bands = modes_mod._window_bands
 
-    def shifted(curve, mode):
-        diag, off, corner = bands(curve, mode)
-        return diag + shifts.get(tuple(mode), 0.0), off, corner
+    def shifted(curve, modes):
+        diag, off, corner, lam0 = bands(curve, modes)
+        diag += [shifts.get(tuple(mode), 0.0) for mode in modes]
+        return diag, off, corner, lam0
 
-    monkeypatch.setattr(modes_mod, "assemble_bands", shifted)
+    monkeypatch.setattr(modes_mod, "_window_bands", shifted)
 
 
 class TestPotential:
@@ -155,7 +156,7 @@ class TestModeSpectra:
         # the certificate is absolute: ZERO_MODE_TOL < |lambda_0| raises even
         # where |lambda_0| <= ZERO_MODE_TOL * lambda_1
         shift_modes(monkeypatch, {(3, 1): lam0})
-        want = np.linalg.eigvalsh(assemble(unit_circle, (3, 1)).data)[:2]
+        want = np.linalg.eigvalsh(assemble(unit_circle, (3, 1)).data)[:2] + lam0
         assert ZERO_MODE_TOL < abs(want[0]) <= ZERO_MODE_TOL * want[1]
         with pytest.raises(GridTooCoarse, match=r"mode \(3, 1\)"):
             mode_spectra(unit_circle, [(1, 0), (3, 1), (1, -2)])
@@ -164,16 +165,16 @@ class TestModeSpectra:
         # a double zero eigenvalue has |lambda_0| <= ZERO_MODE_TOL, but the
         # certificate needs exactly one eigenvalue in (-tau, tau)
         import kohnspec.modes as modes_mod
-        bands = modes_mod.assemble_bands
+        bands = modes_mod._window_bands
 
-        def doubled(curve, mode):
-            if tuple(mode) != (2, 2):
-                return bands(curve, mode)
-            diag = np.ones(curve.n)
-            diag[:2] = 0.0
-            return diag, np.zeros(curve.n - 1), 0.0
+        def doubled(curve, modes):
+            diag, off, corner, lam0 = bands(curve, modes)
+            j = [tuple(mode) for mode in modes].index((2, 2))
+            diag[:, j], off[:, j], corner[j] = 1.0, 0.0, 0.0
+            diag[:2, j] = 0.0
+            return diag, off, corner, lam0
 
-        monkeypatch.setattr(modes_mod, "assemble_bands", doubled)
+        monkeypatch.setattr(modes_mod, "_window_bands", doubled)
         with pytest.raises(GridTooCoarse, match=r"\(2, 2\).* 2 in \["):
             mode_spectra(unit_circle, [(0, 0), (2, 2)], k=1)
 
@@ -197,16 +198,15 @@ class TestModeSpectra:
             assert abs(lam1 - want) <= 1e-10 * max(1.0, want)
 
     def test_circle_double_eigenvalue_accuracy(self, unit_circle):
-        # Pins today's accuracy at a known defect rather than the 1e-13
-        # bisection tolerance.  Mode (0, 0) of the circle has a double
-        # lambda_1 = lambda_2 (split by 2.2e-13 at grid 512).  Every leading
-        # (n-1) submatrix has an eigenvalue there (interlacing), so the
-        # corner Schur complement of the periodic inertia count is
-        # ill-conditioned exactly at that point and the count is not
-        # monotone within a few 1e-9 of it; bisection lands 2.4e-9 off.
+        # Mode (0, 0) of the circle, the paper's equality case, has a double
+        # lambda_1 = lambda_2 (split by 2.2e-13 at grid 512).  The inertia
+        # count adds four blocks to a 4 x 4 Schur complement on separator
+        # rows, which has the same double null space and is counted after
+        # orthogonal rotations, so the count stays monotone there and
+        # bisection lands about 2e-13 off, as for simple eigenvalues.
         lam1 = mode_spectrum(unit_circle, (0, 0), k=2)[1]
         want = np.linalg.eigvalsh(assemble(unit_circle, (0, 0)).data)[1]
-        assert abs(lam1 - want) <= 5e-9
+        assert abs(lam1 - want) <= 1e-10 * max(1.0, want)
 
 
 class TestKernelFunction:
