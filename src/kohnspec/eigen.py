@@ -280,9 +280,9 @@ _SEPARATORS = 4
 
 #: A pivot at most this times its matrix's largest entry is eliminated with
 #: the next row, so that no f^2 / pivot term is left for the next row's to
-#: cancel (costing up to 2^26 roundoffs); a block's last pivot that small
-#: keeps its row out of S.
-_HOLD_REL = 2.0**-26
+#: cancel (costing up to 2^20 roundoffs); a block's last pivot that small
+#: keeps its row out of S, whose entries would carry as many.
+_HOLD_REL = 2.0**-20
 
 #: Pivots smaller than this times the largest entry are clamped to minus
 #: it, as with the pivmin of LAPACK's dstebz.  Far above the underflow
@@ -504,9 +504,10 @@ def _periodic_inertia(bands: _PeriodicBands, x: np.ndarray) -> np.ndarray:
         if smallest(buf, None) <= screen:
             held = _screen_pivots(bands, a, buf, mask, e, due)
             if e is None:
-                # a singular block: its last row leaves the elimination
+                # a singular block: its last row (pivot, couplings to the
+                # separators it joins) leaves the elimination
                 tiny = buf <= _HOLD_REL * bands.scale
-                last = a[tiny], -f[tiny] * np.broadcast_to(sign, shape)[tiny]
+                nodes = np.stack([a, -sign * f, np.broadcast_to(v, shape)], axis=-1)
                 a[tiny], f[tiny] = np.inf, 0.0
         e = v if e is None else e
         less(a, 0.0, is_negative[i % _SIGN_ROWS])
@@ -547,8 +548,6 @@ def _periodic_inertia(bands: _PeriodicBands, x: np.ndarray) -> np.ndarray:
     if tiny is not None:
         # each singular block's last row as a node between the separators
         # it joins, in a small matrix with S
-        nodes = np.zeros(shape + (3,))
-        nodes[tiny] = np.column_stack([*last, np.broadcast_to(v, shape)[tiny]])
         for i, k in zip(*np.nonzero(tiny.any(axis=1))):
             js = np.flatnonzero(tiny[i, :, k])
             mat = np.pad(np.diag(sd[i, :, k]), (0, len(js)))
