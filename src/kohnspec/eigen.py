@@ -307,11 +307,11 @@ _MIN_SCALE = 2.0**-800
 _BISECT_TOL = 1e-13
 
 #: Fixed cost of one inertia kernel call, in probe columns: at n = 512 a
-#: call costs about 2.5 ms, mostly per-row overhead of its n/4 row steps,
-#: plus 4.2 us per column (2 CPUs, Python 3.11, numpy 2.4).  A bisection
+#: call costs about 2.3 ms, mostly per-row overhead of its n/4 row steps,
+#: plus 4.4 us per column (2 CPUs, Python 3.11, numpy 2.4).  A bisection
 #: round probes ``levels`` levels of every bracket at once, with levels
 #: minimising (_ROW_COST + brackets * (2^levels - 1)) / levels.
-_ROW_COST = 600
+_ROW_COST = 500
 
 
 class _PeriodicBands:
