@@ -200,10 +200,10 @@ class TestModeSpectra:
     def test_circle_double_eigenvalue_accuracy(self, unit_circle):
         # Mode (0, 0) of the circle, the paper's equality case, has a double
         # lambda_1 = lambda_2 (split by 2.2e-13 at grid 512).  The inertia
-        # count adds four blocks to a 4 x 4 Schur complement on separator
-        # rows, which has the same double null space and is counted after
-        # orthogonal rotations, so the count stays monotone there and
-        # bisection lands about 2e-13 off, as for simple eigenvalues.
+        # count sums four tridiagonal blocks and a 4 x 4 Schur complement
+        # on separator rows, which shares the double null space and is
+        # counted after orthogonal rotations, so the count stays monotone
+        # there and bisection lands about 2e-13 off, as for simple ones.
         lam1 = mode_spectrum(unit_circle, (0, 0), k=2)[1]
         want = np.linalg.eigvalsh(assemble(unit_circle, (0, 0)).data)[1]
         assert abs(lam1 - want) <= 1e-10 * max(1.0, want)
