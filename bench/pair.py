@@ -6,13 +6,14 @@ Run from the repository root:
 
 Both revisions are exported with ``git archive`` into fresh temporary
 directories, so neither side finds bytecode caches or uncommitted files
-that the other lacks.  For every pair and workload, ``perfbench/run.py
---trace 0`` runs once on each side, with the same seed, alternating which
-side goes first.  The output holds every
-run's metrics (medians over its CLI runs), its correctness counts, the
-env line that ``run.py`` prints, and per workload and metric the medians,
-quartiles and pair wins of both sides.  Neither ``perfbench/`` nor
-``BENCHMARK.json`` is touched.
+that the other lacks.  The workloads, the run length and the end-to-end
+metrics are those of ``BENCHMARK.json``.  For every pair and workload,
+``perfbench/run.py --trace 0`` runs once on each side, with the same seed,
+alternating which side goes first.  The output holds every run's metrics
+(medians over its CLI runs), its correctness counts, the env line that
+``run.py`` prints, and per workload and metric the medians, quartiles and
+pair wins of both sides.  Neither ``perfbench/`` nor ``BENCHMARK.json`` is
+touched.
 """
 
 from __future__ import annotations
@@ -26,15 +27,15 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("analyze-wide", "wh-sweep")
-METRICS = ("wall_s", "setup_s", "peak_rss_mb")
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+METRICS = [metric["name"] for metric in BENCHMARK["end_to_end"]]
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One ``perfbench/run.py`` call in ``checkout``: its env line and result line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(BENCHMARK["run_seconds"]), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -84,13 +85,11 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, help="git revision of the parent")
     parser.add_argument("--change", default="HEAD", help="git revision of the change")
     parser.add_argument("--pairs", type=int, default=6)
-    parser.add_argument("--seconds", type=float, default=50.0)
     parser.add_argument("--first-seed", type=int, default=61)
-    parser.add_argument("--workload", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     record = {"base": rev_parse(args.base), "change": rev_parse(args.change),
-              "seconds": args.seconds,
+              "seconds": BENCHMARK["run_seconds"],
               "command": "perfbench/run.py --trace 0", "runs": []}
     with tempfile.TemporaryDirectory() as tmp:
         checkouts = {}
@@ -102,10 +101,10 @@ def main(argv=None) -> int:
             subprocess.run(["tar", "-x", "-C", str(checkouts[side])], input=archive, check=True)
         for pair in range(args.pairs):
             seed = args.first_seed + pair
-            for workload in args.workload:
+            for workload in (w["name"] for w in BENCHMARK["workloads"]):
                 sides = list(checkouts.items())
                 for order, (side, checkout) in enumerate(sides[::-1] if pair % 2 else sides):
-                    run = run_once(checkout, workload, seed, args.seconds)
+                    run = run_once(checkout, workload, seed)
                     record["runs"].append({"pair": pair, "workload": workload, "side": side,
                                            "seed": seed, "order": order, **run})
                     print(f"pair {pair} {workload} {side}: {run['metrics']}", flush=True)
