@@ -12,12 +12,10 @@ Three routes, each matched to a matrix class that actually occurs here:
 * symmetric periodic tridiagonal matrices (band plus one wrap-around
   corner): Sturm-type bisection driven by inertia counts, O(n) per probe.
   Four separator rows split the shifted matrix into four tridiagonal
-  blocks, whose LDL^T recurrences one numpy kernel runs side by side for
-  a whole batch of (matrix, shift) columns, n/4 row steps in all, which
-  is how the large mode sweeps stay cheap.  Haynsworth's inertia
+  blocks, which one numpy kernel eliminates side by side for a batch of
+  (matrix, shift) columns in n/4 row steps; Haynsworth's inertia
   additivity adds the inertia of the 4 x 4 cyclic Schur complement on the
-  separators, made tridiagonal by two Givens rotations, so the count
-  stays monotone at double eigenvalues.
+  separators, made tridiagonal by two Givens rotations.
 
 This module also hosts the sector-exclusion certificate for tridiagonal
 matrices with positive diagonal and nonpositive off-diagonal products:
@@ -278,16 +276,13 @@ def eig_dense_symmetric(matrix, k: int | None = None, max_sweeps: int = 50) -> n
 #: Separator rows of the inertia kernel (``_cycle_negatives`` is for 4).
 _SEPARATORS = 4
 
-#: A pivot at most this times its matrix's largest entry is eliminated with
-#: the next row, so that no f^2 / pivot term is left for the next row's to
-#: cancel (costing up to 2^20 roundoffs); a block's last pivot that small
-#: keeps its row out of S, whose entries would carry as many.
-_HOLD_REL = 2.0**-20
+#: A pivot at most this times its matrix's largest entry is not divided by:
+#: its row stays beside S as a node.  Larger pivots leave terms of at most
+#: 2^20 times the scale, whose cancellation costs at most 2^20 roundoffs.
+_NODE_REL = 2.0**-20
 
-#: Pivots smaller than this times the largest entry are clamped to minus
-#: it, as with the pivmin of LAPACK's dstebz.  Far above the underflow
-#: threshold, so e^2 / pivot stays below 2^200 times the largest entry
-#: and the next pivot's e^2 / pivot cannot underflow.
+#: Pivots of a Sturm count (entries scaled below 2) smaller than this are
+#: clamped to minus it, as with the pivmin of LAPACK's dstebz.
 _PIVMIN_REL = 2.0**-200
 
 #: Fill below this times the largest entry is flushed to zero (checked
@@ -300,7 +295,7 @@ _FLUSH_EVERY = 4
 _SIGN_ROWS = 64
 
 #: Floor on a matrix's scale, so that the thresholds above stay normal
-#: numbers (and a zero pivot of the zero matrix is still clamped).
+#: numbers (and a zero pivot of the zero matrix is still a node).
 _MIN_SCALE = 2.0**-800
 
 #: Bisection stops once hi - lo <= this * max(1, |lo| + |hi|).
@@ -352,29 +347,6 @@ class _PeriodicBands:
         return lo, hi
 
 
-def _screen_pivots(bands, a, buf, mask, couplings, busy=None):
-    """Clamp pivots below pivmin to -pivmin in place; return those to hold back.
-
-    ``buf`` holds |a|, both (shift, block, matrix).  Given ``couplings``,
-    each block's entry to its next row, returns the index arrays of the
-    pivots at most _HOLD_REL times their scale that couple onward, except
-    those in ``busy``; otherwise None.
-    """
-    np.less_equal(buf, _HOLD_REL * bands.scale, out=mask)
-    if not mask.any():
-        return None
-    shifts, blocks, cols = np.nonzero(mask)
-    pivmin = _PIVMIN_REL * bands.scale[cols]
-    tiny = buf[shifts, blocks, cols] < pivmin
-    a[shifts[tiny], blocks[tiny], cols[tiny]] = -pivmin[tiny]
-    if couplings is None:
-        return None
-    if busy is not None:
-        mask[busy[:3]] = False
-    mask[:, couplings == 0.0] = False
-    return np.nonzero(mask) if mask.any() else None
-
-
 def _flush(*arrays):
     """Zero the entries below _FLUSH_REL in place."""
     for t in arrays:
@@ -423,9 +395,16 @@ def _cycle_negatives(sd, so):
     return _sturm_negatives([a0, a1, a2, a3], [r1, r2, r3])
 
 
-def _dense_negatives(mat):
-    """Negative eigenvalues of one small symmetric matrix: Householder, then Sturm."""
-    mat = mat * math.ldexp(1.0, -math.frexp(np.abs(mat).max())[1])
+def _small_negatives(diag, off):
+    """Negative eigenvalues of one small periodic tridiagonal matrix.
+
+    ``off`` holds the couplings (k, k+1), the last one the corner (n-1, 0).
+    Householder reduction of the scaled dense matrix, then a Sturm count.
+    """
+    n = len(diag)
+    mat = np.diag(diag) + np.diag(off[:n - 1], 1)
+    mat[0, -1] += off[-1] if n > 1 else 0.0
+    mat = (mat + np.triu(mat, 1).T) * math.ldexp(1.0, -math.frexp(np.abs(mat).max())[1])
     _flush(mat)
     d, e = _householder_tridiagonalize(mat)
     _flush(e)
@@ -447,25 +426,18 @@ def _periodic_inertia(bands: _PeriodicBands, x: np.ndarray) -> np.ndarray:
     separator's update g; a last step onto the closing separator (coupling
     v) leaves -f^2/a in g, the coupling -f v/a and the pivot -v^2/a.
 
-    Pivots below pivmin are clamped as in LAPACK's dstebz.  A pivot a_j
-    tiny against the matrix scale would make the next fill huge and the
-    next two updates of g cancel; such a column is held back for one row
-    and rows j, j+1 are eliminated as one 2x2 block, whose determinant
-    a_j a_{j+1} = a_j c_{j+1} - e_j^2 stays of the size of e_j^2.  A tiny
-    last pivot means a singular block: that row stays beside S as a node
-    of its own, and the small matrix is counted densely, as are matrices
-    of at most four rows.
+    No pivot within _NODE_REL of the matrix scale is divided by: its row
+    stays beside S as a node, and the rest of its block opens on that row
+    as on a separator.  The separators and nodes of such a column then form
+    a longer cycle, free of huge entries, which ``_small_negatives``
+    counts, as it counts matrices of at most four rows.
     """
     n, p = bands.diag.shape
     diag, off = bands.diag, bands.offdiag
     count = np.zeros(x.shape, dtype=np.intp)
     if n <= _SEPARATORS:
-        for k in range(p):
-            mat = np.diag(diag[:, k]) + np.diag(off[:, k], 1)
-            mat[0, -1] += bands.corner[k] if n > 1 else 0.0
-            mat += np.triu(mat, 1).T
-            for i in range(x.shape[0]):
-                count[i, k] = _dense_negatives(mat - x[i, k] * np.eye(n))
+        for i, k in np.ndindex(x.shape):
+            count[i, k] = _small_negatives(diag[:, k] - x[i, k], [*off[:, k], bands.corner[k]])
         return count
     q, rem = divmod(n, _SEPARATORS)
     rows = q - 1 + rem
@@ -478,15 +450,14 @@ def _periodic_inertia(bands: _PeriodicBands, x: np.ndarray) -> np.ndarray:
     x3 = x[:, None, :]
     shape = (x.shape[0], _SEPARATORS, p)
     # rows of every block (the separators' last, x, makes the last pivot
-    # -v^2/a) and the couplings to the next row (None at the last, where
-    # no row is held)
+    # -v^2/a) and the couplings to the next row
     diag_rows = [diag[1 + i:2 + i + 3 * q:q] for i in range(rows)] + [x3]
     for i in range(rem):
         diag_rows[i] = np.concatenate([diag[1 + i:2 + i], np.full((3, p), np.inf)])
-    couplings = [off[1 + i:2 + i + 3 * q:q] for i in range(rows - 1)] + [None]
+    couplings = [off[1 + i:2 + i + 3 * q:q] for i in range(rows - 1)] + [v]
     less, sub, mul, div, absolute = np.less, np.subtract, np.multiply, np.divide, np.abs
     smallest = np.minimum.reduce
-    screen = _HOLD_REL * float(bands.scale.max())
+    screen = _NODE_REL * float(bands.scale.max())
     flush = _FLUSH_REL * float(bands.scale.min())
     a = diag_rows[0] - x3
     f = np.zeros(shape)
@@ -497,23 +468,21 @@ def _periodic_inertia(bands: _PeriodicBands, x: np.ndarray) -> np.ndarray:
     is_negative = list(negative)
     a_next, f_next, buf = np.empty(shape), np.empty(shape), np.empty(shape)
     mask = np.empty(shape, dtype=bool)
-    due = tiny = None
+    nodes = {}
     for i in range(rows):
-        e, held = couplings[i], None
+        e, tiny = couplings[i], None
         absolute(a, buf)
         if smallest(buf, None) <= screen:
-            held = _screen_pivots(bands, a, buf, mask, e, due)
-            if e is None:
-                # a singular block: its last row (pivot, couplings to the
-                # separators it joins) leaves the elimination
-                tiny = buf <= _HOLD_REL * bands.scale
-                nodes = np.stack([a, -sign * f, np.broadcast_to(v, shape)], axis=-1)
-                a[tiny], f[tiny] = np.inf, 0.0
-        e = v if e is None else e
+            # nodes: (pivot, fill to the row their part of the block opened
+            # on, that row's update g)
+            tiny = buf <= _NODE_REL * bands.scale
+            flip = sign * (-1.0) ** (rows - i)
+            for key in zip(*np.nonzero(tiny)):
+                nodes.setdefault(key, []).append((a[key], flip[key[1], 0] * f[key], g[key]))
+            a[tiny], g[tiny] = np.inf, 0.0
         less(a, 0.0, is_negative[i % _SIGN_ROWS])
         if i % _SIGN_ROWS == _SIGN_ROWS - 1:
             count += np.count_nonzero(negative, axis=(0, 2))
-        saved = None if held is None else (*held, f[held], g[held], a[held], e[held[1:]])
         sub(diag_rows[i + 1], x3, a_next)
         div(e * e, a, buf)
         sub(a_next, buf, a_next)
@@ -521,20 +490,13 @@ def _periodic_inertia(bands: _PeriodicBands, x: np.ndarray) -> np.ndarray:
         div(f_next, a, f_next)
         if i + 1 == rem:
             f_next[:, 1:] += e[1:]  # the other blocks enter their first row
+        if tiny is not None:
+            f_next[tiny] = np.broadcast_to(-flip * e, shape)[tiny]  # rows after a node
         mul(f, f, buf)
         div(buf, a, buf)
         sub(g, buf, g)
-        if due is not None:
-            # rows i-1 and i as one block: overwrite what the two scalar
-            # steps computed for these columns
-            shifts, blocks, cols, f_held, g_held, a_held, e_held = due
-            den = a_held * a[shifts, blocks, cols]
-            c = diag_rows[i][blocks, cols] - x[shifts, cols]
-            g[shifts, blocks, cols] = g_held - f_held * f_held * c / den
-            f_next[shifts, blocks, cols] = e[blocks, cols] * (e_held * f_held) / den
         a, a_next = a_next, a
         f, f_next = f_next, f
-        due = saved
         if not i % _FLUSH_EVERY:
             absolute(f, buf)
             if smallest(buf, None) < flush:
@@ -545,16 +507,19 @@ def _periodic_inertia(bands: _PeriodicBands, x: np.ndarray) -> np.ndarray:
     so = sign * f
     s_count = _cycle_negatives(sd, so)
     count += s_count
-    if tiny is not None:
-        # each singular block's last row as a node between the separators
-        # it joins, in a small matrix with S
-        for i, k in zip(*np.nonzero(tiny.any(axis=1))):
-            js = np.flatnonzero(tiny[i, :, k])
-            mat = np.pad(np.diag(sd[i, :, k]), (0, len(js)))
-            mat[[0, 1, 2, 0], [1, 2, 3, 3]] = so[i, :, k]
-            for node, j in enumerate(js, _SEPARATORS):
-                mat[node, node], mat[j, node], mat[(j + 1) % _SEPARATORS, node] = nodes[i, j, k]
-            count[i, k] += _dense_negatives(mat + np.triu(mat, 1).T) - s_count[i, k]
+    # columns with nodes: the cycle of separators and nodes replaces S,
+    # g going to the last row each part of a block opened on
+    for i, k in sorted({(s, k) for s, _, k in nodes}):
+        cycle_diag, cycle_off = [], []
+        for j in range(_SEPARATORS):
+            chain = nodes.get((i, j, k), [])
+            updates = [node[2] for node in chain] + [g[i, j, k]]
+            cycle_diag.append(diag[seps[j], k] - x[i, k] + updates[0] + a[i, j - 1, k])
+            for (pivot, fill, _), update in zip(chain, updates[1:]):
+                cycle_off.append(fill)
+                cycle_diag.append(pivot + update)
+            cycle_off.append(so[i, j, k])
+        count[i, k] += _small_negatives(cycle_diag, cycle_off) - s_count[i, k]
     return count
 
 

@@ -205,6 +205,34 @@ class TestPeriodicInertia:
             check_counts(bands, ev, [bands[0][0] * j / 4 for j in range(-1, 18)])
 
     @pytest.mark.usefixtures("raise_fp")
+    def test_tiny_pivot_before_a_singular_block(self):
+        # at x = 0 a block's three rows have LDL^T pivots 1, +-2^-22 and
+        # exactly 0, in each block of three rows and for every remainder of
+        # n mod 4; an eigenvalue pinned at +-1e-7 by a diagonal entry
+        # outside the block makes the count see how those rows couple to
+        # the separators
+        rng = np.random.default_rng(43)
+        for n in range(16, 20):
+            q, r = divmod(n, 4)
+            for t in (q + r - 1, 2 * q + r - 1, 3 * q + r - 1, n - 1)[r > 0:]:
+                for target in np.repeat([-1e-7, 1e-7], 5):
+                    d, e = rng.uniform(-2.0, 2.0, n), rng.uniform(-1.0, 1.0, n - 1)
+                    sigma, signs = rng.choice([-1.0, 1.0]), rng.choice([-1.0, 1.0], 3)
+                    d[t - 2:t + 1] = 1.0, 1.0 + sigma * 2.0**-22, sigma
+                    e[t - 3:t] = signs * [1.0, 1.0, 2.0**-11]
+                    corner = rng.uniform(-1.0, 1.0)
+                    # d[s], s outside the block, that makes A - target singular
+                    s = (t + 1 + q) % n
+                    rest = np.delete(np.arange(n), s)
+                    a = periodic_dense(d, e, corner) - target * np.eye(n)
+                    d[s] = target + a[s, rest] @ np.linalg.solve(a[np.ix_(rest, rest)], a[rest, s])
+                    ev = np.linalg.eigvalsh(periodic_dense(d, e, corner))
+                    assert np.min(np.abs(ev - target)) < 1e-9
+                    count = periodic_eigenvalue_counts(d[:, None], e[:, None], [corner],
+                                                       [[0.0]])[0, 0]
+                    assert count == np.count_nonzero(ev < 0.0), (n, t, target)
+
+    @pytest.mark.usefixtures("raise_fp")
     def test_zero_pivot_in_the_schur_complement(self):
         # separators (rows 0, 4, 8, 12 at n = 16) decoupled from the
         # blocks: S is diag(d[s] - x), and x = d[s] makes one of its pivots
