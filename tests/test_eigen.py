@@ -233,6 +233,18 @@ class TestPeriodicInertia:
                     assert count == np.count_nonzero(ev < 0.0), (n, t, target)
 
     @pytest.mark.usefixtures("raise_fp")
+    def test_small_integer_matrices(self):
+        # entries in -2..2 at half-integer shifts: exact zero pivots next
+        # to zero couplings, anywhere in the blocks and on the separators
+        rng = np.random.default_rng(44)
+        for _ in range(300):
+            n = int(rng.integers(2, 40))
+            d, e = rng.integers(-2, 3, n).astype(float), rng.integers(-2, 3, n - 1).astype(float)
+            corner = float(rng.integers(-2, 3))
+            ev = np.linalg.eigvalsh(periodic_dense(d, e, corner))
+            check_counts((d, e, corner), ev, np.arange(-6.0, 6.5, 0.5))
+
+    @pytest.mark.usefixtures("raise_fp")
     def test_zero_pivot_in_the_schur_complement(self):
         # separators (rows 0, 4, 8, 12 at n = 16) decoupled from the
         # blocks: S is diag(d[s] - x), and x = d[s] makes one of its pivots
