@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 bench/pair.py --base HEAD~1 --change HEAD --pairs 6 --out bench/BENCH_6.json
+    python3 bench/pair.py --base HEAD~1 --change HEAD --out bench/BENCH_7.json
 
 Both revisions are exported with ``git archive`` into fresh temporary
 directories, so neither side finds bytecode caches or uncommitted files
@@ -84,7 +84,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision of the parent")
     parser.add_argument("--change", default="HEAD", help="git revision of the change")
-    parser.add_argument("--pairs", type=int, default=6)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=61)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)

@@ -23,7 +23,8 @@ such a matrix has no eigenvalue in the open sector
 {Re z < mu, |Im z| < delta (1 - Re z / mu)} with mu the smallest
 diagonal entry, provided 0 < delta <= (pi/2) / sum_k 1/delta_k.
 The certificate checks the hypotheses per instance so callers can assert
-the exclusion on computed spectra.
+the exclusion on computed spectra.  Bendixson's floor Re z >= mu needs
+only the nonpositive products.
 """
 
 from __future__ import annotations
@@ -122,15 +123,16 @@ class CertificateResult:
 def _tqli_kernel(d, e, max_sweeps):
     """Implicit-shift QL on a complex symmetric tridiagonal (d, e), eigenvalues only.
 
-    ``d`` and ``e`` are complex arrays of length n, e[n-1] being workspace;
-    the eigenvalues overwrite ``d``.  The rotations are complex orthogonal
+    ``d`` and ``e`` are lists of n builtin complex numbers (indexing numpy
+    scalars cost half the kernel's time), e[n-1] being workspace; the
+    eigenvalues overwrite ``d``.  The rotations are complex orthogonal
     (c^2 + s^2 = 1, no conjugation), so a real symmetric input stays real
     and the recurrence is the classic tqli one.  Returns 0 on success,
     1 + index of the eigenvalue whose deflation exceeded ``max_sweeps``, or
     -(1 + index) when a rotation met f^2 + g^2 = 0 with (f, g) != 0, where
     no complex orthogonal rotation exists (isotropic breakdown).
     """
-    n = d.shape[0]
+    n = len(d)
     eps = 2.220446049250313e-16
     for low in range(n):
         sweeps = 0
@@ -228,10 +230,12 @@ def _ql_eigenvalues(diag, offdiag, max_sweeps: int) -> np.ndarray:
 
     The matrix is first scaled by a power of two, which is exact, so that
     its largest entry lies in [1/2, 1): the rotations square their inputs,
-    and the scaling keeps those squares clear of overflow.  Raises
-    NoConvergence when an eigenvalue needs more than ``max_sweeps`` sweeps,
-    when a rotation breaks down, or when the result is not finite, and
-    ValueError on a non-finite entry.
+    and the scaling keeps those squares clear of overflow.  The kernel runs
+    on lists of builtin complex, half the time of numpy scalars; where that
+    arithmetic raises (numpy's returned inf), it counts as a non-finite
+    result.  Raises NoConvergence when an eigenvalue needs more than
+    ``max_sweeps`` sweeps, when a rotation breaks down, or when the result
+    is not finite, and ValueError on a non-finite entry.
     """
     n = len(diag)
     d = np.array(diag, dtype=complex)
@@ -241,15 +245,18 @@ def _ql_eigenvalues(diag, offdiag, max_sweeps: int) -> np.ndarray:
         raise ValueError("matrix entries must be finite")
     big = max(np.abs(d).max(initial=0.0), np.abs(e).max(initial=0.0))
     scale = math.ldexp(1.0, math.frexp(big)[1]) if big > 0.0 else 1.0
-    d /= scale
-    e /= scale
-    status = _tqli_kernel(d, e, max_sweeps)
+    values = (d / scale).tolist()
+    try:
+        status = _tqli_kernel(values, (e / scale).tolist(), max_sweeps)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NoConvergence(f"QL iteration left the floating-point range: {exc}") from exc
     if status > 0:
         raise NoConvergence(
             f"QL iteration exceeded {max_sweeps} sweeps at eigenvalue {status - 1}")
     if status < 0:
         raise NoConvergence(
             f"isotropic QL rotation (f^2 + g^2 = 0) at eigenvalue {-status - 1}")
+    d = np.array(values, dtype=complex)
     if not np.all(np.isfinite(d)):
         raise NoConvergence("QL iteration produced a non-finite eigenvalue")
     return d * scale
@@ -298,6 +305,10 @@ _SIGN_ROWS = 64
 #: numbers (and a zero pivot of the zero matrix is still a node).
 _MIN_SCALE = 2.0**-800
 
+#: A batch holding a matrix whose scale lies outside [1/this, this] is
+#: scaled by powers of two, matrix by matrix: the kernel squares entries.
+_SAFE_SCALE = 2.0**128
+
 #: Bisection stops once hi - lo <= this * max(1, |lo| + |hi|).
 _BISECT_TOL = 1e-13
 
@@ -312,20 +323,28 @@ _ROW_COST = 500
 class _PeriodicBands:
     """A batch of P symmetric periodic tridiagonal matrices, column p each.
 
-    ``diag`` is (n, P), ``offdiag`` (n-1, P) and ``corner`` (P,), so one row
-    of the recurrence reads contiguous memory.  ``scale`` (P,) is each
-    matrix's largest entry in magnitude (at least _MIN_SCALE), which sets
-    its thresholds.
+    ``diag`` is (n, P), ``offdiag`` (n-1, P), or (n-1, 1) for a coupling
+    shared by all P, and ``corner`` (P,), so one row of the recurrence
+    reads contiguous memory.  ``scale`` (P,) is each matrix's largest entry
+    in magnitude (at least _MIN_SCALE), which sets its thresholds.  If a
+    scale lies outside [1/_SAFE_SCALE, _SAFE_SCALE], every matrix is
+    divided, exactly, by ``unit`` (P,), the power of two that brings its
+    scale into [1, 2); ``_periodic_inertia`` divides the shifts likewise
+    and ``gershgorin`` returns unscaled bounds.  Else ``unit`` is None.
     """
 
     def __init__(self, diag, offdiag, corner):
-        self.diag = diag
-        self.offdiag = offdiag
-        self.corner = corner
         scale = np.maximum(diag.max(axis=0, initial=0.0), -diag.min(axis=0, initial=0.0))
         scale = np.maximum(scale, np.maximum(offdiag.max(axis=0, initial=0.0),
                                              -offdiag.min(axis=0, initial=0.0)))
-        self.scale = np.maximum(np.maximum(scale, np.abs(corner)), _MIN_SCALE)
+        scale = np.maximum(scale, np.abs(corner))
+        self.unit = None
+        if scale.min() < 1.0 / _SAFE_SCALE or scale.max() > _SAFE_SCALE:
+            self.unit = np.ldexp(1.0, np.frexp(scale)[1] - 1)
+            diag, offdiag, corner = diag / self.unit, offdiag / self.unit, corner / self.unit
+            scale = scale / self.unit
+        self.diag, self.offdiag, self.corner = diag, offdiag, corner
+        self.scale = np.maximum(scale, _MIN_SCALE)
 
     def gershgorin(self):
         """Per-matrix bounds (lo, hi) on the spectrum, each of shape (P,)."""
@@ -344,7 +363,7 @@ class _PeriodicBands:
                 s[-1] += np.abs(self.corner)
             np.minimum(lo, (d[start:stop] - s).min(axis=0), out=lo)
             np.maximum(hi, (d[start:stop] + s).max(axis=0), out=hi)
-        return lo, hi
+        return (lo, hi) if self.unit is None else (lo * self.unit, hi * self.unit)
 
 
 def _flush(*arrays):
@@ -434,8 +453,14 @@ def _periodic_inertia(bands: _PeriodicBands, x: np.ndarray) -> np.ndarray:
     """
     n, p = bands.diag.shape
     diag, off = bands.diag, bands.offdiag
+    if bands.unit is not None:
+        # scaled entries are below 2, so eigenvalues lie in (-6, 6): a
+        # shift saturated past them keeps its count
+        with np.errstate(over="ignore"):
+            x = np.clip(x / bands.unit, -8.0, 8.0)
     count = np.zeros(x.shape, dtype=np.intp)
     if n <= _SEPARATORS:
+        off = np.broadcast_to(off, (n - 1, p))
         for i, k in np.ndindex(x.shape):
             count[i, k] = _small_negatives(diag[:, k] - x[i, k], [*off[:, k], bands.corner[k]])
         return count
@@ -445,7 +470,7 @@ def _periodic_inertia(bands: _PeriodicBands, x: np.ndarray) -> np.ndarray:
     # v[j]: coupling of block j's last row to separator j + 1.  f holds
     # (-1)^i times the fill of a block's row i, so its update needs e, not
     # -e; ``sign`` turns the fill of the step onto the separator back
-    v = np.concatenate([off[q + rem - 1::q][:3], bands.corner[None]])
+    v = np.concatenate([np.broadcast_to(off[q + rem - 1::q][:3], (3, p)), bands.corner[None]])
     sign = np.array([(-1.0) ** rows] + [(-1.0) ** (q - 1)] * 3)[:, None]
     x3 = x[:, None, :]
     shape = (x.shape[0], _SEPARATORS, p)
@@ -594,7 +619,7 @@ def _periodic_batch(diag, offdiag, corner) -> _PeriodicBands:
     """Validated (n, P) bands of a batch of periodic matrices."""
     d = np.ascontiguousarray(diag, dtype=float)
     e = np.ascontiguousarray(offdiag, dtype=float)
-    if d.ndim != 2 or e.shape != (d.shape[0] - 1, d.shape[1]):
+    if d.ndim != 2 or e.shape not in ((d.shape[0] - 1, d.shape[1]), (d.shape[0] - 1, 1)):
         raise ValueError("offdiag must have length n-1")
     c = np.broadcast_to(np.asarray(corner, dtype=float), (d.shape[1],))
     if not (np.isfinite(d).all() and np.isfinite(e).all() and np.isfinite(c).all()):
@@ -625,9 +650,10 @@ def eig_periodic_sym_tridiagonal(diag, offdiag, corner, k: int = 1, start: int =
     wrap-around positions (0, n-1) and (n-1, 0).  Each eigenvalue comes from
     inertia bisection, so the result is reliable for tightly clustered pairs.
     For one matrix, ``diag`` has length n and the result length k.  For a
-    batch of P matrices, ``diag`` is (n, P), ``offdiag`` (n-1, P) and
-    ``corner`` (P,), one matrix per column, and the result is (P, k); all
-    of them are bisected together, one row of the recurrence at a time.
+    batch of P matrices, ``diag`` is (n, P), ``offdiag`` (n-1, P), or
+    (n-1, 1) when all P share it, and ``corner`` (P,), one matrix per
+    column, and the result is (P, k); all of them are bisected together,
+    one row of the recurrence at a time.
     With ``start`` the first ``start`` eigenvalues are skipped (the result
     has k - start columns), and ``lower`` (scalar or (P,)), a point with at
     most ``start`` eigenvalues below it, replaces the Gershgorin lower end
@@ -733,6 +759,25 @@ def char_poly_tridiagonal(tri: Tridiagonal, z) -> complex:
 # ---------------------------------------------------------------------------
 
 
+def _nonpositive_products(tri: Tridiagonal) -> bool:
+    """Whether every upper_k * lower_k <= 0, by signs (the product can overflow)."""
+    up, lo = tri.upper, tri.lower
+    return bool(np.all(((up <= 0.0) & (lo >= 0.0)) | ((up >= 0.0) & (lo <= 0.0))))
+
+
+def bendixson_floor(tri: Tridiagonal) -> float | None:
+    """min(diag), a floor on Re z over the spectrum, if every upper_k * lower_k <= 0.
+
+    Split where a product vanishes, each diagonal block is diagonally
+    similar to D + iJ, D = diag(diag) and J real symmetric, so every
+    eigenvalue has Re z = x*Dx >= min(diag) for a unit eigenvector x
+    (Bendixson, Acta Math. 25, 1902).  None for a positive or NaN product.
+    """
+    if tri.n == 0 or not _nonpositive_products(tri):
+        return None
+    return float(tri.diag.min())
+
+
 def sector_exclusion_certificate(tri: Tridiagonal, delta: float) -> CertificateResult:
     """Check the spectral sector-exclusion hypotheses for a tridiagonal matrix.
 
@@ -748,9 +793,7 @@ def sector_exclusion_certificate(tri: Tridiagonal, delta: float) -> CertificateR
         failures.append("empty matrix")
     if tri.n and not np.all(diag > 0.0):
         failures.append("diagonal entries must be positive")
-    # the sign of each product, without forming it (it can overflow)
-    up, lo = tri.upper, tri.lower
-    if tri.n > 1 and not np.all(((up <= 0.0) & (lo >= 0.0)) | ((up >= 0.0) & (lo <= 0.0))):
+    if not _nonpositive_products(tri):
         failures.append("off-diagonal products must be nonpositive")
     delta = float(delta)
     if not failures:

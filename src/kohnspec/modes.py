@@ -152,9 +152,10 @@ def certified_spectra(diag, off, corner, k: int, labels) -> np.ndarray:
 def _window_bands(curve: GeneratingCurve, modes):
     """Bands of the modes' matrices, one per column, and each mode's lambda_0.
 
-    Returns diag (n, P), offdiag (n-1, P), corner (P,) and lambda_0 (P,),
-    the kernel's Rayleigh quotient; the diagonals and lambda_0 are built
-    _CHUNK modes at a time, as (chunk, n) arrays.
+    Returns diag (n, P), offdiag (n-1, 1), the coupling every mode shares,
+    corner (P,) and lambda_0 (P,), the kernel's Rayleigh quotient; the
+    diagonals and lambda_0 are built _CHUNK modes at a time, as (chunk, n)
+    arrays.
     """
     index = np.array(modes).reshape(-1, 2)
     diag = np.empty((curve.n, len(index)))
@@ -165,13 +166,14 @@ def _window_bands(curve: GeneratingCurve, modes):
         diag[:, j:j + _CHUNK] = _diag_band(curve, r).T
         lam0[j:j + _CHUNK] = _quotient(curve, r, _kernel(curve, w_log))
     off, corner = _coupling_bands(curve)
-    return diag, np.repeat(off[:, None], len(index), axis=1), np.full(len(index), corner), lam0
+    return diag, off[:, None], np.full(len(index), corner), lam0
 
 
 def mode_spectra(curve: GeneratingCurve, modes, k: int = 2) -> np.ndarray:
     """First k eigenvalues of each mode operator, ascending; one row per mode.
 
-    The bands of all modes are stored once, as (n, modes) arrays, and go
+    The diagonals of all modes are stored once, as an (n, modes) array,
+    beside the one coupling they share, and go
     through ``certified_spectra``: the zero mode is certified by inertia,
     not bisected, and lambda_0 is reported as the Rayleigh quotient of the
     sampled kernel, which the factored discretization annihilates up to

@@ -14,7 +14,8 @@ basis.  Eigenvalues of finite truncations converge to those of the full
 operator, and the sector-exclusion certificate (diagonal k^2, off-diagonal
 products -k(k+1)a^2 <= 0, sum k^-2 < pi^2/6) applies uniformly in the
 truncation size with delta = 3/pi, pinning every eigenvalue at E >= 1.
-That floor is what makes the circle the equality case of the global bound.
+Bendixson's theorem gives Re E >= 1 on its own: each truncation is
+diagonally similar to diag(k^2) + i a J with J real symmetric.  That floor is what makes the circle the equality case of the global bound.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import (CertificateResult, Tridiagonal, eig_general_tridiagonal, point_in_sector,
-                    sector_exclusion_certificate)
+from .eigen import (CertificateResult, Tridiagonal, bendixson_floor, eig_general_tridiagonal,
+                    point_in_sector, sector_exclusion_certificate)
 from .modes import ModeIndex, certified_spectra
 
 #: Sector half-height used in all exclusion sweeps; valid for every
@@ -170,7 +171,11 @@ def verify_E_geq_1(a_values, N: int = 60, delta: float = SECTOR_DELTA) -> dict:
     truncation, compute its eigenvalues, record whether any lies in the
     sector (``in_sector``), raising CertificateFailed at the first one that
     does while the hypotheses hold, and check every real eigenvalue
-    against the floor 1 - 1e-8.  Returns {"all_pass": bool, "table": rows}.
+    against the floor 1 - 1e-8.  Beside that, Bendixson's floor
+    (``eigen.bendixson_floor``, min diag = 1 for every truncation, None if
+    its hypothesis fails) bounds Re E below without the spectrum; a row
+    passes only if it is at least 1 too.  Returns {"all_pass": bool,
+    "table": rows}.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -191,13 +196,16 @@ def verify_E_geq_1(a_values, N: int = 60, delta: float = SECTOR_DELTA) -> dict:
         reals = eigs.real[real_mask]
         floor_ok = bool(reals.size == 0 or reals.min() >= 1.0 - REAL_FLOOR_TOL)
         bottom, is_complex = _bottom_eigenvalue(eigs)
-        row_pass = bool(cert.hypotheses_ok and floor_ok)
+        bendixson = bendixson_floor(tri)
+        row_pass = bool(cert.hypotheses_ok and floor_ok and bendixson is not None
+                        and bendixson >= 1.0)
         table.append({
             "a": a,
             "N": N,
             "E1": bottom,
             "complex_bottom": is_complex,
             "hypotheses_ok": cert.hypotheses_ok,
+            "bendixson_floor": bendixson,
             "in_sector": in_sector,
             "pass": row_pass,
         })

@@ -26,6 +26,7 @@ from kohnspec.eigen import (
     _dyadic_points,
     _periodic_inertia,
     _ql_eigenvalues,
+    bendixson_floor,
     periodic_eigenvalue_counts,
 )
 from kohnspec.modes import assemble_bands
@@ -306,6 +307,61 @@ class TestPeriodicInertia:
                                     np.array([bands[2]]))
             np.testing.assert_array_equal(counts[:, p], _periodic_inertia(single, x[:, p:p + 1])[:, 0])
 
+    def test_matrices_scaled_far_from_one(self):
+        # the kernel squares entries: scaled by 2^k, the periodic Laplacian
+        # used to overflow (k = 520) or underflow (k = -540) and miscount
+        n = 16
+        d, e = np.full(n, 2.0), np.full(n - 1, -1.0)
+        x = np.array([[0.5], [1.5], [3.5]])
+        want = np.linalg.eigvalsh(periodic_dense(d, e, -1.0))
+        for k in range(-1020, 1021, 10):
+            s = 2.0**k
+            counts = periodic_eigenvalue_counts(d[:, None] * s, e[:, None] * s, [-s], x * s)
+            assert counts[:, 0].tolist() == [3, 7, 13], k
+            if k >= 0:
+                # lambda_0 = 0, known only to roundoff of the norm 4 s, and
+                # the double lambda_1 = lambda_2 (higher ones meet dyadic
+                # zero pivots, whose dense node counts are slow)
+                vals = eig_periodic_sym_tridiagonal(d * s, e * s, -s, k=3)
+                np.testing.assert_allclose(vals, want[:3] * s, rtol=1e-10, atol=4e-10 * s,
+                                           err_msg=k)
+
+    def test_scaling_is_exact(self):
+        # a batch that holds a matrix scaled by 2^520 is scaled matrix by
+        # matrix: its other matrix gets the counts and eigenvalues it gets
+        # alone, bit for bit
+        rng = np.random.default_rng(47)
+        n = 24
+        d, e = rng.uniform(-2.0, 2.0, n), rng.standard_normal(n - 1)
+        x = rng.uniform(-4.0, 4.0, (9, 1))
+        s = 2.0**520
+        counts = periodic_eigenvalue_counts(np.stack([d, d * s], axis=1),
+                                            np.stack([e, e * s], axis=1), [0.3, 0.3 * s],
+                                            np.hstack([x, x * s]))
+        np.testing.assert_array_equal(counts[:, 0], counts[:, 1])
+        np.testing.assert_array_equal(
+            counts[:, :1], periodic_eigenvalue_counts(d[:, None], e[:, None], [0.3], x))
+        both = eig_periodic_sym_tridiagonal(np.stack([d, d * s], axis=1),
+                                            np.stack([e, e * s], axis=1), [0.3, 0.3 * s], k=4)
+        np.testing.assert_array_equal(both[0], eig_periodic_sym_tridiagonal(d, e, 0.3, k=4))
+
+    def test_shared_coupling_column(self):
+        # an (n-1, 1) coupling broadcasts over the batch: the same counts
+        # and eigenvalues as its repeated columns, bit for bit, also in the
+        # small-matrix path and in a batch scaled away from 2^520
+        rng = np.random.default_rng(53)
+        p = 5
+        for n, s in ((3, 1.0), (16, 1.0), (37, 1.0), (64, 2.0**520)):
+            d = rng.uniform(-2.0, 2.0, (n, p)) * s
+            e = rng.standard_normal((n - 1, 1)) * s
+            corner = rng.standard_normal(p) * s
+            x = rng.uniform(-4.0, 4.0, (7, p)) * s
+            full = np.repeat(e, p, axis=1)
+            np.testing.assert_array_equal(periodic_eigenvalue_counts(d, e, corner, x),
+                                          periodic_eigenvalue_counts(d, full, corner, x))
+            np.testing.assert_array_equal(eig_periodic_sym_tridiagonal(d, e, corner, k=3),
+                                          eig_periodic_sym_tridiagonal(d, full, corner, k=3))
+
     @pytest.mark.usefixtures("raise_fp")
     def test_plain_tridiagonal_zero_pivots(self):
         # the free Dirichlet Laplacian counted at its own diagonal
@@ -451,6 +507,21 @@ class TestPeriodicTridiagonal:
             eig_periodic_sym_tridiagonal([1.0, 1.0, 2.0], [1.0, 1.0], np.inf)
 
 
+# signed magnitudes 10^-150 .. 10^150, and zeros that split the matrix
+wide_entries = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, exponent: sign * 10.0**exponent,
+              st.sampled_from([-1.0, 1.0]), st.floats(-150.0, 150.0)))
+
+
+@st.composite
+def wide_tridiagonals(draw):
+    n = draw(st.integers(1, 40))
+    diag, upper, lower = (draw(st.lists(wide_entries, min_size=size, max_size=size))
+                          for size in (n, n - 1, n - 1))
+    return Tridiagonal(diag, upper, lower)
+
+
 class TestGeneralTridiagonal:
     def test_diagonal_only(self):
         tri = Tridiagonal([1.0, 4.0, 9.0, 16.0], np.zeros(3), np.zeros(3))
@@ -500,6 +571,28 @@ class TestGeneralTridiagonal:
     def test_non_finite_entries_rejected(self):
         with pytest.raises(ValueError):
             eig_general_tridiagonal(Tridiagonal([np.nan, 1.0], [1.0], [-1.0]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(tri=wide_tridiagonals())
+    def test_wide_entries_converge_or_raise_no_convergence(self, tri):
+        # builtin complex raises where numpy scalars returned inf or nan:
+        # entries over 10^+-150 with mixed-sign couplings still end in a
+        # finite, conjugation-closed spectrum or in NoConvergence
+        try:
+            vals = eig_general_tridiagonal(tri)
+        except NoConvergence:
+            return
+        assert len(vals) == tri.n and np.all(np.isfinite(vals))
+        np.testing.assert_array_equal(np.sort_complex(vals), np.sort_complex(vals.conj()))
+
+    @pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError])
+    def test_kernel_range_errors_raise_no_convergence(self, monkeypatch, error):
+        def kernel(d, e, max_sweeps):
+            raise error("out of range")
+
+        monkeypatch.setattr(eigen_mod, "_tqli_kernel", kernel)
+        with pytest.raises(NoConvergence, match="floating-point range"):
+            eig_general_tridiagonal(ince_matrix(1.0, 4))
 
     def test_ince_spectra_match_lapack(self):
         # optimal matching against LAPACK, each eigenvalue to 1e-9 relative
@@ -576,6 +669,28 @@ class TestSectorCertificate:
         tri = Tridiagonal([1.0, -2.0], [1.0], [-1.0])
         cert = sector_exclusion_certificate(tri, 0.1)
         assert not cert.hypotheses_ok
+
+    def test_bendixson_floor(self):
+        # Ince truncations: min diag 1; a zero product splits the matrix
+        # and keeps the floor; a positive or NaN product voids it
+        for N in (1, 2, 60):
+            assert bendixson_floor(ince_matrix(7.0, N)) == 1.0
+        assert bendixson_floor(Tridiagonal([3.0, -2.0, 5.0], [1.0, 0.0], [0.0, 4.0])) == -2.0
+        assert bendixson_floor(Tridiagonal([1.0, 2.0, 3.0], [1.0, 1.0], [-1.0, 1.0])) is None
+        assert bendixson_floor(Tridiagonal([1.0, 2.0], [np.nan], [-1.0])) is None
+        assert bendixson_floor(Tridiagonal([], [], [])) is None
+        with np.errstate(all="raise"):
+            assert bendixson_floor(ince_matrix(1e200, 4)) == 1.0
+
+    def test_bendixson_floor_bounds_the_spectrum(self):
+        rng = np.random.default_rng(59)
+        for _ in range(20):
+            n = int(rng.integers(1, 30))
+            up = rng.standard_normal(n - 1)
+            tri = Tridiagonal(rng.uniform(-3.0, 3.0, n), up,
+                              -np.sign(up) * rng.uniform(0.0, 3.0, n - 1))
+            floor = bendixson_floor(tri)
+            assert np.linalg.eigvals(tri.to_dense()).real.min() >= floor - 1e-12 * n
 
     def test_point_membership(self):
         region = SectorRegion(mu=1.0, delta=3 / np.pi)

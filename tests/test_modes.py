@@ -169,6 +169,7 @@ class TestModeSpectra:
 
         def doubled(curve, modes):
             diag, off, corner, lam0 = bands(curve, modes)
+            off = np.repeat(off, len(modes), axis=1)  # one coupling column per mode
             j = [tuple(mode) for mode in modes].index((2, 2))
             diag[:, j], off[:, j], corner[j] = 1.0, 0.0, 0.0
             diag[:2, j] = 0.0

@@ -11,7 +11,7 @@ from kohnspec import (
     verify_E_geq_1,
     wh_spectrum,
 )
-from kohnspec import whittakerhill
+from kohnspec import Tridiagonal, whittakerhill
 from kohnspec.modes import GridTooCoarse
 from kohnspec.whittakerhill import _wh_bands, convergence_differences
 
@@ -209,6 +209,59 @@ class TestVerifyFloor:
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
             verify_E_geq_1([1.0], N=0)
+
+    def test_rows_carry_the_bendixson_floor(self):
+        for row in verify_E_geq_1([0.0, 3.0, 40.0], N=20)["table"]:
+            assert row["bendixson_floor"] == 1.0 and row["pass"]
+
+    def test_positive_product_voids_the_bendixson_floor(self, monkeypatch):
+        def ince_with_positive_product(a, N):
+            tri = ince_matrix(a, N)
+            lower = tri.lower.copy()
+            lower[N // 2] = -lower[N // 2]
+            return Tridiagonal(tri.diag, tri.upper, lower)
+
+        monkeypatch.setattr(whittakerhill, "ince_matrix", ince_with_positive_product)
+        res = verify_E_geq_1([1.0], N=10)
+        row = res["table"][0]
+        assert row["bendixson_floor"] is None
+        assert not row["pass"] and not res["all_pass"]
+
+    def test_bendixson_floor_below_one_fails(self, monkeypatch):
+        # the sector certificate holds (delta = 0.5 is admissible) and the
+        # spectrum 2 +- 3.7i has no real point, but min diag = 0.5 < 1
+        monkeypatch.setattr(whittakerhill, "ince_matrix",
+                            lambda a, N: Tridiagonal([0.5, 3.5], [4.0], [-4.0]))
+        row = verify_E_geq_1([1.0], N=2, delta=0.5)["table"][0]
+        assert row["hypotheses_ok"] and not row["in_sector"]
+        assert row["bendixson_floor"] == 0.5 and not row["pass"]
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 5.0, 10.0, 20.0, 40.0])
+    def test_bottom_eigenvalue_matches_mpmath(self, a):
+        # Newton on the three-term recurrence det(A - E) at 50 digits,
+        # started from LAPACK's bottom eigenvalue
+        mpmath = pytest.importorskip("mpmath")
+        N = 60
+        tri = ince_matrix(a, N)
+        start = np.linalg.eigvals(tri.to_dense())
+        with mpmath.workdps(50):
+            z = mpmath.mpc(start[np.argmin(start.real)])
+            d = [mpmath.mpf(x) for x in tri.diag]
+            products = [mpmath.mpf(u) * mpmath.mpf(l) for u, l in zip(tri.upper, tri.lower)]
+            for _ in range(50):
+                p_prev, p, dp_prev, dp = 1, d[0] - z, 0, -1
+                for k in range(1, N):
+                    p_prev, p, dp_prev, dp = (p, (d[k] - z) * p - products[k - 1] * p_prev, dp,
+                                              (d[k] - z) * dp - p - products[k - 1] * dp_prev)
+                step = p / dp
+                z -= step
+                if abs(step) <= mpmath.mpf(10)**-45 * max(1, abs(z)):
+                    break
+            else:
+                pytest.fail("Newton did not converge")
+            want = float(z.real)
+        E1 = verify_E_geq_1([a], N=N)["table"][0]["E1"]
+        assert abs(E1 - want) <= 1e-12 * max(1.0, want), (E1, want)
 
     def test_in_sector_reports_the_spectrum(self, monkeypatch):
         # a spectrum with a point inside the sector: flagged when the
