@@ -173,9 +173,9 @@ def mode_spectra(curve: GeneratingCurve, modes, k: int = 2) -> np.ndarray:
     """First k eigenvalues of each mode operator, ascending; one row per mode.
 
     The diagonals of all modes are stored once, as an (n, modes) array,
-    beside the one coupling they share, and go
-    through ``certified_spectra``: the zero mode is certified by inertia,
-    not bisected, and lambda_0 is reported as the Rayleigh quotient of the
+    beside the one coupling they share, and go through
+    ``certified_spectra``: the zero mode is certified by inertia, not
+    bisected, and lambda_0 is reported as the Rayleigh quotient of the
     sampled kernel, which the factored discretization annihilates up to
     roundoff.  GridTooCoarse names the first mode, in the given order,
     that fails the certificate.

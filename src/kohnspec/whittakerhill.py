@@ -15,7 +15,8 @@ operator, and the sector-exclusion certificate (diagonal k^2, off-diagonal
 products -k(k+1)a^2 <= 0, sum k^-2 < pi^2/6) applies uniformly in the
 truncation size with delta = 3/pi, pinning every eigenvalue at E >= 1.
 Bendixson's theorem gives Re E >= 1 on its own: each truncation is
-diagonally similar to diag(k^2) + i a J with J real symmetric.  That floor is what makes the circle the equality case of the global bound.
+diagonally similar to diag(k^2) + i a J with J real symmetric.  That
+floor is what makes the circle the equality case of the global bound.
 """
 
 from __future__ import annotations
