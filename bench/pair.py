@@ -12,8 +12,17 @@ metrics are those of ``BENCHMARK.json``.  For every pair and workload,
 alternating which side goes first.  The output holds every run's metrics
 (medians over its CLI runs), its correctness counts, the env line that
 ``run.py`` prints, and per workload and metric the medians, quartiles and
-pair wins of both sides.  Neither ``perfbench/`` nor ``BENCHMARK.json`` is
-touched.
+pair wins of both sides and a verdict:
+
+* ``gain``: the change is better in at least nine tenths of the pairs
+  (ties count for neither side), and its median is better than the
+  parent's by more than the parent's quartile spread q3 - q1;
+* ``regression``: the change's median is worse than the parent's by more
+  than the metric's ``bound`` in ``BENCHMARK.json``, a fraction of the
+  parent's median;
+* ``unresolved``: anything else.
+
+Neither ``perfbench/`` nor ``BENCHMARK.json`` is touched.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
-METRICS = [metric["name"] for metric in BENCHMARK["end_to_end"]]
+METRICS = {metric["name"]: metric for metric in BENCHMARK["end_to_end"]}
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -57,9 +66,23 @@ def quartiles(values):
     return {"median": q2, "q1": q1, "q3": q3}
 
 
+def verdict(base, change, better_in, pairs, metric):
+    """``gain``, ``regression`` or ``unresolved`` for one metric (see the
+    module docstring), from both sides' quartiles and the pairs the change
+    won."""
+    sign = 1.0 if metric["better"] == "lower" else -1.0
+    improvement = sign * (base["median"] - change["median"])
+    if 10 * better_in >= 9 * pairs and improvement > base["q3"] - base["q1"]:
+        return "gain"
+    if -improvement > metric["bound"] * abs(base["median"]):
+        return "regression"
+    return "unresolved"
+
+
 def summarize(runs):
     """Per workload and metric: both sides' quartiles, the change's relative
-    median shift, and in how many pairs the change read lower."""
+    median shift, in how many pairs the change read lower and was better,
+    and the verdict."""
     out = {}
     for workload in sorted({r["workload"] for r in runs}):
         pairs = {}
@@ -68,15 +91,20 @@ def summarize(runs):
                 pairs.setdefault(r["pair"], {})[r["side"]] = r["metrics"]
         both = [p for p in pairs.values() if len(p) == 2]
         out[workload] = {}
-        for name in METRICS:
+        for name, metric in METRICS.items():
             base = [p["base"][name] for p in both]
             change = [p["change"][name] for p in both]
             b, c = quartiles(base), quartiles(change)
+            lower_in = sum(x < y for x, y in zip(change, base))
+            higher_in = sum(x > y for x, y in zip(change, base))
+            better_in = lower_in if metric["better"] == "lower" else higher_in
             out[workload][name] = {
                 "base": b, "change": c,
                 "median_delta_frac": c["median"] / b["median"] - 1.0,
-                "change_lower_in": sum(x < y for x, y in zip(change, base)),
-                "pairs": len(both)}
+                "change_lower_in": lower_in,
+                "change_better_in": better_in,
+                "pairs": len(both),
+                "verdict": verdict(b, c, better_in, len(both), metric)}
     return out
 
 
@@ -112,6 +140,10 @@ def main(argv=None) -> int:
     record["summary"] = summarize(record["runs"])
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print(json.dumps(record["summary"], indent=1))
+    for workload, metrics in record["summary"].items():
+        for name, row in metrics.items():
+            print(f"{workload} {name}: {row['verdict']} ({row['median_delta_frac']:+.1%}, "
+                  f"better in {row['change_better_in']} of {row['pairs']})")
     return 0
 
 

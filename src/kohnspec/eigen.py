@@ -15,7 +15,10 @@ Three routes, each matched to a matrix class that actually occurs here:
   blocks, which one numpy kernel eliminates side by side for a batch of
   (matrix, shift) columns in n/4 row steps; Haynsworth's inertia
   additivity adds the inertia of the 4 x 4 cyclic Schur complement on the
-  separators, made tridiagonal by two Givens rotations.
+  separators, made tridiagonal by two Givens rotations.  The same pivots
+  give det(A - x), and a bracket that isolates its eigenvalue is polished
+  on it by the enclosing steps of Alefeld, Potra & Shi (Algorithm 748),
+  each probe's count keeping the bracket certified.
 
 This module also hosts the sector-exclusion certificate for tridiagonal
 matrices with positive diagonal and nonpositive off-diagonal products:
@@ -30,6 +33,7 @@ only the nonpositive products.
 from __future__ import annotations
 
 import cmath
+import copy
 import math
 from dataclasses import dataclass
 
@@ -129,8 +133,9 @@ def _tqli_kernel(d, e, max_sweeps):
     (c^2 + s^2 = 1, no conjugation), so a real symmetric input stays real
     and the recurrence is the classic tqli one.  Returns 0 on success,
     1 + index of the eigenvalue whose deflation exceeded ``max_sweeps``, or
-    -(1 + index) when a rotation met f^2 + g^2 = 0 with (f, g) != 0, where
-    no complex orthogonal rotation exists (isotropic breakdown).
+    -(1 + index) when a rotation met f^2 + g^2 = 0 with (f, g) != 0, also
+    after scaling by max(|f|, |g|), where no complex orthogonal rotation
+    exists (isotropic breakdown).
     """
     n = len(d)
     eps = 2.220446049250313e-16
@@ -164,12 +169,18 @@ def _tqli_kernel(d, e, max_sweeps):
                 r = cmath.sqrt(f * f + g * g)
                 e[i + 1] = r
                 if r == 0.0:
-                    if f != 0.0 or g != 0.0:
+                    if f == 0.0 and g == 0.0:
+                        d[i + 1] -= p
+                        e[m] = 0.0
+                        underflow = True
+                        break
+                    # f^2 + g^2 underflowed or cancelled: scaled by the
+                    # larger of |f|, |g|, only an isotropic pair gives 0
+                    big = max(abs(f), abs(g))
+                    r = big * cmath.sqrt((f / big) ** 2 + (g / big) ** 2)
+                    if r == 0.0:
                         return -(low + 1)
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
+                    e[i + 1] = r
                 s = f / r
                 c = g / r
                 g = d[i + 1] - p
@@ -306,17 +317,35 @@ _SIGN_ROWS = 64
 _MIN_SCALE = 2.0**-800
 
 #: A batch holding a matrix whose scale lies outside [1/this, this] is
-#: scaled by powers of two, matrix by matrix: the kernel squares entries.
-_SAFE_SCALE = 2.0**128
+#: scaled by powers of two, matrix by matrix: the kernel squares entries,
+#: and multiplies _DET_ROWS pivots, each within 2^-20 .. 2^21 of the scale,
+#: before it renormalises their product.
+_SAFE_SCALE = 2.0**32
+_DET_ROWS = 16
 
-#: Bisection stops once hi - lo <= this * max(1, |lo| + |hi|).
+#: Bisection stops once hi - lo <= this * max(min(1, scale), |lo| + |hi|),
+#: scale being the matrix's largest entry.
 _BISECT_TOL = 1e-13
 
+#: Probes a bracket that isolates its eigenvalue may spend in _Toms748
+#: steps before it goes back to bisection; 0 bisects every bracket.
+_POLISH_STEPS = 20
+
+#: A polish probe stays at least this many ulps of its matrix's scale
+#: (_EPS * scale) inside its bracket, and a polished bracket narrower than
+#: twice that goes back to bisection: A - x rounds its diagonal in steps
+#: of about that ulp, so det(A - x) is a staircase at that width.
+_POLISH_ULPS = 2.0
+_EPS = 2.0**-52
+
 #: Fixed cost of one inertia kernel call, in probe columns: at n = 512 a
-#: call costs about 2.3 ms, mostly per-row overhead of its n/4 row steps,
-#: plus 4.4 us per column (2 CPUs, Python 3.11, numpy 2.4).  A bisection
-#: round probes ``levels`` levels of every bracket at once, with levels
-#: minimising (_ROW_COST + brackets * (2^levels - 1)) / levels.
+#: call costs about 2.8 ms, mostly per-row overhead of its n/4 row steps,
+#: plus 4.6 us per column with the determinant (2 CPUs, Python 3.11,
+#: numpy 2.4), so about 600 columns; 400, 500 and 600 take the same calls
+#: on 8 x 8 windows of random curves, and 500 about 2% fewer columns than
+#: 600.  A round probes ``levels`` levels of every bisecting bracket at
+#: once, with levels minimising (_ROW_COST + brackets * (2^levels - 1)) /
+#: levels; polishing brackets add one column each.
 _ROW_COST = 500
 
 
@@ -345,6 +374,16 @@ class _PeriodicBands:
             scale = scale / self.unit
         self.diag, self.offdiag, self.corner = diag, offdiag, corner
         self.scale = np.maximum(scale, _MIN_SCALE)
+
+    def take(self, cols):
+        """The matrices ``cols`` (repeats allowed) as a batch of their own."""
+        sub = copy.copy(self)
+        sub.diag, sub.corner, sub.scale = self.diag.take(cols, 1), self.corner[cols], self.scale[cols]
+        if self.offdiag.shape[1] > 1:
+            sub.offdiag = self.offdiag.take(cols, 1)
+        if self.unit is not None:
+            sub.unit = self.unit[cols]
+        return sub
 
     def gershgorin(self):
         """Per-matrix bounds (lo, hi) on the spectrum, each of shape (P,)."""
@@ -379,28 +418,31 @@ def _rotation(f, g):
             np.divide(g, r, out=np.zeros_like(r), where=r > 0.0))
 
 
-def _sturm_negatives(diag, off):
-    """Negative pivots of tridiagonals (diag, off), elementwise, entries below
+def _sturm_pivots(diag, off):
+    """LDL^T pivots of tridiagonals (diag, off), elementwise, entries below
     about 2; pivots below _PIVMIN_REL are clamped to minus it as in dstebz."""
-    count = piv = 0
+    pivots = []
     for k, d in enumerate(diag):
-        piv = d - off[k - 1] * off[k - 1] / piv if k else d
-        piv = np.where(np.abs(piv) < _PIVMIN_REL, -_PIVMIN_REL, piv)
-        count = count + (piv < 0.0)
-    return count
+        piv = d - off[k - 1] * off[k - 1] / pivots[-1] if k else d
+        pivots.append(np.where(np.abs(piv) < _PIVMIN_REL, -_PIVMIN_REL, piv))
+    return pivots
 
 
 def _cycle_negatives(sd, so):
-    """Negative eigenvalues of 4 x 4 cyclic matrices, elementwise.
+    """Negative eigenvalues and determinants of 4 x 4 cyclic matrices, elementwise.
 
     ``sd`` and ``so`` (m, 4, P) hold the diagonals and the couplings (j,
     j+1 mod 4).  Each matrix is scaled by a power of two, then made
     tridiagonal by two Givens rotations: plane (1, 3) zeroes the corner
     (0, 3), plane (2, 3) the fill at (3, 1).  Rotations are orthogonal, so
     the count holds for a matrix within roundoff of S, singular or not.
+    Returns the count and the determinant as the product of the four
+    clamped Sturm pivots, of magnitude within 2^-800..2^808, times 2 to
+    the returned exponent (m, P).
     """
     t = np.concatenate([sd, so], axis=1)
-    t *= np.ldexp(1.0, -np.frexp(np.abs(t).max(axis=1, keepdims=True))[1])
+    exponent = np.frexp(np.abs(t).max(axis=1))[1]
+    t *= np.ldexp(1.0, -exponent)[:, None]
     _flush(t)
     a0, a1, a2, a3, b0, b1, b2, b3 = t.transpose(1, 0, 2)
     r1, c, s = _rotation(b0, b3)
@@ -411,7 +453,9 @@ def _cycle_negatives(sd, so):
     a2, a3, r3 = (c * c * a2 + 2.0 * c * s * q + s * s * a3, s * s * a2 - 2.0 * c * s * q
                   + c * c * a3, c * s * (a3 - a2) + (c * c - s * s) * q)
     _flush(r3)
-    return _sturm_negatives([a0, a1, a2, a3], [r1, r2, r3])
+    pivots = _sturm_pivots([a0, a1, a2, a3], [r1, r2, r3])
+    det = pivots[0] * pivots[1] * pivots[2] * pivots[3]
+    return sum(piv < 0.0 for piv in pivots), det, 4 * exponent
 
 
 def _small_negatives(diag, off):
@@ -427,13 +471,17 @@ def _small_negatives(diag, off):
     _flush(mat)
     d, e = _householder_tridiagonalize(mat)
     _flush(e)
-    return int(_sturm_negatives(d, e))
+    return int(sum(piv < 0.0 for piv in _sturm_pivots(d, e)))
 
 
-def _periodic_inertia(bands: _PeriodicBands, x: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues below each shift, for a batch of periodic matrices.
+def _periodic_inertia(bands: _PeriodicBands, x: np.ndarray):
+    """Eigenvalues below each shift and det(A - x), for a batch of periodic matrices.
 
-    ``x`` is (m, P): m shifts for each matrix of ``bands``; so is the result.
+    ``x`` is (m, P): m shifts for each matrix of ``bands``.  Returns three
+    (m, P) arrays: the counts, and det(A - x) (of the matrix divided by
+    ``bands.unit``, if any) as a mantissa, of magnitude in [1/2, 1) and
+    sign (-1)^count, and a base-2 exponent.
+
     With q, r = divmod(n, 4), separator rows 0, q+r, 2q+r and 3q+r split
     A - x into four blocks, tridiagonals of q-1 rows (the first has r more,
     taken first while the others wait on pivots of +inf).  By Haynsworth's
@@ -450,20 +498,28 @@ def _periodic_inertia(bands: _PeriodicBands, x: np.ndarray) -> np.ndarray:
     as on a separator.  The separators and nodes of such a column then form
     a longer cycle, free of huge entries, which ``_small_negatives``
     counts, as it counts matrices of at most four rows.
+
+    The determinant is the product of the blocks' pivots, kept as a
+    mantissa renormalised every _DET_ROWS rows and an exponent, times
+    det S.  Columns with nodes, and matrices of at most four rows, return
+    a NaN mantissa: no determinant.
     """
     n, p = bands.diag.shape
     diag, off = bands.diag, bands.offdiag
+    # eigenvalues lie within 3 scale (scaled entries are below 2, so in
+    # (-6, 6)): a shift saturated past them keeps its count, and pivots
+    # stay below 2^21 scale
     if bands.unit is not None:
-        # scaled entries are below 2, so eigenvalues lie in (-6, 6): a
-        # shift saturated past them keeps its count
         with np.errstate(over="ignore"):
             x = np.clip(x / bands.unit, -8.0, 8.0)
+    else:
+        x = np.clip(x, -8.0 * bands.scale, 8.0 * bands.scale)
     count = np.zeros(x.shape, dtype=np.intp)
     if n <= _SEPARATORS:
         off = np.broadcast_to(off, (n - 1, p))
         for i, k in np.ndindex(x.shape):
             count[i, k] = _small_negatives(diag[:, k] - x[i, k], [*off[:, k], bands.corner[k]])
-        return count
+        return count, np.full(x.shape, np.nan), np.zeros(x.shape, dtype=np.intp)
     q, rem = divmod(n, _SEPARATORS)
     rows = q - 1 + rem
     seps = [0, q + rem, 2 * q + rem, 3 * q + rem]
@@ -493,6 +549,7 @@ def _periodic_inertia(bands: _PeriodicBands, x: np.ndarray) -> np.ndarray:
     is_negative = list(negative)
     a_next, f_next, buf = np.empty(shape), np.empty(shape), np.empty(shape)
     mask = np.empty(shape, dtype=bool)
+    det, det_exp, exp_buf = np.ones(shape), np.zeros(shape, dtype=np.intp), np.empty(shape, np.intc)
     nodes = {}
     for i in range(rows):
         e, tiny = couplings[i], None
@@ -505,6 +562,11 @@ def _periodic_inertia(bands: _PeriodicBands, x: np.ndarray) -> np.ndarray:
             for key in zip(*np.nonzero(tiny)):
                 nodes.setdefault(key, []).append((a[key], flip[key[1], 0] * f[key], g[key]))
             a[tiny], g[tiny] = np.inf, 0.0
+            buf[tiny] = 1.0  # keeps the product finite; the column has no det
+        if i < rem:
+            mul(det[:, :1], buf[:, :1], det[:, :1])  # the other blocks wait on +inf
+        else:
+            mul(det, buf, det)
         less(a, 0.0, is_negative[i % _SIGN_ROWS])
         if i % _SIGN_ROWS == _SIGN_ROWS - 1:
             count += np.count_nonzero(negative, axis=(0, 2))
@@ -522,16 +584,24 @@ def _periodic_inertia(bands: _PeriodicBands, x: np.ndarray) -> np.ndarray:
         sub(g, buf, g)
         a, a_next = a_next, a
         f, f_next = f_next, f
+        if i % _DET_ROWS == _DET_ROWS - 1:
+            np.frexp(det, det, exp_buf)
+            det_exp += exp_buf
         if not i % _FLUSH_EVERY:
             absolute(f, buf)
             if smallest(buf, None) < flush:
                 less(buf, flush, mask)
                 f[mask] = 0.0
     count += np.count_nonzero(negative[:rows % _SIGN_ROWS], axis=(0, 2))
+    np.frexp(det, det, exp_buf)
+    det_exp += exp_buf
     sd = diag[seps] - x3 + g + np.roll(a, 1, axis=1)
     so = sign * f
-    s_count = _cycle_negatives(sd, so)
+    s_count, s_det, s_exp = _cycle_negatives(sd, so)
     count += s_count
+    mantissa, exponent = np.frexp(np.abs(det.prod(axis=1) * s_det))
+    exponent = exponent + det_exp.sum(axis=1) + s_exp
+    mantissa[count % 2 == 1] *= -1.0
     # columns with nodes: the cycle of separators and nodes replaces S,
     # g going to the last row each part of a block opened on
     for i, k in sorted({(s, k) for s, _, k in nodes}):
@@ -545,7 +615,8 @@ def _periodic_inertia(bands: _PeriodicBands, x: np.ndarray) -> np.ndarray:
                 cycle_diag.append(pivot + update)
             cycle_off.append(so[i, j, k])
         count[i, k] += _small_negatives(cycle_diag, cycle_off) - s_count[i, k]
-    return count
+        mantissa[i, k] = np.nan
+    return count, mantissa, exponent
 
 
 def _dyadic_points(lo, hi, levels):
@@ -571,48 +642,215 @@ def _dyadic_points(lo, hi, levels):
     return pts
 
 
+def _probe(bands: _PeriodicBands, cols, x):
+    """Counts, det mantissas and exponents at the shifts x[i] of matrices cols[i].
+
+    ``cols`` is ascending.  One kernel call takes the shifts as (m,
+    matrices), m the most any matrix has, where that pads at most an
+    eighth more columns (repeating a matrix's last shift); otherwise it
+    takes one shift per column, on the matrices gathered by ``cols``,
+    which costs a copy of their bands.
+    """
+    mats, first, per = np.unique(cols, return_index=True, return_counts=True)
+    m = per.max()
+    if 8 * m * len(mats) > 9 * len(cols):
+        return [v[0] for v in _periodic_inertia(bands.take(cols), x[None])]
+    slot = np.minimum(np.arange(m), per[:, None] - 1) + first[:, None]
+    sub = bands if len(mats) == bands.diag.shape[1] else bands.take(mats)
+    out = _periodic_inertia(sub, x[slot].T.copy())
+    mat = np.repeat(np.arange(len(mats)), per)
+    return [v[np.arange(len(cols)) - first[mat], mat] for v in out]
+
+
+class _Toms748:
+    """Enclosing steps of Alefeld, Potra & Shi (ACM TOMS 21, 1995, Algorithm
+    748 with k = 2), one probe per step, for many brackets at once.
+
+    Each bracket [a, b] isolates one eigenvalue of its matrix, and the
+    function is det(A - x), kept per bracket as a float f times 2^ref, so
+    f(a) and f(b) have opposite signs.  Stage 0 is a secant step through
+    the ends.  Each iteration then takes two quadratic steps (stages 1 and
+    2: Newton steps on the quadratic through a, b and the end d replaced
+    last), a double-length secant step from the end with the smaller |f|
+    (stage 3), and a bisection if the bracket did not halve (stage 4).
+    Algorithm 748 prefers inverse cubic interpolation to the quadratic
+    steps where it has four points, and takes two Newton steps in the
+    first; on det(A - x), bent by the neighbouring eigenvalues, three
+    Newton steps in both took the fewest probes.  Every probe lies at least
+    ``room`` inside the bracket, so the bracket closes on both sides, and
+    the probe's count, not the sign of its f, decides which end it
+    replaces, so the bracket stays certified.
+    """
+
+    def __init__(self, size):
+        self.fa, self.fb, self.d, self.fd, self.width = (np.full(size, np.nan) for _ in range(5))
+        self.stage = np.zeros(size, dtype=np.intp)
+        self.ref = np.zeros(size, dtype=np.intp)
+
+    def start(self, sel, mantissa, exponent):
+        """Begin on the brackets ``sel``, with det at (a, b) in (len(sel), 2) arrays."""
+        self.ref[sel] = exponent.max(axis=1)
+        self.fa[sel], self.fb[sel] = self.value(sel, mantissa.T, exponent.T)
+        self.stage[sel] = 0
+
+    def value(self, sel, mantissa, exponent):
+        """f of the brackets ``sel`` from det = mantissa * 2^exponent (last axis
+        along ``sel``); a NaN mantissa, no determinant, stays NaN."""
+        return np.ldexp(mantissa, np.clip(exponent - self.ref[sel], -900, 900))
+
+    def points(self, sel, a, b, room):
+        """The next probe of each bracket [a, b] of ``sel``."""
+        fa, fb, d, fd = self.fa[sel], self.fb[sel], self.d[sel], self.fd[sel]
+        stage = self.stage[sel]
+        self.width[sel] = np.where(stage == 1, b - a, self.width[sel])
+        mid = 0.5 * (a + b)
+        with np.errstate(all="ignore"):  # every step is computed for every bracket
+            secant = a + (b - a) * (fa / (fa - fb))
+            quadratic = _newton_quadratic(a, b, d, fa, fb, fd)
+            at_a = np.abs(fa) < np.abs(fb)
+            u, fu, fv = np.where(at_a, a, b), np.where(at_a, fa, fb), np.where(at_a, fb, fa)
+            double = u - 2.0 * (b - a) * (fu / (fb - fa))
+            # stuck at u, with |f| lopsided by more than 2^50: a thirty-second
+            # of the way across instead (else ``room`` moves it)
+            lopsided = ((np.abs(double - u) <= _EPS * np.abs(u))
+                        & (np.frexp(fu)[1] < np.frexp(fv)[1] - 50))
+            double = np.where(lopsided, (31.0 * u + np.where(at_a, b, a)) / 32.0, double)
+            double = np.where(np.abs(double - u) > 0.5 * (b - a), mid, double)
+        c = np.choose(stage, [secant, quadratic, quadratic, double, mid])
+        c = np.where((a < c) & (c < b), c, mid)
+        return np.clip(c, a + room, b - room)
+
+    def step(self, sel, a, b, c, below, f):
+        """Move the brackets [a, b] of ``sel`` to their probes c, whose counts
+        put them below the eigenvalue where ``below``; returns the new ends."""
+        fa, fb = self.fa[sel], self.fb[sel]
+        self.d[sel], self.fd[sel] = np.where(below, a, b), np.where(below, fa, fb)
+        self.fa[sel], self.fb[sel] = np.where(below, f, fa), np.where(below, fb, f)
+        a, b = np.where(below, c, a), np.where(below, b, c)
+        stage = self.stage[sel]
+        slow = b - a > 0.5 * self.width[sel]
+        self.stage[sel] = np.where(stage == 3, np.where(slow, 4, 1), np.where(stage == 4, 1, stage + 1))
+        return a, b
+
+
+def _newton_quadratic(a, b, d, fa, fb, fd):
+    """Three Newton steps towards the zero in (a, b) of the quadratic through
+    (a, fa), (b, fb) and (d, fd), from the end where the quadratic bends
+    towards it; the midpoint where a first step leaves (a, b)."""
+    slope = (fb - fa) / (b - a)
+    bend = ((fd - fb) / (d - b) - slope) / (d - a)
+    r = np.where(bend * fa > 0.0, a, b)
+    live = np.ones(r.shape, dtype=bool)
+    for _ in range(3):
+        step = r - ((bend * (r - b) + slope) * (r - a) + fa) / (slope + bend * (2.0 * r - a - b))
+        inside = (a < step) & (step < b)
+        r = np.where(live & inside, step,
+                     np.where(live & ~((a < r) & (r < b)), 0.5 * (a + b), r))
+        live &= inside
+    return np.where(bend == 0.0, a - fa / slope, r)
+
+
 def _bisect(bands: _PeriodicBands, k: int, start: int = 0, lower=None) -> np.ndarray:
     """Eigenvalues start, ..., k-1 of every matrix in the batch, shape (P, k - start).
 
     Each eigenvalue is bisected in its own bracket, starting from the
     Gershgorin interval, whose lower end is raised to ``lower`` (P,) where
-    that is larger, and stopping once hi - lo <= _BISECT_TOL * max(1,
-    |lo| + |hi|).  ``lower`` must have at most ``start`` eigenvalues below
-    it.  Midpoints follow _dyadic_points: geometric while a bracket with a
-    positive lower end spans more than a factor of two, arithmetic
-    otherwise.  A round counts all 2^levels - 1 dyadic points of each
-    bracket at once (multisection) and then walks ``levels`` bisection
-    steps down them, so the result is bit for bit that of plain bisection
-    at any level count.
+    that is larger, and stopping once hi - lo <= _BISECT_TOL * max(min(1,
+    scale), |lo| + |hi|), scale being the matrix's largest entry.
+    ``lower`` must have at most ``start`` eigenvalues below it.  Midpoints
+    follow _dyadic_points: geometric while a bracket with a positive lower
+    end spans more than a factor of two, arithmetic otherwise.  A round
+    counts all 2^levels - 1 dyadic points of each bisecting bracket at once
+    (multisection) and then walks up to ``levels`` bisection steps down
+    them, with ``levels`` minimising (_ROW_COST + bisecting brackets *
+    (2^levels - 1)) / levels.
+
+    A walk stops early where its bracket isolates its eigenvalue: index
+    eigenvalues below lo and one more below hi, both counted with a
+    determinant, at least twice _POLISH_ULPS ulps of the scale apart.  From
+    there _Toms748 polishes the bracket on the kernel's det(A - x), one
+    probe per round, each at least _POLISH_ULPS ulps of the scale and half
+    the stop width inside it.  After _POLISH_STEPS probes, at a probe
+    without a determinant, or once narrower than twice _POLISH_ULPS ulps,
+    where det(A - x) turns into a staircase, the bracket goes back to
+    bisection.  Converged brackets leave the rounds.  Every bracket's path depends on its own
+    probes only, so the result is bit for bit the same at any level count
+    and in any batch, and with _POLISH_STEPS = 0 it is plain bisection's.
     """
     lo, hi = bands.gershgorin()
     if lower is not None:
         lo = np.maximum(lo, lower)
-    lo = np.repeat(lo[:, None], k - start, axis=1)
-    hi = np.repeat(hi[:, None], k - start, axis=1)
-    index = np.arange(start, k)
-    levels = min(range(1, 16), key=lambda r: (_ROW_COST + lo.size * (2**r - 1)) / r)
-    top = 2**levels
+    p, width = len(lo), k - start
+    size = p * width
+    col = np.repeat(np.arange(p), width)  # the matrix of each bracket
+    index = np.tile(np.arange(start, k), p)
+    lo, hi = lo[col], hi[col]
+    scale = (bands.scale if bands.unit is None else bands.scale * bands.unit)[col]
+    floor, room = np.minimum(1.0, scale), _POLISH_ULPS * _EPS * scale
+    # count and det (mantissa, exponent) at lo and hi; -1 and NaN until probed
+    count = np.full((size, 2), -1)
+    mantissa, exponent = np.full((size, 2), np.nan), np.zeros((size, 2), dtype=np.intp)
+    polishing, polished = np.zeros(size, dtype=bool), np.zeros(size, dtype=np.intp)
+    toms = _Toms748(size)
 
-    def unconverged(lo, hi):
-        return hi - lo > _BISECT_TOL * np.maximum(1.0, np.abs(lo) + np.abs(hi))
+    def converged(sel, lo, hi):
+        return hi - lo <= _BISECT_TOL * np.maximum(floor[sel], np.abs(lo) + np.abs(hi))
 
-    active = unconverged(lo, hi)
-    while active.any():
-        pts = _dyadic_points(lo, hi, levels)
-        shifts = pts[:, :, 1:-1].reshape(lo.shape[0], -1).T.copy()
-        counts = _periodic_inertia(bands, shifts).T.reshape(lo.shape + (top - 1,))
-        left = np.zeros(lo.shape, dtype=np.intp)
-        right = np.full(lo.shape, top)
-        for _ in range(levels):
-            mid = (left + right) // 2
-            below = np.take_along_axis(counts, mid[..., None] - 1, axis=-1)[..., 0] <= index
-            left = np.where(active & below, mid, left)
-            right = np.where(active & ~below, mid, right)
-            lo = np.take_along_axis(pts, left[..., None], axis=-1)[..., 0]
-            hi = np.take_along_axis(pts, right[..., None], axis=-1)[..., 0]
-            active = unconverged(lo, hi)
-    return 0.5 * (lo + hi)
+    todo = ~converged(slice(None), lo, hi)
+    while todo.any():
+        bis, pol = np.flatnonzero(todo & ~polishing), np.flatnonzero(polishing)
+        shifts = []
+        if len(bis):
+            levels = min(range(1, 16), key=lambda r: (_ROW_COST + len(bis) * (2**r - 1)) / r)
+            top = 2**levels
+            pts = _dyadic_points(lo[bis], hi[bis], levels)
+            shifts.append(pts[:, 1:-1].ravel())
+        if len(pol):
+            a, b = lo[pol], hi[pol]
+            shifts.append(toms.points(pol, a, b, np.maximum(
+                0.5 * _BISECT_TOL * np.maximum(floor[pol], np.abs(a) + np.abs(b)), room[pol])))
+        ids = np.concatenate(([np.repeat(bis, top - 1)] if len(bis) else []) + [pol])
+        order = np.argsort(ids, kind="stable")
+        found = _probe(bands, col[ids[order]], np.concatenate(shifts)[order])
+        c_all, m_all, e_all = (np.empty_like(v) for v in found)
+        for out, v in zip((c_all, m_all, e_all), found):
+            out[order] = v
+        cut = len(ids) - len(pol)
+        if len(bis):
+            # count and det at every dyadic point, the brackets' ends included
+            cts, man, ex = (np.hstack([end[bis, :1], v[:cut].reshape(len(bis), -1), end[bis, 1:]])
+                            for end, v in ((count, c_all), (mantissa, m_all), (exponent, e_all)))
+            idx = index[bis][:, None]
+            with_det = np.isfinite(man) & (polished[bis] < _POLISH_STEPS)[:, None]
+            lo_ok, hi_ok = with_det & (cts == idx), with_det & (cts == idx + 1)
+            rows, idx = np.arange(len(bis)), idx[:, 0]
+            left, right = np.zeros(len(bis), dtype=np.intp), np.full(len(bis), top)
+            walking = np.ones(len(bis), dtype=bool)
+            for _ in range(levels):
+                mid = (left + right) // 2
+                below = cts[rows, mid] <= idx
+                left = np.where(walking & below, mid, left)
+                right = np.where(walking & ~below, mid, right)
+                b_lo, b_hi = pts[rows, left], pts[rows, right]
+                done = converged(bis, b_lo, b_hi)
+                isolated = lo_ok[rows, left] & hi_ok[rows, right] & (b_hi - b_lo > 2.0 * room[bis])
+                walking &= ~done & ~isolated
+            ends = np.stack([left, right], axis=1)
+            lo[bis], hi[bis] = pts[rows[:, None], ends].T
+            for end, v in ((count, cts), (mantissa, man), (exponent, ex)):
+                end[bis] = v[rows[:, None], ends]
+            todo[bis] = ~done
+            isolated = bis[isolated & ~done]
+            polishing[isolated] = True
+            toms.start(isolated, mantissa[isolated], exponent[isolated])
+        if len(pol):
+            f = toms.value(pol, m_all[cut:], e_all[cut:])
+            lo[pol], hi[pol] = a, b = toms.step(pol, a, b, shifts[-1], c_all[cut:] <= index[pol], f)
+            todo[pol] = ~converged(pol, a, b)
+            polished[pol] += 1
+            polished[pol[np.isnan(f) | (b - a <= 2.0 * room[pol])]] = _POLISH_STEPS
+            polishing[pol] = todo[pol] & (polished[pol] < _POLISH_STEPS)
+    return 0.5 * (lo + hi).reshape(p, width)
 
 
 def _periodic_batch(diag, offdiag, corner) -> _PeriodicBands:
@@ -639,7 +877,7 @@ def periodic_eigenvalue_counts(diag, offdiag, corner, shifts) -> np.ndarray:
     x = np.asarray(shifts, dtype=float)
     if x.ndim != 2 or x.shape[1] != bands.diag.shape[1]:
         raise ValueError("shifts must be (m, P), m shifts for each of the P matrices")
-    return _periodic_inertia(bands, x)
+    return _periodic_inertia(bands, x)[0]
 
 
 def eig_periodic_sym_tridiagonal(diag, offdiag, corner, k: int = 1, start: int = 0,
@@ -648,7 +886,9 @@ def eig_periodic_sym_tridiagonal(diag, offdiag, corner, k: int = 1, start: int =
 
     The matrix is the tridiagonal (diag, offdiag) plus ``corner`` at the two
     wrap-around positions (0, n-1) and (n-1, 0).  Each eigenvalue comes from
-    inertia bisection, so the result is reliable for tightly clustered pairs.
+    inertia bisection, so the result is reliable for tightly clustered pairs;
+    once a bracket holds just its eigenvalue, Algorithm 748 steps on
+    det(A - x) narrow it, every probe still counted by inertia.
     For one matrix, ``diag`` has length n and the result length k.  For a
     batch of P matrices, ``diag`` is (n, P), ``offdiag`` (n-1, P), or
     (n-1, 1) when all P share it, and ``corner`` (P,), one matrix per
@@ -659,8 +899,9 @@ def eig_periodic_sym_tridiagonal(diag, offdiag, corner, k: int = 1, start: int =
     most ``start`` eigenvalues below it, replaces the Gershgorin lower end
     of the brackets where it is larger.  Midpoints are geometric while a
     bracket with a positive lower end spans more than a factor of two, and
-    arithmetic otherwise; bisection stops at a relative bracket width of
-    1e-13.  Raises ValueError on a non-finite entry.
+    arithmetic otherwise; a bracket is done at a width of 1e-13 max(min(1,
+    s), |lo| + |hi|), s the largest entry of its matrix in magnitude.
+    Raises ValueError on a non-finite entry.
     """
     d = np.asarray(diag, dtype=float)
     single = d.ndim == 1

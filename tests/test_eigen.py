@@ -159,7 +159,7 @@ def check_counts(bands, ev, shifts):
     batch = _PeriodicBands(diag[:, None], offdiag[:, None], np.array([corner]))
     x = np.asarray(shifts, dtype=float)[:, None]
     with np.errstate(all="raise"):
-        counts = _periodic_inertia(batch, x)[:, 0]
+        counts = _periodic_inertia(batch, x)[0][:, 0]
     scale = np.abs(ev).max()
     for xi, count in zip(x[:, 0], counts):
         if np.min(np.abs(ev - xi)) > 1e-9 * scale:
@@ -301,15 +301,20 @@ class TestPeriodicInertia:
         d0 = mats[0][0][0]
         x = np.repeat(d0 * np.arange(-2, 33)[:, None] / 8, 3, axis=1)
         x[:, 1] = np.linspace(-1.0, 2.0 * np.abs(mats[1][0]).max(), len(x))
-        counts = _periodic_inertia(batch, x)
+        batched = _periodic_inertia(batch, x)
         for p, bands in enumerate(mats):
             single = _PeriodicBands(bands[0][:, None], bands[1][:, None],
                                     np.array([bands[2]]))
-            np.testing.assert_array_equal(counts[:, p], _periodic_inertia(single, x[:, p:p + 1])[:, 0])
+            # counts and determinants (NaN mantissas where a column has nodes)
+            for got, want in zip(batched, _periodic_inertia(single, x[:, p:p + 1])):
+                np.testing.assert_array_equal(got[:, p], want[:, 0])
 
     def test_matrices_scaled_far_from_one(self):
         # the kernel squares entries: scaled by 2^k, the periodic Laplacian
-        # used to overflow (k = 520) or underflow (k = -540) and miscount
+        # used to overflow (k = 520) or underflow (k = -540) and miscount;
+        # below k = -43 the whole spectrum is narrower than bisection's old
+        # absolute stop width 1e-13, and every eigenvalue came back as the
+        # midpoint of the Gershgorin interval
         n = 16
         d, e = np.full(n, 2.0), np.full(n - 1, -1.0)
         x = np.array([[0.5], [1.5], [3.5]])
@@ -318,13 +323,12 @@ class TestPeriodicInertia:
             s = 2.0**k
             counts = periodic_eigenvalue_counts(d[:, None] * s, e[:, None] * s, [-s], x * s)
             assert counts[:, 0].tolist() == [3, 7, 13], k
-            if k >= 0:
-                # lambda_0 = 0, known only to roundoff of the norm 4 s, and
-                # the double lambda_1 = lambda_2 (higher ones meet dyadic
-                # zero pivots, whose dense node counts are slow)
-                vals = eig_periodic_sym_tridiagonal(d * s, e * s, -s, k=3)
-                np.testing.assert_allclose(vals, want[:3] * s, rtol=1e-10, atol=4e-10 * s,
-                                           err_msg=k)
+            # lambda_0 = 0, known only to roundoff of the norm 4 s, and the
+            # double lambda_1 = lambda_2 (higher ones meet dyadic zero
+            # pivots, whose dense node counts are slow)
+            vals = eig_periodic_sym_tridiagonal(d * s, e * s, -s, k=3)
+            np.testing.assert_allclose(vals, want[:3] * s, rtol=1e-10, atol=4e-10 * s,
+                                       err_msg=k)
 
     def test_scaling_is_exact(self):
         # a batch that holds a matrix scaled by 2^520 is scaled matrix by
@@ -452,6 +456,59 @@ class TestPeriodicTridiagonal:
         want = np.linalg.eigvalsh(periodic_dense(d, e, corner))[1:4]
         np.testing.assert_allclose(plain, want, rtol=1e-10)
 
+    def test_without_polish_equals_plain_bisection(self, monkeypatch):
+        # with no polish steps every bracket is bisected one shift at a
+        # time, from the Gershgorin interval (raised to ``lower``) to the
+        # stop width 1e-13 max(min(1, scale), |lo| + |hi|)
+        curve = build_curve(random_profile(3), 128)
+        rng = np.random.default_rng(59)
+        n = 48
+        cases = [(*assemble_bands(curve, (2, -1)), 4, 1, 1e-6),
+                 (rng.uniform(1.0, 5.0, n), rng.standard_normal(n - 1), 0.4, 4, 0, None)]
+        monkeypatch.setattr(eigen_mod, "_POLISH_STEPS", 0)
+        for d, e, corner, k, start, lower in cases:
+            lo, hi = _PeriodicBands(d[:, None], e[:, None], np.array([corner])).gershgorin()
+            scale = max(np.abs(d).max(), np.abs(e).max(), abs(corner))
+            want = []
+            for index in range(start, k):
+                a, b = max(lo[0], lower or -np.inf), hi[0]
+                while b - a > 1e-13 * max(min(1.0, scale), abs(a) + abs(b)):
+                    mid = np.sqrt(a) * np.sqrt(b) if 0.0 < 2.0 * a < b else 0.5 * (a + b)
+                    if periodic_eigenvalue_counts(d[:, None], e[:, None], [corner],
+                                                  [[mid]])[0, 0] <= index:
+                        a = mid
+                    else:
+                        b = mid
+                want.append(0.5 * (a + b))
+            got = eig_periodic_sym_tridiagonal(d, e, corner, k=k, start=start, lower=lower)
+            np.testing.assert_array_equal(got, want)
+
+    def test_batch_with_nodes_matches_lapack(self, monkeypatch):
+        # the free Laplacians, periodic and Dirichlet, have zero pivots at
+        # the dyadic shifts bisection probes: those columns have nodes and
+        # no determinant, so their brackets keep bisecting, beside mode
+        # matrices whose brackets are polished
+        n = 64
+        curve = build_curve(random_profile(1), n)
+        mats = [assemble_bands(curve, mode) for mode in ((0, 0), (2, -1), (-3, 4))]
+        mats += [(np.full(n, 2.0), np.full(n - 1, -1.0), corner) for corner in (-1.0, 0.0)]
+        nodal = []
+        inertia = eigen_mod._periodic_inertia
+
+        def spy(bands, x):
+            count, mantissa, exponent = inertia(bands, x)
+            nodal.append(np.isnan(mantissa).sum())
+            return count, mantissa, exponent
+
+        monkeypatch.setattr(eigen_mod, "_periodic_inertia", spy)
+        vals = eig_periodic_sym_tridiagonal(np.stack([m[0] for m in mats], axis=1),
+                                            np.stack([m[1] for m in mats], axis=1),
+                                            [m[2] for m in mats], k=4)
+        assert sum(nodal) > 0
+        for row, bands in zip(vals, mats):
+            want = np.linalg.eigvalsh(periodic_dense(*bands))[:4]
+            np.testing.assert_allclose(row, want, rtol=1e-10, atol=1e-10)
+
     def test_start_and_lower(self):
         rng = np.random.default_rng(29)
         n, p = 32, 3
@@ -563,6 +620,16 @@ class TestGeneralTridiagonal:
         # similar to [[0, i], [i, 2]]: the first QL rotation has f^2 + g^2 = 0
         with pytest.raises(NoConvergence, match="isotropic"):
             eig_general_tridiagonal(Tridiagonal([0.0, 2.0], [1.0], [-1.0]))
+
+    def test_underflowing_rotation_matches_lapack(self):
+        # f^2 + g^2 underflows to 0 for f, g about 1e-200: not isotropic
+        d, e = np.array([1.0, 1e-200, 3e-200]), np.array([0.5, 1e-200])
+        want = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        got = eig_general_tridiagonal(Tridiagonal(d, e, e))
+        np.testing.assert_array_equal(got.imag, 0.0)
+        np.testing.assert_allclose(got.real, want, rtol=1e-14)
+        np.testing.assert_allclose(eig_dense_symmetric(np.diag(d) + np.diag(e, 1) + np.diag(e, -1)),
+                                   want, rtol=1e-14)
 
     def test_sweep_cap_raises(self):
         with pytest.raises(NoConvergence, match="exceeded 0 sweeps"):

@@ -4,6 +4,7 @@ import pytest
 from kohnspec import (
     GridTooCoarse,
     ModeIndex,
+    ModeWindow,
     assemble,
     build_curve,
     circle_profile,
@@ -17,7 +18,29 @@ from kohnspec import (
     rayleigh_quotient,
     wh_spectrum,
 )
-from kohnspec.modes import ZERO_MODE_TOL, potential_parts
+from kohnspec.modes import ZERO_MODE_TOL, assemble_bands, potential_parts
+
+
+def banded_lambda1(diag, off, corner):
+    """lambda_1 of a periodic tridiagonal matrix from LAPACK's banded solver.
+
+    The cycle 0, 1, ..., n-1 taken in the order 0, n-1, 1, n-2, 2, ... has
+    bandwidth 2, so the matrix needs no dense reduction.
+    """
+    n = len(diag)
+    order = np.empty(n, dtype=int)
+    order[0::2] = np.arange((n + 1) // 2)
+    order[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
+    pos = np.empty(n, dtype=int)
+    pos[order] = np.arange(n)
+    band = np.zeros((3, n))
+    band[0, pos] = diag
+    i = np.arange(n)
+    j = (i + 1) % n
+    np.add.at(band, (np.abs(pos[i] - pos[j]), np.minimum(pos[i], pos[j])), np.append(off, corner))
+    linalg = pytest.importorskip("scipy.linalg")
+    return linalg.eig_banded(band, lower=True, eigvals_only=True, select="i",
+                             select_range=(1, 1))[0]
 
 
 def shift_modes(monkeypatch, shifts):
@@ -197,6 +220,35 @@ class TestModeSpectra:
         for mode, (_, lam1) in zip(modes, mode_spectra(curve, modes)):
             want = np.linalg.eigvalsh(assemble(curve, mode).data)[1]
             assert abs(lam1 - want) <= 1e-10 * max(1.0, want)
+
+    @pytest.mark.parametrize("curve_name", ["random_7", "ellipse_03"])
+    def test_lambda1_matches_lapack_on_a_wide_window(self, curve_name, request):
+        # every mode of the benchmark's 8 x 8 window at grid 512, where most
+        # brackets are polished on det(A - x) once they isolate lambda_1
+        if curve_name == "random_7":
+            curve = build_curve(random_profile(7), 512)
+        else:
+            curve = request.getfixturevalue(curve_name)
+        modes = list(ModeWindow(8, 8).modes())
+        for mode, (_, lam1) in zip(modes, mode_spectra(curve, modes)):
+            want = banded_lambda1(*assemble_bands(curve, mode))
+            assert abs(lam1 - want) <= 1e-10 * max(1.0, want), mode
+
+    def test_wide_window_kernel_work(self, monkeypatch):
+        # the benchmark's sweep (random_profile(7), grid 512, 8 x 8 window)
+        # took 25 kernel calls and 21,386 (shift, matrix) columns with
+        # bisection alone; a fall-back to it would exceed both bounds
+        import kohnspec.eigen as eigen_mod
+        columns = []
+        inertia = eigen_mod._periodic_inertia
+
+        def counted(bands, x):
+            columns.append(x.size)
+            return inertia(bands, x)
+
+        monkeypatch.setattr(eigen_mod, "_periodic_inertia", counted)
+        mode_spectra(build_curve(random_profile(7), 512), list(ModeWindow(8, 8).modes()))
+        assert len(columns) <= 25 and sum(columns) <= 11_000, (len(columns), sum(columns))
 
     def test_circle_double_eigenvalue_accuracy(self, unit_circle):
         # Mode (0, 0) of the circle, the paper's equality case, has a double
