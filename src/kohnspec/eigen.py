@@ -375,10 +375,17 @@ class _PeriodicBands:
         self.diag, self.offdiag, self.corner = diag, offdiag, corner
         self.scale = np.maximum(scale, _MIN_SCALE)
 
-    def take(self, cols):
-        """The matrices ``cols`` (repeats allowed) as a batch of their own."""
+    def take(self, cols, work):
+        """The matrices ``cols`` (repeats allowed) as a batch of their own.
+
+        Its diagonal is written to the front of the flat array ``work``,
+        which callers reuse: a fresh copy in every round costs page faults.
+        """
         sub = copy.copy(self)
-        sub.diag, sub.corner, sub.scale = self.diag.take(cols, 1), self.corner[cols], self.scale[cols]
+        # mode="clip" writes straight into ``work``: "raise" buffers the copy
+        sub.diag = self.diag.take(cols, 1, work[:self.diag.shape[0] * len(cols)].reshape(
+            -1, len(cols)), mode="clip")
+        sub.corner, sub.scale = self.corner[cols], self.scale[cols]
         if self.offdiag.shape[1] > 1:
             sub.offdiag = self.offdiag.take(cols, 1)
         if self.unit is not None:
@@ -642,21 +649,28 @@ def _dyadic_points(lo, hi, levels):
     return pts
 
 
-def _probe(bands: _PeriodicBands, cols, x):
+def _probe(bands: _PeriodicBands, cols, x, work):
     """Counts, det mantissas and exponents at the shifts x[i] of matrices cols[i].
 
     ``cols`` is ascending.  One kernel call takes the shifts as (m,
     matrices), m the most any matrix has, where that pads at most an
     eighth more columns (repeating a matrix's last shift); otherwise it
     takes one shift per column, on the matrices gathered by ``cols``,
-    which costs a copy of their bands.
+    which costs a copy of their diagonals into ``work[0]``, a flat array
+    grown as needed.
     """
     mats, first, per = np.unique(cols, return_index=True, return_counts=True)
     m = per.max()
+
+    def gather(sel):
+        if work[0].size < bands.diag.shape[0] * len(sel):
+            work[0] = np.empty(bands.diag.shape[0] * len(sel))
+        return bands.take(sel, work[0])
+
     if 8 * m * len(mats) > 9 * len(cols):
-        return [v[0] for v in _periodic_inertia(bands.take(cols), x[None])]
+        return [v[0] for v in _periodic_inertia(gather(cols), x[None])]
     slot = np.minimum(np.arange(m), per[:, None] - 1) + first[:, None]
-    sub = bands if len(mats) == bands.diag.shape[1] else bands.take(mats)
+    sub = bands if len(mats) == bands.diag.shape[1] else gather(mats)
     out = _periodic_inertia(sub, x[slot].T.copy())
     mat = np.repeat(np.arange(len(mats)), per)
     return [v[np.arange(len(cols)) - first[mat], mat] for v in out]
@@ -717,8 +731,8 @@ class _Toms748:
             double = np.where(lopsided, (31.0 * u + np.where(at_a, b, a)) / 32.0, double)
             double = np.where(np.abs(double - u) > 0.5 * (b - a), mid, double)
         c = np.choose(stage, [secant, quadratic, quadratic, double, mid])
-        c = np.where((a < c) & (c < b), c, mid)
-        return np.clip(c, a + room, b - room)
+        # a step onto or past an end probes next to it
+        return np.clip(np.where(np.isnan(c), mid, c), a + room, b - room)
 
     def step(self, sel, a, b, c, below, f):
         """Move the brackets [a, b] of ``sel`` to their probes c, whose counts
@@ -792,6 +806,7 @@ def _bisect(bands: _PeriodicBands, k: int, start: int = 0, lower=None) -> np.nda
     mantissa, exponent = np.full((size, 2), np.nan), np.zeros((size, 2), dtype=np.intp)
     polishing, polished = np.zeros(size, dtype=bool), np.zeros(size, dtype=np.intp)
     toms = _Toms748(size)
+    work = [np.empty(0)]  # for _probe's gathers
 
     def converged(sel, lo, hi):
         return hi - lo <= _BISECT_TOL * np.maximum(floor[sel], np.abs(lo) + np.abs(hi))
@@ -811,7 +826,7 @@ def _bisect(bands: _PeriodicBands, k: int, start: int = 0, lower=None) -> np.nda
                 0.5 * _BISECT_TOL * np.maximum(floor[pol], np.abs(a) + np.abs(b)), room[pol])))
         ids = np.concatenate(([np.repeat(bis, top - 1)] if len(bis) else []) + [pol])
         order = np.argsort(ids, kind="stable")
-        found = _probe(bands, col[ids[order]], np.concatenate(shifts)[order])
+        found = _probe(bands, col[ids[order]], np.concatenate(shifts)[order], work)
         c_all, m_all, e_all = (np.empty_like(v) for v in found)
         for out, v in zip((c_all, m_all, e_all), found):
             out[order] = v
