@@ -743,7 +743,8 @@ class _Toms748:
         a, b = np.where(below, c, a), np.where(below, b, c)
         stage = self.stage[sel]
         slow = b - a > 0.5 * self.width[sel]
-        self.stage[sel] = np.where(stage == 3, np.where(slow, 4, 1), np.where(stage == 4, 1, stage + 1))
+        self.stage[sel] = np.where(stage == 3, np.where(slow, 4, 1),
+                                   np.where(stage == 4, 1, stage + 1))
         return a, b
 
 
@@ -787,9 +788,10 @@ def _bisect(bands: _PeriodicBands, k: int, start: int = 0, lower=None) -> np.nda
     the stop width inside it.  After _POLISH_STEPS probes, at a probe
     without a determinant, or once narrower than twice _POLISH_ULPS ulps,
     where det(A - x) turns into a staircase, the bracket goes back to
-    bisection.  Converged brackets leave the rounds.  Every bracket's path depends on its own
-    probes only, so the result is bit for bit the same at any level count
-    and in any batch, and with _POLISH_STEPS = 0 it is plain bisection's.
+    bisection.  Converged brackets leave the rounds.  Every bracket's path
+    depends on its own probes only, so the result is bit for bit the same
+    at any level count and in any batch, and with _POLISH_STEPS = 0 it is
+    plain bisection's.
     """
     lo, hi = bands.gershgorin()
     if lower is not None:

@@ -312,9 +312,9 @@ class TestPeriodicInertia:
     def test_matrices_scaled_far_from_one(self):
         # the kernel squares entries: scaled by 2^k, the periodic Laplacian
         # used to overflow (k = 520) or underflow (k = -540) and miscount;
-        # below k = -43 the whole spectrum is narrower than bisection's old
-        # absolute stop width 1e-13, and every eigenvalue came back as the
-        # midpoint of the Gershgorin interval
+        # bisection's old absolute stop width 1e-13 missed this check from
+        # k = -14 down, and from k = -46, where the whole spectrum is
+        # narrower, returned the Gershgorin midpoint for every eigenvalue
         n = 16
         d, e = np.full(n, 2.0), np.full(n - 1, -1.0)
         x = np.array([[0.5], [1.5], [3.5]])
