@@ -716,6 +716,7 @@ class _Toms748:
         """The next probe of each bracket [a, b] of ``sel``."""
         fa, fb, d, fd = self.fa[sel], self.fb[sel], self.d[sel], self.fd[sel]
         stage = self.stage[sel]
+        # the width an iteration starts from, for ``step``'s bisection test
         self.width[sel] = np.where(stage == 1, b - a, self.width[sel])
         mid = 0.5 * (a + b)
         with np.errstate(all="ignore"):  # every step is computed for every bracket
