@@ -9,61 +9,80 @@ constant-curvature equality case through the Whittaker-Hill and Ince
 reductions and a tridiagonal sector-exclusion certificate.
 """
 
-from .curve import (
-    ClosureViolated,
-    GeneratingCurve,
-    NonPositiveCurvature,
-    NotClosed,
-    RadiusOfCurvatureProfile,
-    build_curve,
-    circle_profile,
-    curve_from_curvature_samples,
-    curve_from_spec,
-    ellipse_profile,
-    geometric_invariants,
-    periodic_quadrature,
-    random_profile,
-    webster_scalar_curvature,
-)
-from .eigen import (
-    DenseSymmetric,
-    NoConvergence,
-    SectorRegion,
-    Tridiagonal,
-    char_poly_tridiagonal,
-    eig_dense_symmetric,
-    eig_general_tridiagonal,
-    eig_periodic_sym_tridiagonal,
-    point_in_sector,
-    sector_exclusion_certificate,
-)
-from .modes import (
-    GridTooCoarse,
-    ModeIndex,
-    assemble,
-    kernel_function,
-    mode_spectra,
-    mode_spectrum,
-    potential,
-    rayleigh_quotient,
-)
-from .spectrum import (
-    ModeWindow,
-    SpectrumReport,
-    ccy_lower_bound,
-    emit_report,
-    lambda1_kohn,
-    rayleigh_test_functions,
-)
-from .whittakerhill import (
-    CertificateFailed,
-    WHParameters,
-    ince_eigenvalues,
-    ince_matrix,
-    mode_to_wh,
-    truncation_convergence,
-    verify_E_geq_1,
-    wh_spectrum,
-)
+import importlib
+
+#: Public names, by the submodule that defines them.  They are imported on
+#: first use (PEP 562), so that each command compiles only the modules it
+#: runs.
+_EXPORTS = {
+    "curve": (
+        "ClosureViolated",
+        "GeneratingCurve",
+        "NonPositiveCurvature",
+        "NotClosed",
+        "RadiusOfCurvatureProfile",
+        "build_curve",
+        "circle_profile",
+        "curve_from_curvature_samples",
+        "curve_from_spec",
+        "ellipse_profile",
+        "geometric_invariants",
+        "periodic_quadrature",
+        "random_profile",
+        "webster_scalar_curvature",
+    ),
+    "eigen": (
+        "DenseSymmetric",
+        "NoConvergence",
+        "SectorRegion",
+        "Tridiagonal",
+        "char_poly_tridiagonal",
+        "eig_dense_symmetric",
+        "eig_general_tridiagonal",
+        "eig_periodic_sym_tridiagonal",
+        "point_in_sector",
+        "sector_exclusion_certificate",
+    ),
+    "modes": (
+        "GridTooCoarse",
+        "ModeIndex",
+        "assemble",
+        "kernel_function",
+        "mode_spectra",
+        "mode_spectrum",
+        "potential",
+        "rayleigh_quotient",
+    ),
+    "spectrum": (
+        "ModeWindow",
+        "SpectrumReport",
+        "ccy_lower_bound",
+        "emit_report",
+        "lambda1_kohn",
+        "rayleigh_test_functions",
+    ),
+    "whittakerhill": (
+        "CertificateFailed",
+        "WHParameters",
+        "ince_eigenvalues",
+        "ince_matrix",
+        "mode_to_wh",
+        "truncation_convergence",
+        "verify_E_geq_1",
+        "wh_spectrum",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -21,13 +21,16 @@ floor is what makes the circle the equality case of the global bound.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .eigen import (CertificateResult, Tridiagonal, bendixson_floor, eig_general_tridiagonal,
                     point_in_sector, sector_exclusion_certificate)
-from .modes import ModeIndex, certified_spectra
 
 #: Sector half-height used in all exclusion sweeps; valid for every
 #: truncation size since sum(1/k^2) < pi^2/6 makes (pi/2)/sum > 3/pi.
@@ -38,8 +41,6 @@ REAL_FLOOR_TOL = 1e-8
 
 #: Imag parts below this (relative) are eigensolver roundoff on a real eigenvalue.
 REAL_PART_TOL = 1e-8
-
-DEFAULT_A_GRID = tuple(np.linspace(0.0, 10.0, 41))
 
 
 class CertificateFailed(RuntimeError):
@@ -71,7 +72,7 @@ def mode_to_wh(kappa: float, mode) -> WHParameters:
     """Rescaled coupling a = sqrt(m^2 + l^2) / kappa of a mode on a circle."""
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    m, l = ModeIndex(*mode)
+    m, l = mode
     return WHParameters(a=float(np.hypot(m, l)) / kappa, kappa=float(kappa))
 
 
@@ -113,6 +114,8 @@ def wh_spectrum(params, n: int = 1024, k: int = 2) -> np.ndarray:
         raise ValueError(f"grid must be even with n >= 64, got {n}")
     if k < 1:
         raise ValueError("k must be >= 1")
+    from .modes import certified_spectra
+
     diag, off, corner = _wh_bands(a, n)
     upper = certified_spectra(diag[:, None], off[:, None], [corner], k, [f"coupling a={a}"])
     h, w_log, r = _wh_transport(a, n)
@@ -165,50 +168,157 @@ def convergence_differences(rows) -> list:
     return [abs(r2["E1"] - r1["E1"]) for r1, r2 in zip(rows, rows[1:])]
 
 
+def _floor_row(a: float, N: int, delta: float) -> dict:
+    """One coupling's row of ``verify_E_geq_1``; raises CertificateFailed."""
+    tri = ince_matrix(a, N)
+    cert: CertificateResult = sector_exclusion_certificate(tri, delta)
+    eigs = eig_general_tridiagonal(tri)
+    hit = None if cert.region is None else next(
+        (z for z in eigs if point_in_sector(z, cert.region)), None)
+    if hit is not None and cert.hypotheses_ok:
+        raise CertificateFailed(
+            f"eigenvalue {hit} of the size-{N} truncation at a={a} lies in the excluded sector")
+    real_mask = np.abs(eigs.imag) <= REAL_PART_TOL * np.maximum(1.0, np.abs(eigs))
+    reals = eigs.real[real_mask]
+    floor_ok = bool(reals.size == 0 or reals.min() >= 1.0 - REAL_FLOOR_TOL)
+    bottom, is_complex = _bottom_eigenvalue(eigs)
+    bendixson = bendixson_floor(tri)
+    return {
+        "a": a,
+        "N": N,
+        "E1": bottom,
+        "complex_bottom": is_complex,
+        "hypotheses_ok": cert.hypotheses_ok,
+        "bendixson_floor": bendixson,
+        "in_sector": hit is not None,
+        "pass": bool(cert.hypotheses_ok and floor_ok and bendixson is not None
+                     and bendixson >= 1.0),
+    }
+
+
+def _share_rows(a_values, N: int, delta: float, start: int, step: int):
+    """Rows of the couplings start, start + step, ... and the share's failure.
+
+    The failure is (index, exception) of the first coupling that raised,
+    None if none did; the share stops there.
+    """
+    rows = []
+    for index in range(start, len(a_values), step):
+        try:
+            rows.append(_floor_row(a_values[index], N, delta))
+        except Exception as exc:
+            return rows, (index, exc)
+    return rows, None
+
+
+def _worker_count(couplings: int) -> int:
+    """CPUs this process may run on, at most one per two couplings.
+
+    One without fork, or while another Python thread runs: a forked child
+    keeps only the calling thread, and locks the others held stay taken.
+    """
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") \
+            or threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), couplings // 2))
+
+
+def _child_share(read_fd: int, write_fd: int, a_values, N: int, delta: float,
+                 share: int, workers: int):
+    """In a forked child: pickle one share's result to the pipe and exit.
+
+    ``os._exit`` never returns into the caller and never flushes stdio
+    buffers copied from the parent.  The exit status is 0 only once the
+    whole result is written.
+    """
+    code = 1
+    try:
+        os.close(read_fd)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(_share_rows(a_values, N, delta, share, workers)))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_shares(a_values, N: int, delta: float, workers: int) -> list:
+    """``_share_rows`` of each interleaved share a_values[w::workers].
+
+    Share 0 runs in this process, every other share in a forked child that
+    pickles its result to a pipe.  All pipes are read to their end and all
+    children reaped before anything is returned or raised; if this process
+    is interrupted, it kills and reaps its children first.
+    """
+    pipes = {}  # pid -> read end, until it is read
+    live = []  # forked and not yet reaped
+    payloads, statuses = [], []
+    try:
+        for share in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _child_share(read_fd, write_fd, a_values, N, delta, share, workers)
+            live.append(pid)
+            pipes[pid] = read_fd
+            os.close(write_fd)
+        shares = [_share_rows(a_values, N, delta, 0, workers)]
+        for pid in live:
+            with open(pipes.pop(pid), "rb") as pipe:
+                payloads.append(pipe.read())
+        while live:
+            statuses.append(os.waitpid(live[0], 0)[1])
+            live.pop(0)
+    except BaseException:
+        for pid in live:
+            os.kill(pid, signal.SIGKILL)
+        for pid in live:
+            os.waitpid(pid, 0)
+        raise
+    finally:
+        for fd in pipes.values():
+            os.close(fd)
+    for share, (payload, status) in enumerate(zip(payloads, statuses), start=1):
+        if status != 0 or not payload:
+            raise RuntimeError(f"the worker for share {share} of the coupling sweep did not "
+                               f"return its result (wait status {status})")
+        shares.append(pickle.loads(payload))
+    return shares
+
+
 def verify_E_geq_1(a_values, N: int = 60, delta: float = SECTOR_DELTA) -> dict:
     """Certify the spectral floor E >= 1 for a sweep of couplings.
 
     For each coupling: check the sector-certificate hypotheses on the
     truncation, compute its eigenvalues, record whether any lies in the
-    sector (``in_sector``), raising CertificateFailed at the first one that
-    does while the hypotheses hold, and check every real eigenvalue
-    against the floor 1 - 1e-8.  Beside that, Bendixson's floor
-    (``eigen.bendixson_floor``, min diag = 1 for every truncation, None if
-    its hypothesis fails) bounds Re E below without the spectrum; a row
-    passes only if it is at least 1 too.  Returns {"all_pass": bool,
-    "table": rows}.
+    sector (``in_sector``), raising CertificateFailed when one does while
+    the hypotheses hold, and check every real eigenvalue against the floor
+    1 - 1e-8.  Beside that, Bendixson's floor (``eigen.bendixson_floor``,
+    min diag = 1 for every truncation, None if its hypothesis fails)
+    bounds Re E below without the spectrum; a row passes only if it is at
+    least 1 too.  Returns {"all_pass": bool, "table": rows}, one row per
+    coupling in the given order.
+
+    The couplings are independent, so they are split into interleaved
+    shares a_values[w::workers], one per CPU this process may run on and
+    at least two couplings each.  This process computes share 0; each
+    other share runs in a forked child and comes back pickled through a
+    pipe.  The rows are the same bits as a run in one process, and of the
+    couplings that raise, the first one's exception is raised, as a run in
+    one process would raise it.  Without ``os.fork``, while another Python
+    thread runs, or with one CPU, everything runs in this process.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    table = []
-    all_pass = True
-    for a in a_values:
-        a = float(a)
-        tri = ince_matrix(a, N)
-        cert: CertificateResult = sector_exclusion_certificate(tri, delta)
-        eigs = eig_general_tridiagonal(tri)
-        hit = None if cert.region is None else next(
-            (z for z in eigs if point_in_sector(z, cert.region)), None)
-        if hit is not None and cert.hypotheses_ok:
-            raise CertificateFailed(
-                f"eigenvalue {hit} of the size-{N} truncation at a={a} lies in the excluded sector")
-        in_sector = hit is not None
-        real_mask = np.abs(eigs.imag) <= REAL_PART_TOL * np.maximum(1.0, np.abs(eigs))
-        reals = eigs.real[real_mask]
-        floor_ok = bool(reals.size == 0 or reals.min() >= 1.0 - REAL_FLOOR_TOL)
-        bottom, is_complex = _bottom_eigenvalue(eigs)
-        bendixson = bendixson_floor(tri)
-        row_pass = bool(cert.hypotheses_ok and floor_ok and bendixson is not None
-                        and bendixson >= 1.0)
-        table.append({
-            "a": a,
-            "N": N,
-            "E1": bottom,
-            "complex_bottom": is_complex,
-            "hypotheses_ok": cert.hypotheses_ok,
-            "bendixson_floor": bendixson,
-            "in_sector": in_sector,
-            "pass": row_pass,
-        })
-        all_pass = all_pass and row_pass
-    return {"all_pass": all_pass, "table": table}
+    a_values = [float(a) for a in a_values]
+    workers = _worker_count(len(a_values))
+    shares = _run_shares(a_values, N, delta, workers)
+    failures = [failure for _, failure in shares if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    table = [shares[i % workers][0][i // workers] for i in range(len(a_values))]
+    return {"all_pass": all(row["pass"] for row in table), "table": table}

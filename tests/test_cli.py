@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -221,9 +224,6 @@ class TestUsage:
 
 
 def test_module_entry_point(tmp_path):
-    import subprocess
-    import sys
-
     out = tmp_path / "sweep.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "kohnspec.cli", "wh-sweep", "--steps", "1",
@@ -231,3 +231,67 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert out.read_text().startswith("a,N,E1,in_sector,pass")
+
+
+def _loaded_kohnspec_modules(argv):
+    # -X importtime lists every module the run imports on stderr
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "kohnspec.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return {line.split("|")[-1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:") and "kohnspec" in line}
+
+
+def test_commands_import_only_what_they_run(tmp_path):
+    sweep = _loaded_kohnspec_modules(["wh-sweep", "--steps", "2", "--N", "10"])
+    assert "kohnspec.whittakerhill" in sweep
+    assert not sweep & {"kohnspec.curve", "kohnspec.modes", "kohnspec.spectrum"}
+    spec = tmp_path / "circle.json"
+    assert run(["make-curve", "circle", "--out", str(spec)]) == 0
+    analyze = _loaded_kohnspec_modules(["analyze", str(spec), "--grid", "64",
+                                        "--window", "1", "1"])
+    assert "kohnspec.spectrum" in analyze and "kohnspec.whittakerhill" not in analyze
+
+
+#: Plants an eigenvalue in the excluded sector at the sweep's second
+#: coupling (a = 2), which the forked share computes when there are two CPUs.
+PLANTED_SECTOR_HIT = """
+import sys
+import numpy as np
+from kohnspec import cli, whittakerhill
+real = whittakerhill.eig_general_tridiagonal
+def planted(tri):
+    return np.array([0.5 + 0j, 4.0 + 0j]) if tri.upper[0] == 4.0 else real(tri)
+whittakerhill.eig_general_tridiagonal = planted
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["-m", "kohnspec.cli", "wh-sweep"], 0),
+    (["-m", "kohnspec.cli", "wh-sweep", "--a-min", "5", "--a-max", "1"], 1),
+    (["-c", PLANTED_SECTOR_HIT, "wh-sweep", "--a-max", "10", "--steps", "6", "--N", "10"], 2),
+])
+def test_wh_sweep_leaves_no_process_behind(argv, code):
+    # the CLI leads a process group of its own; once it has exited, no
+    # forked worker may remain in that group
+    proc = subprocess.Popen([sys.executable, *argv], start_new_session=True,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    try:
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == code, err
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
+def test_default_sweep_same_bytes_on_one_and_two_cpus(tmp_path, monkeypatch):
+    outputs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        out = tmp_path / f"sweep-{cpus}.csv"
+        assert run(["wh-sweep", "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

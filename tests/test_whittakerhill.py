@@ -1,3 +1,8 @@
+import os
+import signal
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -11,7 +16,7 @@ from kohnspec import (
     verify_E_geq_1,
     wh_spectrum,
 )
-from kohnspec import Tridiagonal, whittakerhill
+from kohnspec import NoConvergence, Tridiagonal, whittakerhill
 from kohnspec.modes import GridTooCoarse
 from kohnspec.whittakerhill import _wh_bands, convergence_differences
 
@@ -269,6 +274,158 @@ class TestVerifyFloor:
         assert not row["hypotheses_ok"] and not row["pass"]
         with pytest.raises(CertificateFailed):
             verify_E_geq_1([1.0], N=2)
+
+
+def _coupling(tri):
+    # entry (1, 2) of the Ince truncation is 2a
+    return float(tri.upper[0]) / 2.0
+
+
+class TestParallelSweep:
+    """verify_E_geq_1 split over forked children, against one process."""
+
+    COUPLINGS = [0.5 * i for i in range(8)]
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        # a stuck pipe read or wait fails the test instead of hanging it;
+        # forked children do not inherit the alarm
+        def expire(signum, frame):
+            raise TimeoutError("the sweep did not finish")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def cpus(monkeypatch, count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+    @staticmethod
+    def count_forks(monkeypatch):
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            forks.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        return forks
+
+    def sweep(self, monkeypatch, cpus, a_values, N):
+        self.cpus(monkeypatch, cpus)
+        return verify_E_geq_1(a_values, N=N)
+
+    def failure(self, monkeypatch, cpus, a_values):
+        self.cpus(monkeypatch, cpus)
+        with pytest.raises(Exception) as info:
+            verify_E_geq_1(a_values, N=10)
+        return type(info.value), str(info.value)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("count", range(1, 8))
+    def test_rows_equal_one_process(self, monkeypatch, cpus, count):
+        a_values = self.COUPLINGS[:count]
+        serial = self.sweep(monkeypatch, 1, a_values, 20)
+        forks = self.count_forks(monkeypatch)
+        parallel = self.sweep(monkeypatch, cpus, a_values, 20)
+        assert len(forks) == min(cpus, max(1, count // 2)) - 1
+        assert repr(parallel) == repr(serial) and parallel == serial
+
+    def test_default_sweep_equals_one_process(self, monkeypatch):
+        a_values = np.linspace(0.0, 10.0, 41)
+        serial = self.sweep(monkeypatch, 1, a_values, 60)
+        forks = self.count_forks(monkeypatch)
+        parallel = self.sweep(monkeypatch, 2, a_values, 60)
+        assert len(forks) == 1
+        assert repr(parallel) == repr(serial) and parallel["all_pass"]
+
+    def test_no_fork_while_a_thread_runs(self, monkeypatch):
+        forks = self.count_forks(monkeypatch)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            rows = self.sweep(monkeypatch, 2, self.COUPLINGS, 10)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == [] and len(rows["table"]) == len(self.COUPLINGS)
+
+    @staticmethod
+    def plant(monkeypatch, failures):
+        """Make the couplings in ``failures`` fail: "sector" puts an
+        eigenvalue in the excluded sector, "stall" raises NoConvergence."""
+        real = whittakerhill.eig_general_tridiagonal
+
+        def planted(tri):
+            kind = failures.get(_coupling(tri))
+            if kind == "sector":
+                return np.array([0.5 + 0.0j, 4.0 + 0.0j])
+            if kind == "stall":
+                raise NoConvergence(f"planted stall at a={_coupling(tri)}")
+            return real(tri)
+
+        monkeypatch.setattr(whittakerhill, "eig_general_tridiagonal", planted)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("kind", ["sector", "stall"])
+    @pytest.mark.parametrize("index", [0, 1, 2, 5, 7])
+    def test_planted_failure_matches_one_process(self, monkeypatch, cpus, kind, index):
+        self.plant(monkeypatch, {self.COUPLINGS[index]: kind})
+        want = self.failure(monkeypatch, 1, self.COUPLINGS)
+        assert want[0] is (CertificateFailed if kind == "sector" else NoConvergence)
+        assert self.failure(monkeypatch, cpus, self.COUPLINGS) == want
+
+    @pytest.mark.parametrize("first, second", [(1, 4), (2, 5), (3, 4), (0, 7)])
+    def test_lowest_failing_coupling_wins(self, monkeypatch, first, second):
+        self.plant(monkeypatch, {self.COUPLINGS[first]: "stall",
+                                 self.COUPLINGS[second]: "sector"})
+        got = self.failure(monkeypatch, 2, self.COUPLINGS)
+        assert got == (NoConvergence, f"planted stall at a={self.COUPLINGS[first]}")
+        assert got == self.failure(monkeypatch, 1, self.COUPLINGS)
+
+    def test_child_without_result_raises(self, monkeypatch):
+        parent = os.getpid()
+        real = whittakerhill.eig_general_tridiagonal
+
+        def dying(tri):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(tri)
+
+        monkeypatch.setattr(whittakerhill, "eig_general_tridiagonal", dying)
+        self.cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError,
+                           match=r"share 1 .* did not return its result \(wait status 768\)"):
+            verify_E_geq_1(self.COUPLINGS, N=10)
+
+    def test_interrupt_kills_and_reaps_children(self, monkeypatch):
+        # the child's share would take a minute; the parent's is interrupted
+        parent = os.getpid()
+        real = whittakerhill.eig_general_tridiagonal
+
+        def slow_child(tri):
+            if os.getpid() != parent:
+                time.sleep(60)
+            elif _coupling(tri) == self.COUPLINGS[2]:
+                raise KeyboardInterrupt
+            return real(tri)
+
+        monkeypatch.setattr(whittakerhill, "eig_general_tridiagonal", slow_child)
+        self.cpus(monkeypatch, 2)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            verify_E_geq_1(self.COUPLINGS, N=10)
+        assert time.monotonic() - start < 30
 
 
 class TestWHGridGuard:
