@@ -310,7 +310,8 @@ def verify_E_geq_1(a_values, N: int = 60, delta: float = SECTOR_DELTA) -> dict:
     pipe.  The rows are the same bits as a run in one process, and of the
     couplings that raise, the first one's exception is raised, as a run in
     one process would raise it.  Without ``os.fork``, while another Python
-    thread runs, or with one CPU, everything runs in this process.
+    thread runs, with one CPU or with fewer than four couplings, everything
+    runs in this process.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
