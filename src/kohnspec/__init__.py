@@ -32,12 +32,9 @@ _EXPORTS = {
         "webster_scalar_curvature",
     ),
     "eigen": (
-        "DenseSymmetric",
         "NoConvergence",
         "SectorRegion",
         "Tridiagonal",
-        "char_poly_tridiagonal",
-        "eig_dense_symmetric",
         "eig_general_tridiagonal",
         "eig_periodic_sym_tridiagonal",
         "point_in_sector",
@@ -46,11 +43,8 @@ _EXPORTS = {
     "modes": (
         "GridTooCoarse",
         "ModeIndex",
-        "assemble",
         "kernel_function",
         "mode_spectra",
-        "mode_spectrum",
-        "potential",
         "rayleigh_quotient",
     ),
     "spectrum": (
@@ -59,17 +53,11 @@ _EXPORTS = {
         "ccy_lower_bound",
         "emit_report",
         "lambda1_kohn",
-        "rayleigh_test_functions",
     ),
     "whittakerhill": (
         "CertificateFailed",
-        "WHParameters",
-        "ince_eigenvalues",
         "ince_matrix",
-        "mode_to_wh",
-        "truncation_convergence",
         "verify_E_geq_1",
-        "wh_spectrum",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

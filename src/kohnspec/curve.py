@@ -20,13 +20,14 @@ identities (total curvature, volume, mean curvature) rely on.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-#: Default relative tolerance for the position-closure test.
+#: Relative tolerance for the position-closure test.
 DEFAULT_CLOSURE_TOL = 1e-8
 
 #: Absolute tolerance on the first Fourier harmonic of a profile.
@@ -243,11 +244,10 @@ def random_profile(seed: int) -> RadiusOfCurvatureProfile:
 # ---------------------------------------------------------------------------
 
 
-def _validate_grid(n: int) -> int:
-    n = int(n)
-    if n < 16 or n % 2:
-        raise ValueError(f"grid size must be an even integer >= 16, got {n}")
-    return n
+def _validate_grid(n) -> int:
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 16 or n % 2:
+        raise ValueError(f"grid size must be an even integer >= 16, got {n!r}")
+    return int(n)
 
 
 def build_curve(profile: RadiusOfCurvatureProfile, n: int) -> GeneratingCurve:
@@ -308,14 +308,14 @@ def build_curve(profile: RadiusOfCurvatureProfile, n: int) -> GeneratingCurve:
     return curve
 
 
-def curve_from_curvature_samples(kappa_samples, length: float,
-                                 closure_tol: float | None = None) -> GeneratingCurve:
+def curve_from_curvature_samples(kappa_samples, length: float) -> GeneratingCurve:
     """Build a curve from curvature samples on a uniform arc-length grid.
 
     The tangent angle is the cumulative trapezoidal integral of kappa and
     the position the cumulative integral of the tangent.  Raises NotClosed
     when the total turning is not 2*pi (tolerance 1e-8) or when the
-    reconstructed position fails to return to its start.
+    reconstructed position fails to return to its start (tolerance
+    DEFAULT_CLOSURE_TOL times the length).
     """
     kappa = np.asarray(kappa_samples, dtype=float)
     n = _validate_grid(len(kappa))
@@ -342,7 +342,7 @@ def curve_from_curvature_samples(kappa_samples, length: float,
     xi_ext = np.concatenate([[0.0], np.cumsum(0.5 * h * (q_ext[1:] + q_ext[:-1]))])
     eta_ext = np.concatenate([[0.0], np.cumsum(0.5 * h * (p_ext[1:] + p_ext[:-1]))])
 
-    tol = (DEFAULT_CLOSURE_TOL if closure_tol is None else closure_tol) * length
+    tol = DEFAULT_CLOSURE_TOL * length
     gap = abs(xi_ext[-1] - xi_ext[0]) + abs(eta_ext[-1] - eta_ext[0])
     if gap > tol:
         raise NotClosed(f"position closure gap {gap:.3e} exceeds tolerance {tol:.3e}")
@@ -423,19 +423,39 @@ def profile_to_dict(profile: RadiusOfCurvatureProfile, grid: int) -> dict:
     }
 
 
+def _spec_number(value, field: str) -> float:
+    """A number of a curve spec as a float; ValueError naming ``field`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{field} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{field} is out of the floating-point range") from None
+
+
+def _spec_numbers(value, field: str) -> list:
+    """A list of numbers of a curve spec as floats; ValueError naming ``field`` otherwise."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{field} must be a list of numbers, got {type(value).__name__}")
+    return [_spec_number(x, f"{field}[{j}]") for j, x in enumerate(value)]
+
+
 def curve_from_spec(data: dict, grid: int | None = None) -> GeneratingCurve:
     """Build a curve from the JSON curve-spec dictionary.
 
     Accepted forms: {"rho": {"cos": [c0, ...], "sin": [d1, ...]}, "grid": n}
     or {"kappa_samples": [...], "length": l}.  ``grid`` overrides the
     profile's grid; a sampled spec's grid is its sample count, so passing
-    ``grid`` with it is a ValueError.
+    ``grid`` with it is a ValueError.  So is every field of the wrong type.
     """
+    if not isinstance(data, dict):
+        raise ValueError(f"curve spec must be a JSON object, got {type(data).__name__}")
     if "rho" in data:
         rho = data["rho"]
         if not isinstance(rho, dict) or "cos" not in rho:
             raise ValueError('"rho" must be an object with a "cos" list')
-        profile = RadiusOfCurvatureProfile(tuple(rho["cos"]), tuple(rho.get("sin", ())))
+        profile = RadiusOfCurvatureProfile(tuple(_spec_numbers(rho["cos"], '"cos"')),
+                                           tuple(_spec_numbers(rho.get("sin", []), '"sin"')))
         n = grid if grid is not None else data.get("grid", 512)
         return build_curve(profile, n)
     if "kappa_samples" in data:
@@ -444,5 +464,6 @@ def curve_from_spec(data: dict, grid: int | None = None) -> GeneratingCurve:
                              "spec's sample count is its grid")
         if "length" not in data:
             raise ValueError('sampled curve spec needs a "length" field')
-        return curve_from_curvature_samples(data["kappa_samples"], data["length"])
+        return curve_from_curvature_samples(_spec_numbers(data["kappa_samples"], '"kappa_samples"'),
+                                            _spec_number(data["length"], '"length"'))
     raise ValueError('curve spec must contain either "rho" or "kappa_samples"')

@@ -1,13 +1,11 @@
 """Self-contained eigensolvers for the discretized operators.
 
-Three routes, each matched to a matrix class that actually occurs here:
+Two routes, each matched to a matrix class that actually occurs here:
 
-* dense symmetric matrices: Householder reduction to tridiagonal form
-  followed by the implicit-shift QL iteration (eigenvalues only);
 * general real tridiagonal matrices, which are non-normal and may carry
   complex spectra: a diagonal similarity to a complex symmetric
   tridiagonal (off-diagonal sqrt(upper * lower)), split where a product
-  vanishes, then the same implicit-shift QL in complex arithmetic
+  vanishes, then the implicit-shift QL iteration in complex arithmetic
   (Cullum & Willoughby), O(n) per sweep;
 * symmetric periodic tridiagonal matrices (band plus one wrap-around
   corner): Sturm-type bisection driven by inertia counts, O(n) per probe.
@@ -47,28 +45,6 @@ class NoConvergence(RuntimeError):
 # ---------------------------------------------------------------------------
 # matrix carriers
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DenseSymmetric:
-    """Dense symmetric matrix; symmetry is validated to 1e-12 relative."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        a = np.array(self.data, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("matrix must be square")
-        scale = np.max(np.abs(a)) if a.size else 0.0
-        if scale > 0 and np.max(np.abs(a - a.T)) > 1e-12 * scale:
-            raise ValueError("matrix is not symmetric to 1e-12 relative")
-        a = 0.5 * (a + a.T)
-        a.setflags(write=False)
-        object.__setattr__(self, "data", a)
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
 
 
 @dataclass(frozen=True)
@@ -122,6 +98,9 @@ class CertificateResult:
 # ---------------------------------------------------------------------------
 # QL kernel
 # ---------------------------------------------------------------------------
+
+#: Sweeps that QL may spend deflating one eigenvalue before NoConvergence.
+_QL_MAX_SWEEPS = 40
 
 
 def _tqli_kernel(d, e, max_sweeps):
@@ -196,47 +175,7 @@ def _tqli_kernel(d, e, max_sweeps):
     return 0
 
 
-# ---------------------------------------------------------------------------
-# dense symmetric path
-# ---------------------------------------------------------------------------
-
-
-def _householder_tridiagonalize(matrix: np.ndarray):
-    """Reduce a symmetric matrix to tridiagonal form by Householder similarity.
-
-    Returns (diag, offdiag).  The reflector of step i annihilates row i left
-    of the subdiagonal; the rank-2 update runs on the shrinking leading
-    block, so the whole reduction is BLAS-2 bound.
-    """
-    a = np.array(matrix, dtype=float, copy=True)
-    n = a.shape[0]
-    e = np.zeros(max(n - 1, 0))
-    for i in range(n - 1, 0, -1):
-        if i > 1:
-            row = a[i, :i].copy()
-            scale = np.abs(row).sum()
-            if scale == 0.0:
-                e[i - 1] = 0.0
-                continue
-            u = row / scale
-            h = u @ u
-            f = u[-1]
-            g = -math.copysign(math.sqrt(h), f)
-            e[i - 1] = scale * g
-            h -= f * g
-            u[-1] = f - g
-            block = a[:i, :i]
-            p = (block @ u) / h
-            k = (u @ p) / (2.0 * h)
-            q = p - k * u
-            block -= np.outer(q, u)
-            block -= np.outer(u, q)
-        else:
-            e[0] = a[1, 0]
-    return np.diag(a).copy(), e
-
-
-def _ql_eigenvalues(diag, offdiag, max_sweeps: int) -> np.ndarray:
+def _ql_eigenvalues(diag, offdiag) -> np.ndarray:
     """Eigenvalues of the complex symmetric tridiagonal (diag, offdiag), unsorted.
 
     The matrix is first scaled by a power of two, which is exact, so that
@@ -245,7 +184,7 @@ def _ql_eigenvalues(diag, offdiag, max_sweeps: int) -> np.ndarray:
     on lists of builtin complex, half the time of numpy scalars; where that
     arithmetic raises (numpy's returned inf), it counts as a non-finite
     result.  Raises NoConvergence when an eigenvalue needs more than
-    ``max_sweeps`` sweeps, when a rotation breaks down, or when the result
+    _QL_MAX_SWEEPS sweeps, when a rotation breaks down, or when the result
     is not finite, and ValueError on a non-finite entry.
     """
     n = len(diag)
@@ -258,12 +197,12 @@ def _ql_eigenvalues(diag, offdiag, max_sweeps: int) -> np.ndarray:
     scale = math.ldexp(1.0, math.frexp(big)[1]) if big > 0.0 else 1.0
     values = (d / scale).tolist()
     try:
-        status = _tqli_kernel(values, (e / scale).tolist(), max_sweeps)
+        status = _tqli_kernel(values, (e / scale).tolist(), _QL_MAX_SWEEPS)
     except (OverflowError, ZeroDivisionError) as exc:
         raise NoConvergence(f"QL iteration left the floating-point range: {exc}") from exc
     if status > 0:
         raise NoConvergence(
-            f"QL iteration exceeded {max_sweeps} sweeps at eigenvalue {status - 1}")
+            f"QL iteration exceeded {_QL_MAX_SWEEPS} sweeps at eigenvalue {status - 1}")
     if status < 0:
         raise NoConvergence(
             f"isotropic QL rotation (f^2 + g^2 = 0) at eigenvalue {-status - 1}")
@@ -271,20 +210,6 @@ def _ql_eigenvalues(diag, offdiag, max_sweeps: int) -> np.ndarray:
     if not np.all(np.isfinite(d)):
         raise NoConvergence("QL iteration produced a non-finite eigenvalue")
     return d * scale
-
-
-def eig_dense_symmetric(matrix, k: int | None = None, max_sweeps: int = 50) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending (or the first k).
-
-    Householder tridiagonalization followed by implicit-shift QL; each
-    eigenvalue is deflated to relative machine precision or NoConvergence
-    is raised after ``max_sweeps`` sweeps.
-    """
-    if not isinstance(matrix, DenseSymmetric):
-        matrix = DenseSymmetric(np.asarray(matrix, dtype=float))
-    d, e = _householder_tridiagonalize(matrix.data)
-    vals = np.sort(_ql_eigenvalues(d, e, max_sweeps).real)
-    return vals if k is None else vals[:k]
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +388,41 @@ def _cycle_negatives(sd, so):
     pivots = _sturm_pivots([a0, a1, a2, a3], [r1, r2, r3])
     det = pivots[0] * pivots[1] * pivots[2] * pivots[3]
     return sum(piv < 0.0 for piv in pivots), det, 4 * exponent
+
+
+def _householder_tridiagonalize(matrix: np.ndarray):
+    """Reduce a symmetric matrix to tridiagonal form by Householder similarity.
+
+    Returns (diag, offdiag).  The reflector of step i annihilates row i left
+    of the subdiagonal; the rank-2 update runs on the shrinking leading
+    block, so the whole reduction is BLAS-2 bound.
+    """
+    a = np.array(matrix, dtype=float, copy=True)
+    n = a.shape[0]
+    e = np.zeros(max(n - 1, 0))
+    for i in range(n - 1, 0, -1):
+        if i > 1:
+            row = a[i, :i].copy()
+            scale = np.abs(row).sum()
+            if scale == 0.0:
+                e[i - 1] = 0.0
+                continue
+            u = row / scale
+            h = u @ u
+            f = u[-1]
+            g = -math.copysign(math.sqrt(h), f)
+            e[i - 1] = scale * g
+            h -= f * g
+            u[-1] = f - g
+            block = a[:i, :i]
+            p = (block @ u) / h
+            k = (u @ p) / (2.0 * h)
+            q = p - k * u
+            block -= np.outer(q, u)
+            block -= np.outer(u, q)
+        else:
+            e[0] = a[1, 0]
+    return np.diag(a).copy(), e
 
 
 def _small_negatives(diag, off):
@@ -969,7 +929,7 @@ def _close_under_conjugation(ev: np.ndarray) -> np.ndarray:
     return out
 
 
-def eig_general_tridiagonal(tri: Tridiagonal, max_its: int = 40) -> np.ndarray:
+def eig_general_tridiagonal(tri: Tridiagonal) -> np.ndarray:
     """All eigenvalues of a real tridiagonal matrix as complex numbers.
 
     Where upper[k] * lower[k] != 0 the matrix is diagonally similar to the
@@ -978,7 +938,7 @@ def eig_general_tridiagonal(tri: Tridiagonal, max_its: int = 40) -> np.ndarray:
     triangular and its spectrum is the union of the diagonal blocks'.  Each
     block runs through implicit-shift QL in complex arithmetic, O(n) per
     sweep.  NoConvergence is raised when one eigenvalue needs more than
-    ``max_its`` sweeps or a rotation meets isotropic breakdown.  The result
+    _QL_MAX_SWEEPS sweeps or a rotation meets isotropic breakdown.  The result
     is closed under conjugation, like the spectrum of any real matrix, and
     sorted by (real, imaginary) part, which keeps conjugate pairs adjacent.
     """
@@ -987,30 +947,11 @@ def eig_general_tridiagonal(tri: Tridiagonal, max_its: int = 40) -> np.ndarray:
     offdiag = np.where((up < 0.0) != (lo < 0.0), 1j * coupling, coupling)
     bounds = [0, *(np.flatnonzero(coupling == 0.0) + 1).tolist(), tri.n]
     ev = np.concatenate([
-        _ql_eigenvalues(tri.diag[b0:b1], offdiag[b0:b1 - 1], max_its)
+        _ql_eigenvalues(tri.diag[b0:b1], offdiag[b0:b1 - 1])
         for b0, b1 in zip(bounds, bounds[1:])
     ])
     ev = _close_under_conjugation(ev)
     return ev[np.lexsort((ev.imag, ev.real))]
-
-
-def char_poly_tridiagonal(tri: Tridiagonal, z) -> complex:
-    """det(A - z I) for a tridiagonal A via the three-term recurrence.
-
-    P_0 = 1, P_1 = delta_1 - z, and
-    P_{k+1}(z) = (delta_{k+1} - z) P_k(z) - upper_k * lower_k * P_{k-1}(z).
-    Exact in exact arithmetic; for large n the value can overflow float
-    range since it grows like the product of the diagonal entries.
-    """
-    z = complex(z)
-    if tri.n == 0:
-        return 1.0 + 0.0j
-    prev = 1.0 + 0.0j
-    cur = tri.diag[0] - z
-    for i in range(1, tri.n):
-        nxt = (tri.diag[i] - z) * cur - tri.upper[i - 1] * tri.lower[i - 1] * prev
-        prev, cur = cur, nxt
-    return cur
 
 
 # ---------------------------------------------------------------------------

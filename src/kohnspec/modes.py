@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .curve import GeneratingCurve, periodic_quadrature
-from .eigen import DenseSymmetric, eig_periodic_sym_tridiagonal, periodic_eigenvalue_counts
+from .eigen import eig_periodic_sym_tridiagonal, periodic_eigenvalue_counts
 
 
 class GridTooCoarse(RuntimeError):
@@ -41,23 +41,6 @@ class GridTooCoarse(RuntimeError):
 class ModeIndex(NamedTuple):
     m: int
     l: int
-
-
-def potential(curve: GeneratingCurve, mode) -> np.ndarray:
-    """Sampled potential (l p + m q)^2 + kappa (l q - m p)."""
-    square, curl = potential_parts(curve, mode)
-    return square + curl
-
-
-def potential_parts(curve: GeneratingCurve, mode):
-    """The two summands of the potential: (l p + m q)^2 and kappa (l q - m p).
-
-    The first part is quadratic and the second linear in (m, l), which is
-    what makes the potential family testable against its own scaling.
-    """
-    m, l = ModeIndex(*mode)
-    w = l * curve.p + m * curve.q
-    return w**2, curve.kappa * (l * curve.q - m * curve.p)
 
 
 #: Modes whose bands and lambda_0 ``mode_spectra`` builds together, as
@@ -101,20 +84,6 @@ def assemble_bands(curve: GeneratingCurve, mode):
     """
     r = _transport_factors(_log_kernel(curve, *ModeIndex(*mode)))
     return (_diag_band(curve, r), *_coupling_bands(curve))
-
-
-def assemble(curve: GeneratingCurve, mode) -> DenseSymmetric:
-    """Dense symmetric matrix whose eigenvalues approximate the mode spectrum."""
-    diag, off, corner = assemble_bands(curve, mode)
-    n = len(diag)
-    a = np.zeros((n, n))
-    idx = np.arange(n)
-    a[idx, idx] = diag
-    a[idx[:-1], idx[1:]] = off
-    a[idx[1:], idx[:-1]] = off
-    a[0, n - 1] += corner
-    a[n - 1, 0] += corner
-    return DenseSymmetric(a)
 
 
 #: Zero-mode acceptance threshold: ``certified_spectra`` certifies that the
@@ -188,11 +157,6 @@ def mode_spectra(curve: GeneratingCurve, modes, k: int = 2) -> np.ndarray:
     diag, off, corner, lam0 = _window_bands(curve, modes)
     upper = certified_spectra(diag, off, corner, k, [f"mode {tuple(mode)}" for mode in modes])
     return np.column_stack([lam0, upper])
-
-
-def mode_spectrum(curve: GeneratingCurve, mode, k: int = 2) -> np.ndarray:
-    """First k eigenvalues of one mode operator: the one-mode case of ``mode_spectra``."""
-    return mode_spectra(curve, [mode], k)[0]
 
 
 def kernel_function(curve: GeneratingCurve, mode) -> np.ndarray:

@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import GeneratingCurve, geometric_invariants, periodic_quadrature, \
-    webster_scalar_curvature
+from .curve import GeneratingCurve, geometric_invariants, webster_scalar_curvature
 from .modes import ModeIndex, mode_spectra
 
 #: Slack tolerance when checking lambda_1 <= bound_rhs numerically.
@@ -152,30 +151,6 @@ def lambda1_kohn(curve: GeneratingCurve, window: ModeWindow,
     report.equality = bool(abs(report.slack) < EQUALITY_TOL
                            and _kappa_variance(curve) < KAPPA_VARIANCE_TOL)
     return report
-
-
-def rayleigh_test_functions(curve: GeneratingCurve) -> dict:
-    """Quadratic form of the tangent components under the (0, 0) mode operator.
-
-    For the pair (p, q): the form value is half the curvature energy
-    (because p^2 + q^2 = 1 and p' = kappa q, q' = -kappa p), the weighted
-    norm is the total curvature, and both components are admissible trial
-    functions (zero weighted mean).  Their combined quotient therefore
-    *is* the upper bound being verified.
-    """
-    ell = curve.length
-    mean_q = periodic_quadrature(curve.q * curve.kappa, ell)
-    mean_p = periodic_quadrature(curve.p * curve.kappa, ell)
-    scale = periodic_quadrature(curve.kappa, ell)
-    if abs(mean_q) > 1e-8 * scale or abs(mean_p) > 1e-8 * scale:
-        raise ValueError("tangent components are not admissible: nonzero weighted mean")
-    value = 0.5 * periodic_quadrature(curve.kappa**2 * (curve.q**2 + curve.p**2), ell)
-    norm = periodic_quadrature((curve.p**2 + curve.q**2) * curve.kappa, ell)
-    return {
-        "value_p_plus_q": value,
-        "norm_p_plus_q": norm,
-        "quotient": value / norm,
-    }
 
 
 # ---------------------------------------------------------------------------

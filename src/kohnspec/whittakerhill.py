@@ -25,7 +25,6 @@ import os
 import pickle
 import signal
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,83 +46,6 @@ class CertificateFailed(RuntimeError):
     """A computed eigenvalue landed inside the certified exclusion sector."""
 
 
-@dataclass(frozen=True)
-class WHParameters:
-    """Coupling of the rescaled constant-curvature mode problem."""
-
-    a: float
-    kappa: float = 1.0
-
-    def __post_init__(self):
-        if self.a < 0:
-            raise ValueError("coupling a must be nonnegative")
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
-
-    def eigenvalue_from_E(self, E: float) -> float:
-        """Map a rescaled eigenvalue E back to the mode operator: kappa*E/2."""
-        return self.kappa * E / 2.0
-
-    def E_from_eigenvalue(self, lam: float) -> float:
-        return 2.0 * lam / self.kappa
-
-
-def mode_to_wh(kappa: float, mode) -> WHParameters:
-    """Rescaled coupling a = sqrt(m^2 + l^2) / kappa of a mode on a circle."""
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    m, l = mode
-    return WHParameters(a=float(np.hypot(m, l)) / kappa, kappa=float(kappa))
-
-
-def _wh_transport(a: float, n: int):
-    """Grid step h, kernel exponent -a cos(tau) and transport factors r.
-
-    r_i = exp of the exact increment of -a cos across cell i, so the
-    stiffness form sum_i (u_{i+1} - r_i u_i)^2 / r_i / h^2 annihilates the
-    sampled kernel exp(-a cos tau) exactly.
-    """
-    h = 2.0 * np.pi / n
-    w_log = -a * np.cos(np.arange(n) * h)
-    return h, w_log, np.exp(np.roll(w_log, -1) - w_log)
-
-
-def _wh_bands(a: float, n: int):
-    # transport-factored discretization of -d^2/dtau^2 + a^2 sin^2 + a cos
-    h, _, r = _wh_transport(a, n)
-    diag = (r + np.roll(1.0 / r, 1)) / h**2
-    off = np.full(n - 1, -1.0 / h**2)
-    corner = -1.0 / h**2
-    return diag, off, corner
-
-
-def wh_spectrum(params, n: int = 1024, k: int = 2) -> np.ndarray:
-    """First k eigenvalues E of the 2pi-periodic Whittaker-Hill operator.
-
-    ``params`` is a WHParameters or a bare coupling a >= 0.  The grid must
-    be even with n >= 64.  The ground state goes through the shared
-    zero-mode certificate (``modes.certified_spectra``), which raises
-    GridTooCoarse naming the coupling if it fails; E_0 is then the
-    factored Rayleigh quotient of the sampled kernel exp(-a cos tau), zero
-    up to roundoff.
-    """
-    a = params.a if isinstance(params, WHParameters) else float(params)
-    if a < 0:
-        raise ValueError("coupling a must be nonnegative")
-    if n < 64 or n % 2:
-        raise ValueError(f"grid must be even with n >= 64, got {n}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    from .modes import certified_spectra
-
-    diag, off, corner = _wh_bands(a, n)
-    upper = certified_spectra(diag[:, None], off[:, None], [corner], k, [f"coupling a={a}"])
-    h, w_log, r = _wh_transport(a, n)
-    u = np.exp(w_log - w_log.max())
-    E0 = np.sum((np.roll(u, -1) - r * u) ** 2 / r) / h**2 / np.sum(u**2)
-    return np.concatenate([[E0], upper[0]])
-
-
 def ince_matrix(a: float, N: int) -> Tridiagonal:
     """N-th principal truncation of the odd-sine-basis drift operator.
 
@@ -135,11 +57,6 @@ def ince_matrix(a: float, N: int) -> Tridiagonal:
     return Tridiagonal(diag=k**2, upper=(k[:-1] + 1.0) * a, lower=-k[:-1] * a)
 
 
-def ince_eigenvalues(a: float, N: int) -> np.ndarray:
-    """All eigenvalues of the truncation, complex, sorted by (re, im)."""
-    return eig_general_tridiagonal(ince_matrix(a, N))
-
-
 def _bottom_eigenvalue(eigs: np.ndarray):
     """Smallest-real-part eigenvalue and whether it is genuinely complex."""
     idx = int(np.argmin(eigs.real))
@@ -148,30 +65,10 @@ def _bottom_eigenvalue(eigs: np.ndarray):
     return float(z.real), bool(abs(z.imag) > REAL_PART_TOL * scale)
 
 
-def truncation_convergence(a: float, N_list) -> list:
-    """Bottom eigenvalue of the truncations for each N, in order.
-
-    Rows carry the real part and a flag for complex bottom pairs (seen only
-    at very small N); successive differences shrink to the roundoff floor.
-    """
-    N_list = [int(N) for N in N_list]
-    if any(n2 <= n1 for n1, n2 in zip(N_list, N_list[1:])):
-        raise ValueError("truncation sizes must be strictly increasing")
-    rows = []
-    for N in N_list:
-        bottom, is_complex = _bottom_eigenvalue(ince_eigenvalues(a, N))
-        rows.append({"N": N, "E1": bottom, "complex_pair": is_complex})
-    return rows
-
-
-def convergence_differences(rows) -> list:
-    return [abs(r2["E1"] - r1["E1"]) for r1, r2 in zip(rows, rows[1:])]
-
-
-def _floor_row(a: float, N: int, delta: float) -> dict:
+def _floor_row(a: float, N: int) -> dict:
     """One coupling's row of ``verify_E_geq_1``; raises CertificateFailed."""
     tri = ince_matrix(a, N)
-    cert: CertificateResult = sector_exclusion_certificate(tri, delta)
+    cert: CertificateResult = sector_exclusion_certificate(tri, SECTOR_DELTA)
     eigs = eig_general_tridiagonal(tri)
     hit = None if cert.region is None else next(
         (z for z in eigs if point_in_sector(z, cert.region)), None)
@@ -196,7 +93,7 @@ def _floor_row(a: float, N: int, delta: float) -> dict:
     }
 
 
-def _share_rows(a_values, N: int, delta: float, start: int, step: int):
+def _share_rows(a_values, N: int, start: int, step: int):
     """Rows of the couplings start, start + step, ... and the share's failure.
 
     The failure is (index, exception) of the first coupling that raised,
@@ -205,7 +102,7 @@ def _share_rows(a_values, N: int, delta: float, start: int, step: int):
     rows = []
     for index in range(start, len(a_values), step):
         try:
-            rows.append(_floor_row(a_values[index], N, delta))
+            rows.append(_floor_row(a_values[index], N))
         except Exception as exc:
             return rows, (index, exc)
     return rows, None
@@ -223,8 +120,7 @@ def _worker_count(couplings: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), couplings // 2))
 
 
-def _child_share(read_fd: int, write_fd: int, a_values, N: int, delta: float,
-                 share: int, workers: int):
+def _child_share(read_fd: int, write_fd: int, a_values, N: int, share: int, workers: int):
     """In a forked child: pickle one share's result to the pipe and exit.
 
     ``os._exit`` never returns into the caller and never flushes stdio
@@ -235,13 +131,13 @@ def _child_share(read_fd: int, write_fd: int, a_values, N: int, delta: float,
     try:
         os.close(read_fd)
         with open(write_fd, "wb") as pipe:
-            pipe.write(pickle.dumps(_share_rows(a_values, N, delta, share, workers)))
+            pipe.write(pickle.dumps(_share_rows(a_values, N, share, workers)))
         code = 0
     finally:
         os._exit(code)
 
 
-def _run_shares(a_values, N: int, delta: float, workers: int) -> list:
+def _run_shares(a_values, N: int, workers: int) -> list:
     """``_share_rows`` of each interleaved share a_values[w::workers].
 
     Share 0 runs in this process, every other share in a forked child that
@@ -262,11 +158,11 @@ def _run_shares(a_values, N: int, delta: float, workers: int) -> list:
                 os.close(write_fd)
                 raise
             if pid == 0:
-                _child_share(read_fd, write_fd, a_values, N, delta, share, workers)
+                _child_share(read_fd, write_fd, a_values, N, share, workers)
             live.append(pid)
             pipes[pid] = read_fd
             os.close(write_fd)
-        shares = [_share_rows(a_values, N, delta, 0, workers)]
+        shares = [_share_rows(a_values, N, 0, workers)]
         for pid in live:
             with open(pipes.pop(pid), "rb") as pipe:
                 payloads.append(pipe.read())
@@ -290,7 +186,7 @@ def _run_shares(a_values, N: int, delta: float, workers: int) -> list:
     return shares
 
 
-def verify_E_geq_1(a_values, N: int = 60, delta: float = SECTOR_DELTA) -> dict:
+def verify_E_geq_1(a_values, N: int = 60) -> dict:
     """Certify the spectral floor E >= 1 for a sweep of couplings.
 
     For each coupling: check the sector-certificate hypotheses on the
@@ -317,7 +213,7 @@ def verify_E_geq_1(a_values, N: int = 60, delta: float = SECTOR_DELTA) -> dict:
         raise ValueError("N must be >= 1")
     a_values = [float(a) for a in a_values]
     workers = _worker_count(len(a_values))
-    shares = _run_shares(a_values, N, delta, workers)
+    shares = _run_shares(a_values, N, workers)
     failures = [failure for _, failure in shares if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]

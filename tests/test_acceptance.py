@@ -14,21 +14,18 @@ from kohnspec import (
     ModeWindow,
     build_curve,
     circle_profile,
+    eig_general_tridiagonal,
     ellipse_profile,
     geometric_invariants,
-    ince_eigenvalues,
     ince_matrix,
     kernel_function,
     lambda1_kohn,
     mode_spectra,
-    mode_spectrum,
     random_profile,
     rayleigh_quotient,
-    truncation_convergence,
     verify_E_geq_1,
-    wh_spectrum,
 )
-from kohnspec.whittakerhill import convergence_differences
+from oracles import wh_spectrum
 
 GRID = 512
 CONVERGENCE_FLOOR = 1e-11
@@ -91,7 +88,7 @@ def test_criterion_04_mode_kernels():
     modes = [(m, l) for m in range(-4, 5) for l in range(-4, 5)]
     for seed in range(5):
         curve = build_curve(random_profile(seed), GRID)
-        # one batch per curve; each row equals mode_spectrum's bit for bit
+        # one batch per curve
         for mode, (lam0,) in zip(modes, mode_spectra(curve, modes, k=1)):
             quotient = rayleigh_quotient(curve, mode, kernel_function(curve, mode))
             assert abs(lam0) < 1e-6
@@ -132,8 +129,8 @@ def test_criterion_06_truncation_minor_fidelity():
 def test_criterion_07_cross_method_oracle():
     n = 1024
     curve = build_curve(circle_profile(1.0), n)
-    from_modes = 2.0 * mode_spectrum(curve, (1, 0), k=2)[1]
-    eigs = ince_eigenvalues(1.0, 60)
+    from_modes = 2.0 * mode_spectra(curve, [(1, 0)], k=2)[0, 1]
+    eigs = eig_general_tridiagonal(ince_matrix(1.0, 60))
     from_truncation = eigs[np.argmin(eigs.real)].real
     from_direct = wh_spectrum(1.0, n=n, k=2)[1]
     assert abs(from_modes - from_truncation) < 1e-4
@@ -147,8 +144,8 @@ def test_criterion_07_cross_method_oracle():
 def test_criterion_08_truncation_convergence():
     lines = []
     for a in (1.0, 5.0):
-        rows = truncation_convergence(a, [10, 20, 40, 80])
-        diffs = convergence_differences(rows)
+        E1 = [verify_E_geq_1([a], N=N)["table"][0]["E1"] for N in (10, 20, 40, 80)]
+        diffs = [abs(e2 - e1) for e1, e2 in zip(E1, E1[1:])]
         for prev, cur in zip(diffs, diffs[1:]):
             assert cur < prev or cur < CONVERGENCE_FLOOR
         lines.append(f"a={a}: diffs=" + ",".join(f"{d:.2e}" for d in diffs))

@@ -113,6 +113,25 @@ class TestAnalyze:
         assert run(["analyze", str(spec)]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", [
+        5,
+        ["rho"],
+        {"rho": {"cos": 1}},
+        {"rho": {"cos": [1], "sin": 5}},
+        {"rho": {"cos": [1]}, "grid": None},
+        {"rho": {"cos": [1]}, "grid": 16.5},
+        {"kappa_samples": 5, "length": 1.0},
+        {"kappa_samples": [1.0] * 16, "length": None},
+        {"rho": {"cos": [10**400]}},
+    ])
+    def test_malformed_spec_exits_one_with_a_message(self, spec, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        proc = subprocess.run([sys.executable, "-m", "kohnspec.cli", "analyze", str(path),
+                               "--window", "1", "1"], capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr, proc.stderr
+
     def test_missing_file_exits_one(self, tmp_path):
         assert run(["analyze", str(tmp_path / "nope.json")]) == 1
 

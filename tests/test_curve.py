@@ -16,6 +16,7 @@ from kohnspec import (
     random_profile,
     webster_scalar_curvature,
 )
+from kohnspec import curve as curve_mod
 
 TWO_PI = 2 * np.pi
 
@@ -62,6 +63,8 @@ class TestBuildCurve:
             build_curve(circle_profile(), 8)
         with pytest.raises(ValueError):
             build_curve(circle_profile(), 255)
+        with pytest.raises(ValueError):
+            build_curve(circle_profile(), 16.5)
 
     def test_tangent_is_unit(self, ellipse_03):
         np.testing.assert_allclose(ellipse_03.q**2 + ellipse_03.p**2, 1.0, atol=1e-15)
@@ -79,17 +82,23 @@ class TestBuildCurve:
 
 
 class TestCurveFromSamples:
+    @pytest.fixture
+    def tight_closure(self, monkeypatch):
+        monkeypatch.setattr(curve_mod, "DEFAULT_CLOSURE_TOL", 1e-11)
+
+    @pytest.mark.usefixtures("tight_closure")
     def test_unit_circle_closes(self):
         n = 512
         # closure residual is far below the 1e-10 level: a tolerance of
         # 1e-11 * length would already reject a larger gap
-        curve = curve_from_curvature_samples(np.ones(n), TWO_PI, closure_tol=1e-11)
+        curve = curve_from_curvature_samples(np.ones(n), TWO_PI)
         radius = np.hypot(curve.xi, curve.eta)
         np.testing.assert_allclose(radius, 1.0, atol=2e-5)  # trapezoid positions
 
+    @pytest.mark.usefixtures("tight_closure")
     def test_radius_half_circle(self):
         n = 512
-        curve = curve_from_curvature_samples(np.full(n, 2.0), np.pi, closure_tol=1e-11)
+        curve = curve_from_curvature_samples(np.full(n, 2.0), np.pi)
         radius = np.hypot(curve.xi, curve.eta)
         np.testing.assert_allclose(radius, 0.5, atol=2e-5)
 

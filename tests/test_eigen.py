@@ -9,12 +9,9 @@ from kohnspec import (
     build_curve,
     circle_profile,
     random_profile,
-    DenseSymmetric,
     NoConvergence,
     SectorRegion,
     Tridiagonal,
-    char_poly_tridiagonal,
-    eig_dense_symmetric,
     eig_general_tridiagonal,
     eig_periodic_sym_tridiagonal,
     point_in_sector,
@@ -24,18 +21,25 @@ import kohnspec.eigen as eigen_mod
 from kohnspec.eigen import (
     _PeriodicBands,
     _dyadic_points,
+    _householder_tridiagonalize,
     _periodic_inertia,
     _ql_eigenvalues,
     bendixson_floor,
     periodic_eigenvalue_counts,
 )
 from kohnspec.modes import assemble_bands
-from kohnspec.whittakerhill import _wh_bands, ince_matrix
+from kohnspec.whittakerhill import ince_matrix
+from oracles import periodic_dense, wh_bands
 
 
 def eig_sym_tridiagonal(d, e) -> np.ndarray:
     """Eigenvalues of the symmetric tridiagonal (d, e) by the QL kernel, ascending."""
-    return np.sort(_ql_eigenvalues(d, e, 50).real)
+    return np.sort(_ql_eigenvalues(d, e).real)
+
+
+def householder_eigenvalues(a) -> np.ndarray:
+    """Eigenvalues of a dense symmetric matrix, ascending: Householder, then QL."""
+    return eig_sym_tridiagonal(*_householder_tridiagonalize(a))
 
 
 def tridiagonal_count(d, e, x) -> int:
@@ -73,18 +77,22 @@ def charpoly_bisection_roots(a, samples=20000):
 
 
 class TestDenseSymmetric:
+    """Householder reduction, which ``_small_negatives`` runs on the cycle
+    of separators and nodes, checked through the QL eigenvalues of its
+    result."""
+
     def test_identity(self):
-        np.testing.assert_allclose(eig_dense_symmetric(np.eye(3)), [1, 1, 1])
+        np.testing.assert_allclose(householder_eigenvalues(np.eye(3)), [1, 1, 1])
 
     def test_two_by_two(self):
-        np.testing.assert_allclose(eig_dense_symmetric(np.array([[2.0, 1], [1, 2]])),
+        np.testing.assert_allclose(householder_eigenvalues(np.array([[2.0, 1], [1, 2]])),
                                    [1.0, 3.0], atol=1e-14)
 
     def test_random_vs_charpoly_oracle(self):
         rng = np.random.default_rng(42)
         a = rng.standard_normal((6, 6))
         a = a + a.T
-        mine = eig_dense_symmetric(a)
+        mine = householder_eigenvalues(a)
         oracle = charpoly_bisection_roots(a)
         assert len(oracle) == 6
         np.testing.assert_allclose(mine, oracle, atol=1e-9)
@@ -93,29 +101,22 @@ class TestDenseSymmetric:
         rng = np.random.default_rng(3)
         a = rng.standard_normal((40, 40))
         a = a + a.T
-        vals = eig_dense_symmetric(a)
+        vals = householder_eigenvalues(a)
         assert np.all(np.diff(vals) >= 0)
         assert vals.sum() == pytest.approx(np.trace(a), rel=1e-9)
 
-    def test_first_k(self):
-        vals = eig_dense_symmetric(np.diag([3.0, 1.0, 2.0]), k=2)
-        np.testing.assert_allclose(vals, [1.0, 2.0])
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            DenseSymmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_no_convergence_raised(self):
+    def test_no_convergence_raised(self, monkeypatch):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((8, 8))
         a = a + a.T
+        monkeypatch.setattr(eigen_mod, "_QL_MAX_SWEEPS", 0)
         with pytest.raises(NoConvergence):
-            eig_dense_symmetric(a, max_sweeps=0)
+            householder_eigenvalues(a)
 
     def test_matches_ql_on_tridiagonal_input(self):
         rng = np.random.default_rng(11)
         d, e = rng.standard_normal(30), rng.standard_normal(29)
-        np.testing.assert_allclose(eig_dense_symmetric(np.diag(d) + np.diag(e, 1) + np.diag(e, -1)),
+        np.testing.assert_allclose(householder_eigenvalues(periodic_dense(d, e, 0.0)),
                                    eig_sym_tridiagonal(d, e), atol=1e-10)
 
     @pytest.mark.usefixtures("raise_fp")
@@ -135,18 +136,11 @@ def raise_fp():
         yield
 
 
-def periodic_dense(diag, offdiag, corner):
-    a = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
-    a[0, -1] += corner
-    a[-1, 0] += corner
-    return a
-
-
 @functools.lru_cache(maxsize=None)
 def oracle_case(kind, n, seed, m, l):
     """Bands of one test matrix and their eigenvalues from LAPACK."""
     if kind == "wh0":
-        bands = _wh_bands(0.0, n)
+        bands = wh_bands(0.0, n)
     else:
         profile = circle_profile(1.0) if kind == "circle" else random_profile(seed)
         bands = assemble_bands(build_curve(profile, n), (m, l))
@@ -191,7 +185,7 @@ class TestPeriodicInertia:
         # quarter steps of d[0] put zero pivots every second to fourth row;
         # n = 3..12 moves them onto each row next to the wrap-around corner
         for n in range(3, 13):
-            bands = _wh_bands(0.0, n)
+            bands = wh_bands(0.0, n)
             ev = np.linalg.eigvalsh(periodic_dense(*bands))
             check_counts(bands, ev, [bands[0][0] * j / 4 for j in range(-1, 18)])
 
@@ -201,7 +195,7 @@ class TestPeriodicInertia:
         # 4, among them each block's last row, where the block is singular
         # and that row is counted beside the Schur complement
         for n in range(5, 45):
-            bands = _wh_bands(0.0, n)
+            bands = wh_bands(0.0, n)
             ev = np.linalg.eigvalsh(periodic_dense(*bands))
             check_counts(bands, ev, [bands[0][0] * j / 4 for j in range(-1, 18)])
 
@@ -264,7 +258,7 @@ class TestPeriodicInertia:
         # Whittaker-Hill operator have a double lambda_1 = lambda_2; across
         # it the count must rise from 1 to 3 and never fall
         circle = assemble_bands(build_curve(circle_profile(1.0), 512), (0, 0))
-        for diag, off, corner in (circle, _wh_bands(0.0, 256)):
+        for diag, off, corner in (circle, wh_bands(0.0, 256)):
             lam = np.linalg.eigvalsh(periodic_dense(diag, off, corner))[1]
             x = lam + np.linspace(-6e-9, 6e-9, 61)
             counts = periodic_eigenvalue_counts(diag[:, None], off[:, None], [corner],
@@ -388,7 +382,7 @@ class TestPeriodicTridiagonal:
         dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
         dense[0, -1] += corner
         dense[-1, 0] += corner
-        ref = eig_dense_symmetric(dense, k=5)
+        ref = np.linalg.eigvalsh(dense)[:5]
         mine = eig_periodic_sym_tridiagonal(d, e, corner, k=5)
         np.testing.assert_allclose(mine, ref, atol=1e-9)
 
@@ -628,12 +622,13 @@ class TestGeneralTridiagonal:
         got = eig_general_tridiagonal(Tridiagonal(d, e, e))
         np.testing.assert_array_equal(got.imag, 0.0)
         np.testing.assert_allclose(got.real, want, rtol=1e-14)
-        np.testing.assert_allclose(eig_dense_symmetric(np.diag(d) + np.diag(e, 1) + np.diag(e, -1)),
+        np.testing.assert_allclose(householder_eigenvalues(periodic_dense(d, e, 0.0)),
                                    want, rtol=1e-14)
 
-    def test_sweep_cap_raises(self):
+    def test_sweep_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(eigen_mod, "_QL_MAX_SWEEPS", 0)
         with pytest.raises(NoConvergence, match="exceeded 0 sweeps"):
-            eig_general_tridiagonal(ince_matrix(1.0, 5), max_its=0)
+            eig_general_tridiagonal(ince_matrix(1.0, 5))
 
     def test_non_finite_entries_rejected(self):
         with pytest.raises(ValueError):
@@ -685,24 +680,7 @@ class TestGeneralTridiagonal:
                           rng.standard_normal(11))
         scale = np.prod(np.maximum(1.0, np.abs(tri.diag)))
         for z in eig_general_tridiagonal(tri):
-            assert abs(char_poly_tridiagonal(tri, z)) < 1e-6 * scale
-
-
-class TestCharPoly:
-    def test_two_by_two_at_zero(self):
-        assert char_poly_tridiagonal(ince_matrix(1.0, 2), 0.0) == pytest.approx(6.0)
-
-    def test_diag_root(self):
-        tri = Tridiagonal([2.0, 5.0], [0.0], [0.0])
-        assert char_poly_tridiagonal(tri, 2.0) == 0.0
-
-    def test_matches_determinant(self):
-        rng = np.random.default_rng(37)
-        tri = Tridiagonal(rng.standard_normal(7), rng.standard_normal(6),
-                          rng.standard_normal(6))
-        for z in (0.0, 1.3, -0.7 + 0.4j):
-            det = np.linalg.det(tri.to_dense() - z * np.eye(7))
-            assert char_poly_tridiagonal(tri, z) == pytest.approx(det, rel=1e-10)
+            assert abs(np.linalg.det(tri.to_dense() - z * np.eye(tri.n))) < 1e-6 * scale
 
 
 class TestSectorCertificate:

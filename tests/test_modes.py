@@ -3,22 +3,27 @@ import pytest
 
 from kohnspec import (
     GridTooCoarse,
-    ModeIndex,
     ModeWindow,
-    assemble,
     build_curve,
     circle_profile,
-    eig_dense_symmetric,
     kernel_function,
     mode_spectra,
-    mode_spectrum,
     periodic_quadrature,
-    potential,
     random_profile,
     rayleigh_quotient,
-    wh_spectrum,
 )
-from kohnspec.modes import ZERO_MODE_TOL, assemble_bands, potential_parts
+from kohnspec.modes import ZERO_MODE_TOL, assemble_bands
+from oracles import periodic_dense, wh_spectrum
+
+
+def mode_spectrum(curve, mode, k=2):
+    """First k eigenvalues of one mode: a one-mode window of ``mode_spectra``."""
+    return mode_spectra(curve, [mode], k)[0]
+
+
+def dense_eigenvalues(curve, mode):
+    """All eigenvalues of the mode's matrix from LAPACK, ascending."""
+    return np.linalg.eigvalsh(periodic_dense(*assemble_bands(curve, mode)))
 
 
 def banded_lambda1(diag, off, corner):
@@ -56,53 +61,17 @@ def shift_modes(monkeypatch, shifts):
     monkeypatch.setattr(modes_mod, "_window_bands", shifted)
 
 
-class TestPotential:
-    def test_zero_mode_vanishes(self, random_curves):
-        for curve in random_curves:
-            np.testing.assert_array_equal(potential(curve, (0, 0)), 0.0)
-
-    def test_unit_circle_mode_01(self, unit_circle):
-        v = potential(unit_circle, (0, 1))
-        expected = np.cos(unit_circle.s) ** 2 - np.sin(unit_circle.s)
-        np.testing.assert_allclose(v, expected, atol=1e-12)
-        assert v[0] == pytest.approx(1.0)
-
-    def test_unit_circle_is_shifted_pendulum_well(self, unit_circle):
-        # on the circle every mode potential is a phase-shifted copy of
-        # a^2 sin^2(tau) + a cos(tau) with a = sqrt(m^2 + l^2)
-        for (m, l) in [(1, 0), (0, 1), (2, 3), (-1, 2)]:
-            a = np.hypot(m, l)
-            beta = np.arctan2(m, l)
-            tau = unit_circle.s + beta + np.pi / 2
-            expected = a**2 * np.sin(tau) ** 2 + a * np.cos(tau)
-            np.testing.assert_allclose(potential(unit_circle, (m, l)), expected, atol=1e-12)
-
-    def test_quadratic_scaling_of_parts(self, ellipse_03):
-        for (m, l) in [(1, 0), (1, 2), (3, -1)]:
-            sq, curl = potential_parts(ellipse_03, (m, l))
-            sq2, curl2 = potential_parts(ellipse_03, (2 * m, 2 * l))
-            np.testing.assert_allclose(sq2, 4 * sq, atol=1e-12)
-            np.testing.assert_allclose(curl2, 2 * curl, atol=1e-12)
-            np.testing.assert_allclose(potential(ellipse_03, (2 * m, 2 * l)) - 4 * sq,
-                                       2 * curl, atol=1e-12)
-
-    def test_samples_match_grid(self, unit_circle):
-        assert len(potential(unit_circle, ModeIndex(1, 2))) == unit_circle.n
-        with pytest.raises(ValueError):
-            rayleigh_quotient(unit_circle, (0, 0), np.zeros(3))
-
-
 class TestAssemble:
     def test_zero_mode_unit_circle_spectrum(self):
         curve = build_curve(circle_profile(1.0), 256)
-        vals = eig_dense_symmetric(assemble(curve, (0, 0)), k=3)
+        vals = dense_eigenvalues(curve, (0, 0))[:3]
         assert abs(vals[0]) < 1e-8
         assert vals[1] == pytest.approx(0.5, abs=1e-4)
         assert vals[2] == pytest.approx(0.5, abs=1e-4)
 
     def test_zero_mode_kappa2_spectrum(self):
         curve = build_curve(circle_profile(0.5), 512)
-        vals = eig_dense_symmetric(assemble(curve, (0, 0)), k=5)
+        vals = dense_eigenvalues(curve, (0, 0))[:5]
         np.testing.assert_allclose(vals, [0.0, 1.0, 1.0, 4.0, 4.0], atol=2e-3)
 
     def test_nonnegative_operators(self, random_curves):
@@ -114,7 +83,7 @@ class TestAssemble:
     def test_bisect_agrees_with_dense(self, ellipse_03):
         for mode in [(0, 0), (1, 0), (2, 1), (-1, -1)]:
             fast = mode_spectrum(ellipse_03, mode, k=3)
-            dense = eig_dense_symmetric(assemble(ellipse_03, mode), k=3)
+            dense = dense_eigenvalues(ellipse_03, mode)[:3]
             np.testing.assert_allclose(fast, dense, atol=1e-9)
 
 
@@ -179,7 +148,7 @@ class TestModeSpectra:
         # the certificate is absolute: ZERO_MODE_TOL < |lambda_0| raises even
         # where |lambda_0| <= ZERO_MODE_TOL * lambda_1
         shift_modes(monkeypatch, {(3, 1): lam0})
-        want = np.linalg.eigvalsh(assemble(unit_circle, (3, 1)).data)[:2] + lam0
+        want = dense_eigenvalues(unit_circle, (3, 1))[:2] + lam0
         assert ZERO_MODE_TOL < abs(want[0]) <= ZERO_MODE_TOL * want[1]
         with pytest.raises(GridTooCoarse, match=r"mode \(3, 1\)"):
             mode_spectra(unit_circle, [(1, 0), (3, 1), (1, -2)])
@@ -218,7 +187,7 @@ class TestModeSpectra:
             curve = request.getfixturevalue(curve_name)
         modes = [(m, l) for m in range(-1, 2) for l in range(-1, 2)]
         for mode, (_, lam1) in zip(modes, mode_spectra(curve, modes)):
-            want = np.linalg.eigvalsh(assemble(curve, mode).data)[1]
+            want = dense_eigenvalues(curve, mode)[1]
             assert abs(lam1 - want) <= 1e-10 * max(1.0, want)
 
     @pytest.mark.parametrize("curve_name", ["random_7", "ellipse_03"])
@@ -258,7 +227,7 @@ class TestModeSpectra:
         # counted after orthogonal rotations, so the count stays monotone
         # there and bisection lands about 2e-13 off, as for simple ones.
         lam1 = mode_spectrum(unit_circle, (0, 0), k=2)[1]
-        want = np.linalg.eigvalsh(assemble(unit_circle, (0, 0)).data)[1]
+        want = dense_eigenvalues(unit_circle, (0, 0))[1]
         assert abs(lam1 - want) <= 1e-10 * max(1.0, want)
 
 
@@ -294,11 +263,15 @@ class TestKernelFunction:
 
 
 class TestRayleighQuotient:
+    def test_sample_count_must_match_grid(self, unit_circle):
+        with pytest.raises(ValueError):
+            rayleigh_quotient(unit_circle, (0, 0), np.zeros(3))
+
     def test_matches_matrix_form(self, ellipse_03):
         rng = np.random.default_rng(4)
         u = rng.standard_normal(ellipse_03.n)
         mode = (2, -1)
-        s_mat = assemble(ellipse_03, mode).data
+        s_mat = periodic_dense(*assemble_bands(ellipse_03, mode))
         m_diag = ellipse_03.kappa * ellipse_03.grid_spacing
         w = u * np.sqrt(m_diag)  # undo the whitening: quotient in original variables
         expected = (w @ s_mat @ w) / (w @ w)

@@ -11,13 +11,10 @@ from kohnspec import (
     circle_profile,
     ellipse_profile,
     emit_report,
-    geometric_invariants,
     lambda1_kohn,
     mode_spectra,
-    mode_spectrum,
     random_profile,
     rayleigh_quotient,
-    rayleigh_test_functions,
 )
 
 
@@ -86,7 +83,7 @@ class TestLambda1:
         report = lambda1_kohn(curve, ModeWindow(4, 4))
         assert len(report.modes) == 81
         for row in report.modes:
-            lam0, lam1 = mode_spectrum(curve, (row.m, row.l), k=2)
+            lam0, lam1 = mode_spectra(curve, [(row.m, row.l)], k=2)[0]
             assert (row.lambda0, row.lambda1) == (lam0, lam1)
 
     def test_circle_radius_reciprocal(self):
@@ -122,6 +119,10 @@ class TestBracketing:
             report = lambda1_kohn(curve, ModeWindow(2, 2))
             assert report.ccy_lower - 1e-6 <= report.lambda1_estimate
             assert report.lambda1_estimate <= report.bound_rhs + 1e-6
+            # the bound's proof takes the tangent components as trial
+            # functions of the (0, 0) mode
+            origin = next(row for row in report.modes if (row.m, row.l) == (0, 0))
+            assert origin.lambda1 <= report.bound_rhs + 1e-6
 
     def test_ccy_circles(self, unit_circle, circle_kappa2):
         assert ccy_lower_bound(unit_circle) == pytest.approx(0.25, abs=1e-10)
@@ -129,23 +130,6 @@ class TestBracketing:
 
 
 class TestRayleighTestFunctions:
-    def test_unit_circle_values(self, unit_circle):
-        res = rayleigh_test_functions(unit_circle)
-        assert res["value_p_plus_q"] == pytest.approx(np.pi, rel=1e-12)
-        assert res["norm_p_plus_q"] == pytest.approx(2 * np.pi, rel=1e-12)
-        assert res["quotient"] == pytest.approx(0.5, rel=1e-12)
-
-    def test_kappa2_quotient(self, circle_kappa2):
-        assert rayleigh_test_functions(circle_kappa2)["quotient"] == pytest.approx(1.0, rel=1e-10)
-
-    def test_quotient_is_the_bound(self, random_curves):
-        for curve in random_curves:
-            quotient = rayleigh_test_functions(curve)["quotient"]
-            assert quotient == pytest.approx(geometric_invariants(curve)["bound_rhs"],
-                                             abs=1e-8)
-            lam1 = mode_spectrum(curve, (0, 0), k=2)[1]
-            assert lam1 <= quotient + 1e-6
-
     def test_variational_floor(self, ellipse_03):
         # any admissible trial vector sits at or above the swept minimum
         report = lambda1_kohn(ellipse_03, ModeWindow(1, 1))

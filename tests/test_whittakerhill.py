@@ -6,45 +6,61 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from kohnspec import (
     CertificateFailed,
-    WHParameters,
-    ince_eigenvalues,
+    NoConvergence,
+    Tridiagonal,
+    eig_general_tridiagonal,
+    build_curve,
+    circle_profile,
     ince_matrix,
-    mode_to_wh,
-    truncation_convergence,
+    mode_spectra,
     verify_E_geq_1,
-    wh_spectrum,
+    whittakerhill,
 )
-from kohnspec import NoConvergence, Tridiagonal, whittakerhill
 from kohnspec.modes import GridTooCoarse
-from kohnspec.whittakerhill import _wh_bands, convergence_differences
+from oracles import periodic_dense, wh_bands, wh_spectrum
 
 #: differences below this are eigensolver roundoff, not truncation error
 CONVERGENCE_FLOOR = 1e-11
 
 
+def ince_eigenvalues(a, N):
+    return eig_general_tridiagonal(ince_matrix(a, N))
+
+
+def bottom_rows(a, sizes):
+    """``verify_E_geq_1`` rows of one coupling at each truncation size."""
+    return [verify_E_geq_1([a], N=N)["table"][0] for N in sizes]
+
+
+def differences(rows):
+    return [abs(r2["E1"] - r1["E1"]) for r1, r2 in zip(rows, rows[1:])]
+
+
 class TestModeToWH:
-    def test_origin(self):
-        assert mode_to_wh(1.0, (0, 0)).a == 0.0
+    """On a circle of curvature kappa, mode (m, l) is the Whittaker-Hill
+    operator at a = hypot(m, l) / kappa, with lambda = kappa * E / 2; on the
+    same grid the two discretizations agree to roundoff."""
 
-    def test_three_four_five(self):
-        assert mode_to_wh(1.0, (3, 4)).a == pytest.approx(5.0)
+    @staticmethod
+    def check(curve, kappa, mode):
+        lam = mode_spectra(curve, [mode], k=5)[0]
+        E = wh_spectrum(np.hypot(*mode) / kappa, n=curve.n, k=5)
+        np.testing.assert_allclose(lam, kappa * E / 2, rtol=1e-10, atol=1e-10)
 
-    def test_kappa_scaling(self):
-        params = mode_to_wh(2.0, (1, 1))
-        assert params.a == pytest.approx(np.sqrt(2) / 2)
+    def test_origin(self, unit_circle):
+        self.check(unit_circle, 1.0, (0, 0))
+
+    def test_three_four_five(self, unit_circle):
+        self.check(unit_circle, 1.0, (3, 4))
+
+    def test_kappa_scaling(self, circle_kappa2):
+        self.check(circle_kappa2, 2.0, (1, 1))
 
     def test_eigenvalue_maps(self):
-        params = WHParameters(a=1.0, kappa=2.0)
-        assert params.eigenvalue_from_E(1.5) == pytest.approx(1.5)
-        assert params.E_from_eigenvalue(params.eigenvalue_from_E(0.7)) == pytest.approx(0.7)
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            mode_to_wh(0.0, (1, 0))
-        with pytest.raises(ValueError):
-            WHParameters(a=-1.0)
+        self.check(build_curve(circle_profile(2.0), 512), 0.5, (2, -1))
 
 
 class TestWHSpectrum:
@@ -62,11 +78,6 @@ class TestWHSpectrum:
         # so the floor is checked at the discretization accuracy
         for a in (0.0, 0.5, 1.0, 2.0):
             assert wh_spectrum(a, n=1024, k=2)[1] >= 1.0 - 1e-5
-
-    def test_accepts_parameters_object(self):
-        params = mode_to_wh(1.0, (1, 0))
-        vals = wh_spectrum(params, n=256, k=2)
-        assert vals[1] > 1.0
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -143,7 +154,7 @@ class TestInceEigenvalues:
         tau = np.arange(nn) * 2 * np.pi / nn
         w = sum(v[k - 1] * np.sin(k * tau) for k in range(1, N + 1))
         u = w * np.exp(-a * np.cos(tau))
-        diag, off, corner = _wh_bands(a, nn)
+        diag, off, corner = wh_bands(a, nn)
         num = u @ (diag * u) + 2 * np.dot(off, u[:-1] * u[1:]) + 2 * corner * u[0] * u[-1]
         quotient = num / (u @ u)
         assert quotient == pytest.approx(E, rel=1e-5)
@@ -163,31 +174,25 @@ class TestInceEigenvalues:
 
 class TestTruncationConvergence:
     def test_zero_coupling_is_exact(self):
-        rows = truncation_convergence(0.0, [5, 10, 20])
+        rows = bottom_rows(0.0, [5, 10, 20])
         assert all(row["E1"] == 1.0 for row in rows)
-        assert not any(row["complex_pair"] for row in rows)
+        assert not any(row["complex_bottom"] for row in rows)
 
     def test_strong_coupling_settles(self):
-        rows = truncation_convergence(5.0, [10, 20, 40, 80])
-        diffs = convergence_differences(rows)
+        diffs = differences(bottom_rows(5.0, [10, 20, 40, 80]))
         assert diffs[0] > diffs[1] or diffs[1] < CONVERGENCE_FLOOR
         assert all(d < CONVERGENCE_FLOOR for d in diffs[1:])
 
     def test_weak_coupling_already_converged(self):
-        rows = truncation_convergence(1.0, [5, 10, 20, 40])
-        diffs = convergence_differences(rows)
+        diffs = differences(bottom_rows(1.0, [5, 10, 20, 40]))
         for prev, cur in zip(diffs, diffs[1:]):
             assert cur < prev or cur < CONVERGENCE_FLOOR
 
     def test_small_truncations_flag_complex_bottom(self):
-        rows = truncation_convergence(2.0, [2, 20])
-        assert rows[0]["complex_pair"]
+        rows = bottom_rows(2.0, [2, 20])
+        assert rows[0]["complex_bottom"]
         assert rows[0]["E1"] == pytest.approx(2.5)
-        assert not rows[1]["complex_pair"]
-
-    def test_requires_increasing_sizes(self):
-        with pytest.raises(ValueError):
-            truncation_convergence(1.0, [10, 10])
+        assert not rows[1]["complex_bottom"]
 
 
 class TestVerifyFloor:
@@ -233,7 +238,8 @@ class TestVerifyFloor:
         # spectrum 2 +- 3.7i has no real point, but min diag = 0.5 < 1
         monkeypatch.setattr(whittakerhill, "ince_matrix",
                             lambda a, N: Tridiagonal([0.5, 3.5], [4.0], [-4.0]))
-        row = verify_E_geq_1([1.0], N=2, delta=0.5)["table"][0]
+        monkeypatch.setattr(whittakerhill, "SECTOR_DELTA", 0.5)
+        row = verify_E_geq_1([1.0], N=2)["table"][0]
         assert row["hypotheses_ok"] and not row["in_sector"]
         assert row["bendixson_floor"] == 0.5 and not row["pass"]
 
@@ -269,7 +275,9 @@ class TestVerifyFloor:
         # hypotheses fail (delta too large), fatal when they hold
         monkeypatch.setattr(whittakerhill, "eig_general_tridiagonal",
                             lambda tri: np.array([0.5 + 0.0j, 4.0 + 0.0j]))
-        row = verify_E_geq_1([1.0], N=2, delta=10.0)["table"][0]
+        with monkeypatch.context() as patch:
+            patch.setattr(whittakerhill, "SECTOR_DELTA", 10.0)
+            row = verify_E_geq_1([1.0], N=2)["table"][0]
         assert row["in_sector"]
         assert not row["hypotheses_ok"] and not row["pass"]
         with pytest.raises(CertificateFailed):
@@ -438,10 +446,10 @@ class TestWHGridGuard:
         # the ground state drifts to -1e-3: the shared zero-mode
         # certificate rejects it and names the coupling
         def shifted(a, n):
-            diag, off, corner = _wh_bands(a, n)
+            diag, off, corner = wh_bands(a, n)
             return diag - 1e-3, off, corner
 
-        monkeypatch.setattr(whittakerhill, "_wh_bands", shifted)
+        monkeypatch.setattr(oracles, "wh_bands", shifted)
         with pytest.raises(GridTooCoarse, match=r"coupling a=2\.5 is not isolated: 1 eigenvalue"):
             wh_spectrum(2.5, n=128)
 
@@ -455,11 +463,7 @@ class TestWHGridGuard:
         # Schur complement; the bound is the same 1e-10 for every a.
         bound = 1e-10
         for n in (64, 256, 1024):
-            diag, off, corner = _wh_bands(a, n)
-            dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-            dense[0, -1] += corner
-            dense[-1, 0] += corner
-            want = np.linalg.eigvalsh(dense)[1:5]
+            want = np.linalg.eigvalsh(periodic_dense(*wh_bands(a, n)))[1:5]
             vals = wh_spectrum(a, n=n, k=5)
             assert 0.0 <= vals[0] < 1e-20, (a, n)
             assert np.all(np.abs(vals[1:] - want) <= bound * np.maximum(1.0, want)), (a, n)
@@ -475,9 +479,8 @@ class TestEqualityPipeline:
         kappa = 2.0
         rescaled = []
         for mode in ModeWindow(2, 2).modes():
-            params = mode_to_wh(kappa, mode)
-            E1 = wh_spectrum(params, n=circle_kappa2.n, k=2)[1]
-            rescaled.append(params.eigenvalue_from_E(E1))
+            E1 = wh_spectrum(np.hypot(*mode) / kappa, n=circle_kappa2.n, k=2)[1]
+            rescaled.append(kappa * E1 / 2)
         report = lambda1_kohn(circle_kappa2, ModeWindow(2, 2))
         assert min(rescaled) == pytest.approx(kappa / 2, rel=1e-4)
         assert min(rescaled) == pytest.approx(report.lambda1_estimate, rel=1e-6)
