@@ -11,9 +11,9 @@ from kohnspec import (
     CertificateFailed,
     NoConvergence,
     Tridiagonal,
-    eig_general_tridiagonal,
     build_curve,
     circle_profile,
+    eig_general_tridiagonal,
     ince_matrix,
     mode_spectra,
     verify_E_geq_1,
