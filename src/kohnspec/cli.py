@@ -20,6 +20,10 @@ import numpy as np
 # others.  The curve errors are ValueErrors.
 _INPUT_ERRORS = (ValueError, KeyError, OSError, json.JSONDecodeError)
 
+#: Most couplings of a ``wh-sweep``: each row of its table holds about 650
+#: bytes until the table is written, so this keeps the table under 200 MB.
+_MAX_STEPS = 2**18
+
 
 def _finite_float(text: str) -> float:
     value = float(text)
@@ -62,6 +66,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_wh_sweep(args: argparse.Namespace) -> int:
     if args.a_min > args.a_max:
         raise ValueError("--a-min must not exceed --a-max")
+    if args.steps > _MAX_STEPS:
+        raise ValueError(f"--steps must be at most {_MAX_STEPS}, got {args.steps}")
     from .whittakerhill import CertificateFailed, verify_E_geq_1
 
     a_values = np.linspace(args.a_min, args.a_max, args.steps)

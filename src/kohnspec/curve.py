@@ -33,6 +33,11 @@ DEFAULT_CLOSURE_TOL = 1e-8
 #: Absolute tolerance on the first Fourier harmonic of a profile.
 FIRST_HARMONIC_TOL = 1e-12
 
+#: Largest grid: building a curve holds about 650 bytes per grid point
+#: (a dense table of 8 x grid turning angles and its arc lengths), so
+#: this keeps it under 200 MB.
+MAX_GRID = 2**18
+
 
 class NonPositiveCurvature(ValueError):
     """The radius-of-curvature profile (or a curvature sample) is not positive."""
@@ -245,8 +250,9 @@ def random_profile(seed: int) -> RadiusOfCurvatureProfile:
 
 
 def _validate_grid(n) -> int:
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 16 or n % 2:
-        raise ValueError(f"grid size must be an even integer >= 16, got {n!r}")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 16 <= n <= MAX_GRID \
+            or n % 2:
+        raise ValueError(f"grid size must be an even integer from 16 to {MAX_GRID}, got {n!r}")
     return int(n)
 
 

@@ -37,6 +37,11 @@ KAPPA_VARIANCE_TOL = 1e-10
 #: Cap on the window expansions of an adaptive sweep.
 MAX_ADAPTIVE_ROUNDS = 6
 
+#: Largest grid x modes of a sweep: the (grid, modes) diagonal bands take
+#: 8 bytes an entry, and the inertia kernel's workspace of grid x columns
+#: up to about three columns a mode, so this keeps each under 100 MiB.
+MAX_BAND_ENTRIES = 2**22
+
 WINDOW_CAVEAT = ("window truncation is heuristic: no growth rate of the "
                  "per-mode spectra in (m, l) is certified")
 
@@ -110,16 +115,24 @@ def lambda1_kohn(curve: GeneratingCurve, window: ModeWindow,
     The (0, 0) mode is always part of the window.  With ``adaptive`` set,
     the window grows by one in each direction while some boundary mode
     attains the current minimum within 10 percent (capped at
-    MAX_ADAPTIVE_ROUNDS expansions).
+    MAX_ADAPTIVE_ROUNDS expansions).  A window whose modes times the grid
+    exceed MAX_BAND_ENTRIES is a ValueError, raised before its modes are
+    built.
     """
     table: dict[ModeIndex, ModeEigenvalues] = {}
 
-    def sweep(modes):
-        new = [mode for mode in modes if mode not in table]
+    def sweep(window):
+        count = (2 * window.m_max + 1) * (2 * window.l_max + 1)
+        if curve.n * count > MAX_BAND_ENTRIES:
+            raise ValueError(
+                f"window ({window.m_max}, {window.l_max}) at grid {curve.n} needs {count} "
+                f"modes x {curve.n} = {count * curve.n} band entries, more than "
+                f"{MAX_BAND_ENTRIES}")
+        new = [mode for mode in window.modes() if mode not in table]
         for mode, (lam0, lam1) in zip(new, mode_spectra(curve, new, k=2)):
             table[mode] = ModeEigenvalues(mode.m, mode.l, float(lam0), float(lam1))
 
-    sweep(window.modes())
+    sweep(window)
     rounds = 0
     if adaptive:
         while rounds < MAX_ADAPTIVE_ROUNDS:
@@ -128,7 +141,7 @@ def lambda1_kohn(curve: GeneratingCurve, window: ModeWindow,
             if boundary_best > 1.1 * best:
                 break
             window = window.grow()
-            sweep(window.modes())
+            sweep(window)
             rounds += 1
 
     entries = [table[mode] for mode in sorted(table, key=lambda mo: (mo.m, mo.l))]

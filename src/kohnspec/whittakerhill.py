@@ -21,13 +21,11 @@ floor is what makes the circle the equality case of the global bound.
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
-import threading
+import functools
 
 import numpy as np
 
+from . import shares
 from .eigen import (CertificateResult, Tridiagonal, bendixson_floor, eig_general_tridiagonal,
                     point_in_sector, sector_exclusion_certificate)
 
@@ -40,6 +38,11 @@ REAL_FLOOR_TOL = 1e-8
 
 #: Imag parts below this (relative) are eigensolver roundoff on a real eigenvalue.
 REAL_PART_TOL = 1e-8
+
+#: Largest truncation size: QL holds about 112 bytes per row (the complex
+#: bands, then lists of builtin complex), so this keeps one solve under
+#: 120 MB.
+MAX_N = 2**20
 
 
 class CertificateFailed(RuntimeError):
@@ -108,84 +111,6 @@ def _share_rows(a_values, N: int, start: int, step: int):
     return rows, None
 
 
-def _worker_count(couplings: int) -> int:
-    """CPUs this process may run on, at most one per two couplings.
-
-    One without fork, or while another Python thread runs: a forked child
-    keeps only the calling thread, and locks the others held stay taken.
-    """
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") \
-            or threading.active_count() > 1:
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), couplings // 2))
-
-
-def _child_share(read_fd: int, write_fd: int, a_values, N: int, share: int, workers: int):
-    """In a forked child: pickle one share's result to the pipe and exit.
-
-    ``os._exit`` never returns into the caller and never flushes stdio
-    buffers copied from the parent.  The exit status is 0 only once the
-    whole result is written.
-    """
-    code = 1
-    try:
-        os.close(read_fd)
-        with open(write_fd, "wb") as pipe:
-            pipe.write(pickle.dumps(_share_rows(a_values, N, share, workers)))
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _run_shares(a_values, N: int, workers: int) -> list:
-    """``_share_rows`` of each interleaved share a_values[w::workers].
-
-    Share 0 runs in this process, every other share in a forked child that
-    pickles its result to a pipe.  All pipes are read to their end and all
-    children reaped before anything is returned or raised; if this process
-    is interrupted, it kills and reaps its children first.
-    """
-    pipes = {}  # pid -> read end, until it is read
-    live = []  # forked and not yet reaped
-    payloads, statuses = [], []
-    try:
-        for share in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                _child_share(read_fd, write_fd, a_values, N, share, workers)
-            live.append(pid)
-            pipes[pid] = read_fd
-            os.close(write_fd)
-        shares = [_share_rows(a_values, N, 0, workers)]
-        for pid in live:
-            with open(pipes.pop(pid), "rb") as pipe:
-                payloads.append(pipe.read())
-        while live:
-            statuses.append(os.waitpid(live[0], 0)[1])
-            live.pop(0)
-    except BaseException:
-        for pid in live:
-            os.kill(pid, signal.SIGKILL)
-        for pid in live:
-            os.waitpid(pid, 0)
-        raise
-    finally:
-        for fd in pipes.values():
-            os.close(fd)
-    for share, (payload, status) in enumerate(zip(payloads, statuses), start=1):
-        if status != 0 or not payload:
-            raise RuntimeError(f"the worker for share {share} of the coupling sweep did not "
-                               f"return its result (wait status {status})")
-        shares.append(pickle.loads(payload))
-    return shares
-
-
 def verify_E_geq_1(a_values, N: int = 60) -> dict:
     """Certify the spectral floor E >= 1 for a sweep of couplings.
 
@@ -199,23 +124,17 @@ def verify_E_geq_1(a_values, N: int = 60) -> dict:
     least 1 too.  Returns {"all_pass": bool, "table": rows}, one row per
     coupling in the given order.
 
-    The couplings are independent, so they are split into interleaved
-    shares a_values[w::workers], one per CPU this process may run on and
-    at least two couplings each.  This process computes share 0; each
-    other share runs in a forked child and comes back pickled through a
-    pipe.  The rows are the same bits as a run in one process, and of the
-    couplings that raise, the first one's exception is raised, as a run in
-    one process would raise it.  Without ``os.fork``, while another Python
-    thread runs, with one CPU or with fewer than four couplings, everything
-    runs in this process.
+    The couplings are independent, so ``shares.interleaved`` splits them
+    into interleaved shares a_values[w::workers], one per CPU this process
+    may run on and at least two couplings each; shares past the first run
+    in forked children.  The rows are the same bits as a run in one
+    process, and of the couplings that raise, the first one's exception is
+    raised, as a run in one process would raise it.  Without ``os.fork``,
+    while another Python thread runs, with one CPU or with fewer than four
+    couplings, everything runs in this process.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    if not 1 <= N <= MAX_N:
+        raise ValueError(f"N must be from 1 to {MAX_N}, got {N}")
     a_values = [float(a) for a in a_values]
-    workers = _worker_count(len(a_values))
-    shares = _run_shares(a_values, N, workers)
-    failures = [failure for _, failure in shares if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    table = [shares[i % workers][0][i // workers] for i in range(len(a_values))]
+    table = shares.interleaved(functools.partial(_share_rows, a_values, N), len(a_values), 2)
     return {"all_pass": all(row["pass"] for row in table), "table": table}

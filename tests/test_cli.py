@@ -231,6 +231,32 @@ class TestNonFiniteInput:
         assert field in capsys.readouterr().err
 
 
+class TestOversizedInput:
+    """Sizes past each one's working-set limit exit 1 before they allocate."""
+
+    @pytest.mark.parametrize("argv, field", [
+        (["analyze", "{spec}", "--grid", "1000000000000000"], "grid"),
+        (["analyze", "{big_grid}"], "grid"),
+        (["analyze", "{spec}", "--window", "1000000000", "1000000000"], "window"),
+        (["analyze", "{spec}", "--grid", "16384"], "window (8, 8) at grid 16384"),
+        (["wh-sweep", "--N", "1000000000000000"], "N must"),
+        (["wh-sweep", "--steps", "1000000000000000"], "--steps"),
+        (["make-curve", "circle", "--grid", "1000000000000000"], "grid"),
+    ])
+    def test_exits_one_with_a_message(self, argv, field, tmp_path):
+        spec, big_grid = tmp_path / "circle.json", tmp_path / "big.json"
+        assert run(["make-curve", "circle", "--out", str(spec)]) == 0
+        big_grid.write_text(json.dumps({"rho": {"cos": [1.0]}, "grid": 10**15}))
+        argv = [arg.format(spec=spec, big_grid=big_grid) for arg in argv]
+        proc = subprocess.run([sys.executable, "-m", "kohnspec.cli", *argv, "--out",
+                               str(tmp_path / "out")], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr, proc.stderr
+        assert field in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+
 class TestUsage:
     def test_no_command(self):
         assert run([]) == 1

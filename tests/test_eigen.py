@@ -253,6 +253,61 @@ class TestPeriodicInertia:
             assert np.count_nonzero(np.abs(ev - d[s]) < 1e-9) == 1
             assert tridiagonal_count(d, e, d[s]) == np.count_nonzero(ev < d[s] - 1e-9) + 1
 
+    @pytest.mark.usefixtures("raise_fp")
+    @pytest.mark.parametrize("block_rows", [2, 3, 5])
+    def test_many_separators(self, monkeypatch, block_rows):
+        # blocks of a few rows make K > 4 separators, and a Schur
+        # complement that is cut again, already at small n: quarter steps of
+        # the free Laplacian put zero pivots next to every separator, and
+        # small integer matrices put them anywhere, at every remainder
+        # of n mod K
+        monkeypatch.setattr(eigen_mod, "_BLOCK_ROWS", block_rows)
+        for n in range(13, 70, 3):
+            bands = wh_bands(0.0, n)
+            ev = np.linalg.eigvalsh(periodic_dense(*bands))
+            check_counts(bands, ev, [bands[0][0] * j / 4 for j in range(-1, 18)])
+        rng = np.random.default_rng(61)
+        for _ in range(100):
+            n = int(rng.integers(13, 90))
+            d, e = rng.integers(-2, 3, n).astype(float), rng.integers(-2, 3, n - 1).astype(float)
+            corner = float(rng.integers(-2, 3))
+            ev = np.linalg.eigvalsh(periodic_dense(d, e, corner))
+            check_counts((d, e, corner), ev, np.arange(-6.0, 6.5, 0.5))
+
+    @pytest.mark.usefixtures("raise_fp")
+    def test_many_separators_at_default_blocks(self):
+        # n >= 128 cuts A - x into more than 4 blocks of about 32 rows
+        rng = np.random.default_rng(62)
+        for n in (128, 130, 161, 256, 300):
+            d, e = rng.integers(-2, 3, n).astype(float), rng.integers(-2, 3, n - 1).astype(float)
+            e[rng.random(n - 1) < 0.3] = 0.0
+            corner = float(rng.integers(-2, 3))
+            ev = np.linalg.eigvalsh(periodic_dense(d, e, corner))
+            check_counts((d, e, corner), ev, np.arange(-6.0, 6.5, 0.5))
+
+    def test_node_inside_the_schur_complement(self, monkeypatch):
+        # blocks of one row, diagonal 1 at x = 0 and coupled by 1 to both
+        # separators, whose diagonal is 4 - y: the blocks have no negative
+        # pivot, and S is the periodic Laplacian (2, -1) minus y, whose own
+        # elimination meets zero pivots at the quarter steps y = j / 2
+        monkeypatch.setattr(eigen_mod, "_BLOCK_ROWS", 2)
+        dense = []
+        small = eigen_mod._small_negatives
+
+        def spy(diag, off):
+            dense.append(len(diag))
+            return small(diag, off)
+
+        monkeypatch.setattr(eigen_mod, "_small_negatives", spy)
+        for k in (10, 14, 22, 26):
+            for y in np.arange(0.5, 4.0, 0.5):
+                d = np.ones(2 * k)
+                d[::2] = 4.0 - y
+                e = np.ones(2 * k - 1)
+                ev = np.linalg.eigvalsh(periodic_dense(d, e, 1.0))
+                check_counts((d, e, 1.0), ev, [0.0])
+        assert dense  # nodes were counted inside S, the blocks have none
+
     def test_counts_monotone_next_to_double_eigenvalues(self):
         # the circle's mode (0, 0), the paper's equality case, and the free
         # Whittaker-Hill operator have a double lambda_1 = lambda_2; across

@@ -1,3 +1,7 @@
+import os
+import signal
+import threading
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,7 @@ from kohnspec import (
     random_profile,
     rayleigh_quotient,
 )
+from kohnspec import shares
 from kohnspec.modes import ZERO_MODE_TOL, assemble_bands
 from oracles import periodic_dense, wh_spectrum
 
@@ -216,6 +221,8 @@ class TestModeSpectra:
             return inertia(bands, x)
 
         monkeypatch.setattr(eigen_mod, "_periodic_inertia", counted)
+        # in one process, so that every share's calls are counted
+        monkeypatch.setattr(shares, "_worker_count", lambda items, least: 1)
         mode_spectra(build_curve(random_profile(7), 512), list(ModeWindow(8, 8).modes()))
         assert len(columns) <= 25 and sum(columns) <= 11_000, (len(columns), sum(columns))
 
@@ -305,3 +312,87 @@ class TestPairModes:
         plus = mode_spectrum(asymmetric_curve, (0, 1), k=2)[1]
         minus = mode_spectrum(asymmetric_curve, (0, -1), k=2)[1]
         assert abs(plus - minus) > 1e-3
+
+
+class TestShares:
+    """mode_spectra split over forked children, against one process."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        # a stuck pipe read or wait fails the test instead of hanging it;
+        # forked children do not inherit the alarm
+        def expire(signum, frame):
+            raise TimeoutError("the sweep did not finish")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def count_forks(monkeypatch):
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            forks.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        return forks
+
+    @staticmethod
+    def workers(monkeypatch, count):
+        monkeypatch.setattr(shares, "_worker_count", lambda items, least: count)
+
+    def test_rows_equal_one_process(self, monkeypatch):
+        curve = build_curve(random_profile(7), 512)
+        modes = list(ModeWindow(8, 8).modes())
+        self.workers(monkeypatch, 1)
+        serial = mode_spectra(curve, modes)
+        forks = self.count_forks(monkeypatch)
+        self.workers(monkeypatch, 2)
+        parallel = mode_spectra(curve, modes)
+        assert len(forks) == 1
+        assert parallel.tobytes() == serial.tobytes()
+
+    @pytest.mark.parametrize("modes", [[(0, 0), (3, 1), (1, -2), (2, 2)],
+                                       [(0, 0), (1, -2), (2, 2), (3, 1)]])
+    def test_grid_too_coarse_names_the_first_mode_across_shares(self, unit_circle, monkeypatch,
+                                                                modes):
+        # two shares, each with one failing mode: the first failing mode in
+        # the given order is named, whichever share it lands in
+        shift_modes(monkeypatch, {(1, -2): -1e-3, (2, 2): -1e-3})
+        forks = self.count_forks(monkeypatch)
+        self.workers(monkeypatch, 2)
+        with pytest.raises(GridTooCoarse, match=r"mode \(1, -2\) is not isolated: 1 eigenvalue"):
+            mode_spectra(unit_circle, modes)
+        assert len(forks) == 1
+
+    def test_small_window_stays_in_process(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        forks = self.count_forks(monkeypatch)
+        curve = build_curve(random_profile(7), 128)
+        mode_spectra(curve, [(0, 0)])
+        assert forks == []
+        mode_spectra(curve, list(ModeWindow(8, 8).modes()))
+        assert len(forks) == 1
+
+    def test_no_fork_while_a_thread_runs(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        forks = self.count_forks(monkeypatch)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            rows = mode_spectra(build_curve(random_profile(7), 128), list(ModeWindow(8, 8).modes()))
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == [] and rows.shape == (289, 2)
