@@ -32,13 +32,7 @@ _EXPORTS = {
         "webster_scalar_curvature",
     ),
     "eigen": (
-        "NoConvergence",
-        "SectorRegion",
-        "Tridiagonal",
-        "eig_general_tridiagonal",
         "eig_periodic_sym_tridiagonal",
-        "point_in_sector",
-        "sector_exclusion_certificate",
     ),
     "modes": (
         "GridTooCoarse",
@@ -56,7 +50,13 @@ _EXPORTS = {
     ),
     "whittakerhill": (
         "CertificateFailed",
+        "NoConvergence",
+        "SectorRegion",
+        "Tridiagonal",
+        "eig_general_tridiagonal",
         "ince_matrix",
+        "point_in_sector",
+        "sector_exclusion_certificate",
         "verify_E_geq_1",
     ),
 }

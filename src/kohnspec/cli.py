@@ -12,12 +12,12 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
-import numpy as np
-
 # Each command imports the modules it runs, so that no run compiles the
-# others.  The curve errors are ValueErrors.
+# others, and only ``analyze`` and ``make-curve`` import numpy.  The curve
+# errors are ValueErrors.
 _INPUT_ERRORS = (ValueError, KeyError, OSError, json.JSONDecodeError)
 
 #: Most couplings of a ``wh-sweep``: each row of its table holds about 650
@@ -27,7 +27,7 @@ _MAX_STEPS = 2**18
 
 def _finite_float(text: str) -> float:
     value = float(text)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {value!r}")
     return value
 
@@ -37,6 +37,27 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _linspace(start: float, stop: float, num: int) -> list:
+    """numpy.linspace(start, stop, num) as a list of floats, bit for bit.
+
+    numpy's arithmetic: i * step + start with step = (stop - start) /
+    (num - 1), or i / (num - 1) * (stop - start) + start where that step
+    is 0 (it underflowed), the last value set to ``stop``; one value is
+    0.0 * (stop - start) + start.
+    """
+    delta = stop - start
+    if num == 1:
+        return [0.0 * delta + start]
+    div = num - 1
+    step = delta / div
+    if step == 0.0:
+        values = [i / div * delta + start for i in range(num)]
+    else:
+        values = [i * step + start for i in range(num)]
+    values[-1] = stop
+    return values
 
 
 def _write_output(data: bytes, out: str | None) -> None:
@@ -70,7 +91,7 @@ def cmd_wh_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"--steps must be at most {_MAX_STEPS}, got {args.steps}")
     from .whittakerhill import CertificateFailed, verify_E_geq_1
 
-    a_values = np.linspace(args.a_min, args.a_max, args.steps)
+    a_values = _linspace(args.a_min, args.a_max, args.steps)
     try:
         result = verify_E_geq_1(a_values, N=args.N)
     except CertificateFailed as exc:

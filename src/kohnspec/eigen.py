@@ -1,217 +1,39 @@
-"""Self-contained eigensolvers for the discretized operators.
+"""Self-contained eigensolver for the periodic mode operators of ``analyze``.
 
-Two routes, each matched to a matrix class that actually occurs here:
+Symmetric periodic tridiagonal matrices (band plus one wrap-around
+corner) are solved by Sturm-type bisection driven by inertia counts, O(n)
+per probe.  Separator rows, one about every 32, split the shifted matrix
+into tridiagonal blocks, which one numpy kernel eliminates side by side
+for a batch of (matrix, shift) columns, in about 32 row steps;
+Haynsworth's inertia additivity adds the inertia of the cyclic tridiagonal
+Schur complement on the separators, which the same kernel counts in turn
+until 4 separators are left, whose 4 x 4 complement is made tridiagonal by
+two Givens rotations (nested dissection, George 1973).  The same pivots
+give det(A - x), and a bracket that isolates its eigenvalue is polished on
+it by the enclosing steps of Alefeld, Potra & Shi (Algorithm 748), each
+probe's count keeping the bracket certified.
 
-* general real tridiagonal matrices, which are non-normal and may carry
-  complex spectra: a diagonal similarity to a complex symmetric
-  tridiagonal (off-diagonal sqrt(upper * lower)), split where a product
-  vanishes, then the implicit-shift QL iteration in complex arithmetic
-  (Cullum & Willoughby), O(n) per sweep;
-* symmetric periodic tridiagonal matrices (band plus one wrap-around
-  corner): Sturm-type bisection driven by inertia counts, O(n) per probe.
-  Separator rows, one about every 32, split the shifted matrix into
-  tridiagonal blocks, which one numpy kernel eliminates side by side for a
-  batch of (matrix, shift) columns, in about 32 row steps; Haynsworth's
-  inertia additivity adds the inertia of the cyclic tridiagonal Schur
-  complement on the separators, which the same kernel counts in turn
-  until 4 separators are left, whose 4 x 4 complement is made tridiagonal
-  by two Givens rotations (nested dissection, George 1973).  The same
-  pivots give det(A - x), and a bracket that isolates its eigenvalue is
-  polished on it by the enclosing steps of Alefeld, Potra & Shi
-  (Algorithm 748), each probe's count keeping the bracket certified.
-
-This module also hosts the sector-exclusion certificate for tridiagonal
-matrices with positive diagonal and nonpositive off-diagonal products:
-such a matrix has no eigenvalue in the open sector
-{Re z < mu, |Im z| < delta (1 - Re z / mu)} with mu the smallest
-diagonal entry, provided 0 < delta <= (pi/2) / sum_k 1/delta_k.
-The certificate checks the hypotheses per instance so callers can assert
-the exclusion on computed spectra.  Bendixson's floor Re z >= mu needs
-only the nonpositive products.
+The general real tridiagonal matrices of ``wh-sweep`` (the Ince
+truncations), their QL eigensolver and the sector-exclusion certificate
+live in ``whittakerhill``, on builtin floats, so that neither command
+compiles the other's solver.
 """
 
 from __future__ import annotations
 
-import cmath
 import copy
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
-class NoConvergence(RuntimeError):
-    """An eigenvalue iteration hit its sweep cap without deflating."""
-
-
-# ---------------------------------------------------------------------------
-# matrix carriers
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Tridiagonal:
-    """General real tridiagonal matrix.
-
-    ``upper[k]`` is the entry (k, k+1) and ``lower[k]`` the entry (k+1, k).
-    """
-
-    diag: np.ndarray
-    upper: np.ndarray
-    lower: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.diag, dtype=float)
-        up = np.asarray(self.upper, dtype=float)
-        lo = np.asarray(self.lower, dtype=float)
-        if len(up) != max(len(d) - 1, 0) or len(lo) != max(len(d) - 1, 0):
-            raise ValueError("off-diagonals must have length n-1")
-        object.__setattr__(self, "diag", d)
-        object.__setattr__(self, "upper", up)
-        object.__setattr__(self, "lower", lo)
-
-    @property
-    def n(self) -> int:
-        return len(self.diag)
-
-    def to_dense(self) -> np.ndarray:
-        return np.diag(self.diag) + np.diag(self.upper, 1) + np.diag(self.lower, -1)
-
-
-@dataclass(frozen=True)
-class SectorRegion:
-    """Open sector {Re z < mu, |Im z| < delta * (1 - Re z / mu)}."""
-
-    mu: float
-    delta: float
-
-    def __post_init__(self):
-        if not (self.mu > 0 and self.delta > 0):
-            raise ValueError("sector parameters must be positive")
-
-
-@dataclass(frozen=True)
-class CertificateResult:
-    hypotheses_ok: bool
-    region: SectorRegion | None
-    failures: tuple = ()
-
-
-# ---------------------------------------------------------------------------
-# QL kernel
-# ---------------------------------------------------------------------------
-
-#: Sweeps that QL may spend deflating one eigenvalue before NoConvergence.
-_QL_MAX_SWEEPS = 40
-
-
-def _tqli_kernel(d, e, max_sweeps):
-    """Implicit-shift QL on a complex symmetric tridiagonal (d, e), eigenvalues only.
-
-    ``d`` and ``e`` are lists of n builtin complex numbers (indexing numpy
-    scalars cost half the kernel's time), e[n-1] being workspace; the
-    eigenvalues overwrite ``d``.  The rotations are complex orthogonal
-    (c^2 + s^2 = 1, no conjugation), so a real symmetric input stays real
-    and the recurrence is the classic tqli one.  Returns 0 on success,
-    1 + index of the eigenvalue whose deflation exceeded ``max_sweeps``, or
-    -(1 + index) when a rotation met f^2 + g^2 = 0 with (f, g) != 0, also
-    after scaling by max(|f|, |g|), where no complex orthogonal rotation
-    exists (isotropic breakdown).
-    """
-    n = len(d)
-    eps = 2.220446049250313e-16
-    for low in range(n):
-        sweeps = 0
-        while True:
-            m = low
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= eps * dd:
-                    break
-                m += 1
-            if m == low:
-                break
-            sweeps += 1
-            if sweeps > max_sweeps:
-                return low + 1
-            # Wilkinson-type shift: the root of the leading 2x2 nearer d[low]
-            g = (d[low + 1] - d[low]) / (2.0 * e[low])
-            r = cmath.sqrt(g * g + 1.0)
-            if abs(g - r) > abs(g + r):
-                r = -r
-            g = d[m] - d[low] + e[low] / (g + r)
-            s = 1.0 + 0.0j
-            c = 1.0 + 0.0j
-            p = 0.0j
-            underflow = False
-            for i in range(m - 1, low - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = cmath.sqrt(f * f + g * g)
-                e[i + 1] = r
-                if r == 0.0:
-                    if f == 0.0 and g == 0.0:
-                        d[i + 1] -= p
-                        e[m] = 0.0
-                        underflow = True
-                        break
-                    # f^2 + g^2 underflowed or cancelled: scaled by the
-                    # larger of |f|, |g|, only an isotropic pair gives 0
-                    big = max(abs(f), abs(g))
-                    r = big * cmath.sqrt((f / big) ** 2 + (g / big) ** 2)
-                    if r == 0.0:
-                        return -(low + 1)
-                    e[i + 1] = r
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-            if underflow:
-                continue
-            d[low] -= p
-            e[low] = g
-            e[m] = 0.0
-    return 0
-
-
-def _ql_eigenvalues(diag, offdiag) -> np.ndarray:
-    """Eigenvalues of the complex symmetric tridiagonal (diag, offdiag), unsorted.
-
-    The matrix is first scaled by a power of two, which is exact, so that
-    its largest entry lies in [1/2, 1): the rotations square their inputs,
-    and the scaling keeps those squares clear of overflow.  The kernel runs
-    on lists of builtin complex, half the time of numpy scalars; where that
-    arithmetic raises (numpy's returned inf), it counts as a non-finite
-    result.  Raises NoConvergence when an eigenvalue needs more than
-    _QL_MAX_SWEEPS sweeps, when a rotation breaks down, or when the result
-    is not finite, and ValueError on a non-finite entry.
-    """
-    n = len(diag)
-    d = np.array(diag, dtype=complex)
-    e = np.zeros(n, dtype=complex)
-    e[: n - 1] = offdiag
-    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
-        raise ValueError("matrix entries must be finite")
-    big = max(np.abs(d).max(initial=0.0), np.abs(e).max(initial=0.0))
-    scale = math.ldexp(1.0, math.frexp(big)[1]) if big > 0.0 else 1.0
-    values = (d / scale).tolist()
-    try:
-        status = _tqli_kernel(values, (e / scale).tolist(), _QL_MAX_SWEEPS)
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise NoConvergence(f"QL iteration left the floating-point range: {exc}") from exc
-    if status > 0:
-        raise NoConvergence(
-            f"QL iteration exceeded {_QL_MAX_SWEEPS} sweeps at eigenvalue {status - 1}")
-    if status < 0:
-        raise NoConvergence(
-            f"isotropic QL rotation (f^2 + g^2 = 0) at eigenvalue {-status - 1}")
-    d = np.array(values, dtype=complex)
-    if not np.all(np.isfinite(d)):
-        raise NoConvergence("QL iteration produced a non-finite eigenvalue")
-    return d * scale
+def __getattr__(name):
+    # Only perfbench/oracle.py imports these two from here; this goes once
+    # the benchmark oracle has its own sector test (ROADMAP item 1).
+    if name in ("point_in_sector", "sector_exclusion_certificate"):
+        from . import whittakerhill
+        return getattr(whittakerhill, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -408,28 +230,32 @@ def _householder_tridiagonalize(matrix: np.ndarray):
     a = np.array(matrix, dtype=float, copy=True)
     n = a.shape[0]
     e = np.zeros(max(n - 1, 0))
-    for i in range(n - 1, 0, -1):
-        if i > 1:
-            row = a[i, :i].copy()
-            scale = np.abs(row).sum()
-            if scale == 0.0:
-                e[i - 1] = 0.0
-                continue
-            u = row / scale
-            h = u @ u
-            f = u[-1]
-            g = -math.copysign(math.sqrt(h), f)
-            e[i - 1] = scale * g
-            h -= f * g
-            u[-1] = f - g
-            block = a[:i, :i]
-            p = (block @ u) / h
-            k = (u @ p) / (2.0 * h)
-            q = p - k * u
-            block -= np.outer(q, u)
-            block -= np.outer(u, q)
-        else:
-            e[0] = a[1, 0]
+    # the caller scales the matrix's largest entry into [1/2, 1): a product
+    # that underflows is below 2^-1022, which moves the reduction by far
+    # less than its own roundoff of about 2^-53 per entry
+    with np.errstate(under="ignore"):
+        for i in range(n - 1, 0, -1):
+            if i > 1:
+                row = a[i, :i].copy()
+                scale = np.abs(row).sum()
+                if scale == 0.0:
+                    e[i - 1] = 0.0
+                    continue
+                u = row / scale
+                h = u @ u
+                f = u[-1]
+                g = -math.copysign(math.sqrt(h), f)
+                e[i - 1] = scale * g
+                h -= f * g
+                u[-1] = f - g
+                block = a[:i, :i]
+                p = (block @ u) / h
+                k = (u @ p) / (2.0 * h)
+                q = p - k * u
+                block -= np.outer(q, u)
+                block -= np.outer(u, q)
+            else:
+                e[0] = a[1, 0]
     return np.diag(a).copy(), e
 
 
@@ -966,124 +792,3 @@ def eig_periodic_sym_tridiagonal(diag, offdiag, corner, k: int = 1, start: int =
         lower = np.broadcast_to(np.asarray(lower, dtype=float), bands.corner.shape)
     vals = _bisect(bands, k, start, lower)
     return vals[0] if single else vals
-
-
-# ---------------------------------------------------------------------------
-# general tridiagonal path
-# ---------------------------------------------------------------------------
-
-
-def _close_under_conjugation(ev: np.ndarray) -> np.ndarray:
-    """Snap the computed spectrum of a real matrix onto a conjugation-closed set.
-
-    Complex QL does not preserve realness: a real eigenvalue comes out with
-    a roundoff imaginary part, and the members of a conjugate pair differ
-    by roundoff.  In order of increasing |Im z|, each unmatched eigenvalue z
-    is compared with the unmatched eigenvalue w nearest its conjugate.  If
-    z lies at least as close to its own conjugate (2 |Im z| <= |w - conj z|)
-    it is real and its imaginary part is dropped; otherwise z and w form a
-    pair and both get the mean real part and +- the mean |imaginary| part.
-    """
-    out = ev.copy()
-    free = np.ones(len(ev), dtype=bool)
-    for i in np.argsort(np.abs(ev.imag), kind="stable"):
-        if not free[i]:
-            continue
-        free[i] = False
-        gap = np.where(free, np.abs(ev - np.conj(ev[i])), np.inf)
-        j = int(np.argmin(gap))
-        if 2.0 * abs(ev[i].imag) <= gap[j]:
-            out[i] = ev[i].real
-            continue
-        free[j] = False
-        re = 0.5 * (ev[i].real + ev[j].real)
-        im = 0.5 * (abs(ev[i].imag) + abs(ev[j].imag))
-        up, down = (i, j) if ev[i].imag >= ev[j].imag else (j, i)
-        out[up], out[down] = complex(re, im), complex(re, -im)
-    return out
-
-
-def eig_general_tridiagonal(tri: Tridiagonal) -> np.ndarray:
-    """All eigenvalues of a real tridiagonal matrix as complex numbers.
-
-    Where upper[k] * lower[k] != 0 the matrix is diagonally similar to the
-    complex symmetric tridiagonal with the same diagonal and off-diagonal
-    sqrt(upper[k] * lower[k]); where the product vanishes it is block
-    triangular and its spectrum is the union of the diagonal blocks'.  Each
-    block runs through implicit-shift QL in complex arithmetic, O(n) per
-    sweep.  NoConvergence is raised when one eigenvalue needs more than
-    _QL_MAX_SWEEPS sweeps or a rotation meets isotropic breakdown.  The result
-    is closed under conjugation, like the spectrum of any real matrix, and
-    sorted by (real, imaginary) part, which keeps conjugate pairs adjacent.
-    """
-    up, lo = tri.upper, tri.lower
-    coupling = np.sqrt(np.abs(up)) * np.sqrt(np.abs(lo))
-    offdiag = np.where((up < 0.0) != (lo < 0.0), 1j * coupling, coupling)
-    bounds = [0, *(np.flatnonzero(coupling == 0.0) + 1).tolist(), tri.n]
-    ev = np.concatenate([
-        _ql_eigenvalues(tri.diag[b0:b1], offdiag[b0:b1 - 1])
-        for b0, b1 in zip(bounds, bounds[1:])
-    ])
-    ev = _close_under_conjugation(ev)
-    return ev[np.lexsort((ev.imag, ev.real))]
-
-
-# ---------------------------------------------------------------------------
-# sector exclusion certificate
-# ---------------------------------------------------------------------------
-
-
-def _nonpositive_products(tri: Tridiagonal) -> bool:
-    """Whether every upper_k * lower_k <= 0, by signs (the product can overflow)."""
-    up, lo = tri.upper, tri.lower
-    return bool(np.all(((up <= 0.0) & (lo >= 0.0)) | ((up >= 0.0) & (lo <= 0.0))))
-
-
-def bendixson_floor(tri: Tridiagonal) -> float | None:
-    """min(diag), a floor on Re z over the spectrum, if every upper_k * lower_k <= 0.
-
-    Split where a product vanishes, each diagonal block is diagonally
-    similar to D + iJ, D = diag(diag) and J real symmetric, so every
-    eigenvalue has Re z = x*Dx >= min(diag) for a unit eigenvector x
-    (Bendixson, Acta Math. 25, 1902).  None for a positive or NaN product.
-    """
-    if tri.n == 0 or not _nonpositive_products(tri):
-        return None
-    return float(tri.diag.min())
-
-
-def sector_exclusion_certificate(tri: Tridiagonal, delta: float) -> CertificateResult:
-    """Check the spectral sector-exclusion hypotheses for a tridiagonal matrix.
-
-    Hypotheses: every diagonal entry positive, every product
-    upper_k * lower_k nonpositive, and 0 < delta <= (pi/2) * (sum 1/diag)^-1.
-    When they hold, the matrix has no eigenvalue in the returned open
-    sector with right vertex mu = min(diag); callers assert that on the
-    computed spectrum.
-    """
-    failures = []
-    diag = tri.diag
-    if tri.n == 0:
-        failures.append("empty matrix")
-    if tri.n and not np.all(diag > 0.0):
-        failures.append("diagonal entries must be positive")
-    if not _nonpositive_products(tri):
-        failures.append("off-diagonal products must be nonpositive")
-    delta = float(delta)
-    if not failures:
-        delta_max = (np.pi / 2.0) / np.sum(1.0 / diag)
-        if not 0.0 < delta <= delta_max:
-            failures.append(
-                f"delta must lie in (0, {delta_max:.6g}], got {delta:.6g}")
-    mu = float(diag.min()) if tri.n else 0.0
-    region = SectorRegion(mu, delta) if (mu > 0.0 and delta > 0.0) else None
-    return CertificateResult(hypotheses_ok=not failures, region=region,
-                             failures=tuple(failures))
-
-
-def point_in_sector(z, region: SectorRegion) -> bool:
-    """Strict membership in the open sector (boundary excluded)."""
-    z = complex(z)
-    if not z.real < region.mu:
-        return False
-    return abs(z.imag) < region.delta * (1.0 - z.real / region.mu)

@@ -130,7 +130,7 @@ def test_criterion_07_cross_method_oracle():
     n = 1024
     curve = build_curve(circle_profile(1.0), n)
     from_modes = 2.0 * mode_spectra(curve, [(1, 0)], k=2)[0, 1]
-    eigs = eig_general_tridiagonal(ince_matrix(1.0, 60))
+    eigs = np.asarray(eig_general_tridiagonal(ince_matrix(1.0, 60)))
     from_truncation = eigs[np.argmin(eigs.real)].real
     from_direct = wh_spectrum(1.0, n=n, k=2)[1]
     assert abs(from_modes - from_truncation) < 1e-4

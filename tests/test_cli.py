@@ -1,13 +1,24 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from kohnspec.cli import main
+import kohnspec.eigen
+import kohnspec.whittakerhill
+from kohnspec.cli import _linspace, main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: The default ``wh-sweep`` table, as written before the Ince path left numpy.
+DEFAULT_SWEEP = ROOT / "tests" / "data" / "wh_sweep_default.csv"
 
 
 def run(argv):
@@ -198,6 +209,56 @@ class TestWHSweep:
         assert "--steps" in capsys.readouterr().err
 
 
+def test_default_sweep_bytes_unchanged(tmp_path):
+    out = tmp_path / "sweep.csv"
+    proc = subprocess.run([sys.executable, "-m", "kohnspec.cli", "wh-sweep", "--out", str(out)],
+                          capture_output=True)
+    assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
+    assert out.read_bytes() == DEFAULT_SWEEP.read_bytes()
+    proc = subprocess.run([sys.executable, "-m", "kohnspec.cli", "wh-sweep"], capture_output=True)
+    assert proc.returncode == 0 and proc.stdout == DEFAULT_SWEEP.read_bytes()
+
+
+def test_default_sweep_passes_the_benchmark_oracle():
+    # the oracle imports the sector certificate from kohnspec.eigen, which
+    # re-exports whittakerhill's, and applies it to whittakerhill's
+    # truncations with LAPACK's eigenvalues of their dense form
+    spec = importlib.util.spec_from_file_location("perfbench_oracle",
+                                                  ROOT / "perfbench" / "oracle.py")
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    assert kohnspec.eigen.point_in_sector is kohnspec.whittakerhill.point_in_sector
+    assert (kohnspec.eigen.sector_exclusion_certificate
+            is kohnspec.whittakerhill.sector_exclusion_certificate)
+    proc = subprocess.run([sys.executable, "-m", "kohnspec.cli", "wh-sweep"], capture_output=True)
+    assert proc.returncode == 0
+    assert oracle.check_wh_sweep(proc.stdout) == []
+
+
+# sweep ends: any finite float, subnormal and tiny ones, and the largest,
+# whose difference overflows
+ends = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-305, 1e-305),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, sys.float_info.max]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(start=ends, stop=ends, steps=st.integers(1, 200), equal=st.booleans())
+@example(start=-1e308, stop=1e308, steps=3, equal=False)
+@example(start=1e308, stop=-1e308, steps=1, equal=False)
+@example(start=10.0, stop=0.0, steps=41, equal=False)
+@example(start=5e-324, stop=1e-323, steps=9, equal=False)
+@example(start=3.0, stop=3.0, steps=5, equal=False)
+def test_couplings_equal_numpy_linspace(start, stop, steps, equal):
+    if equal:
+        stop = start
+    with np.errstate(all="ignore"):  # numpy warns where stop - start overflows
+        want = np.linspace(start, stop, steps)
+    assert np.array(_linspace(start, stop, steps)).tobytes() == want.tobytes()
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize("argv, field", [
         (["make-curve", "circle", "--radius", "nan"], "cos_coeffs[0]"),
@@ -278,24 +339,54 @@ def test_module_entry_point(tmp_path):
     assert out.read_text().startswith("a,N,E1,in_sector,pass")
 
 
-def _loaded_kohnspec_modules(argv):
+def _loaded_modules(argv):
     # -X importtime lists every module the run imports on stderr
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "kohnspec.cli", *argv],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return {line.split("|")[-1].strip() for line in proc.stderr.splitlines()
-            if line.startswith("import time:") and "kohnspec" in line}
+            if line.startswith("import time:")}
 
 
 def test_commands_import_only_what_they_run(tmp_path):
-    sweep = _loaded_kohnspec_modules(["wh-sweep", "--steps", "2", "--N", "10"])
+    sweep = _loaded_modules(["wh-sweep", "--steps", "2", "--N", "10"])
     assert "kohnspec.whittakerhill" in sweep
-    assert not sweep & {"kohnspec.curve", "kohnspec.modes", "kohnspec.spectrum"}
+    assert not sweep & {"kohnspec.curve", "kohnspec.modes", "kohnspec.spectrum",
+                        "kohnspec.eigen"}
+    assert not {name for name in sweep if name.split(".")[0] == "numpy"}
     spec = tmp_path / "circle.json"
     assert run(["make-curve", "circle", "--out", str(spec)]) == 0
-    analyze = _loaded_kohnspec_modules(["analyze", str(spec), "--grid", "64",
-                                        "--window", "1", "1"])
+    analyze = _loaded_modules(["analyze", str(spec), "--grid", "64", "--window", "1", "1"])
     assert "kohnspec.spectrum" in analyze and "kohnspec.whittakerhill" not in analyze
+
+
+#: Runs the default ``wh-sweep`` on two CPUs and prints, for each fork of
+#: the share runner, the OS threads of the process at that moment.
+THREADS_AT_FORK = """
+import os, sys
+from kohnspec import cli
+os.sched_getaffinity = lambda pid: {0, 1}
+real_fork, threads = os.fork, []
+def fork():
+    threads.append(len(os.listdir("/proc/self/task")))
+    return real_fork()
+os.fork = fork
+code = cli.main(["wh-sweep", "--out", os.devnull])
+print(threads, "numpy" in sys.modules)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or not hasattr(os, "fork"),
+                    reason="needs os.fork and /proc/self/task")
+def test_wh_sweep_forks_with_one_os_thread():
+    # no numpy, so no OpenBLAS thread pool: a fork copies the only thread
+    # there is, and Python 3.12's warning about forking a process with
+    # more threads cannot come from wh-sweep
+    proc = subprocess.run([sys.executable, "-c", THREADS_AT_FORK], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[1]", "False"]
 
 
 #: Plants an eigenvalue in the excluded sector at the sweep's second

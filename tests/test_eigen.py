@@ -18,23 +18,22 @@ from kohnspec import (
     sector_exclusion_certificate,
 )
 import kohnspec.eigen as eigen_mod
+import kohnspec.whittakerhill as whittakerhill
 from kohnspec.eigen import (
     _PeriodicBands,
     _dyadic_points,
     _householder_tridiagonalize,
     _periodic_inertia,
-    _ql_eigenvalues,
-    bendixson_floor,
     periodic_eigenvalue_counts,
 )
 from kohnspec.modes import assemble_bands
-from kohnspec.whittakerhill import ince_matrix
+from kohnspec.whittakerhill import _ql_eigenvalues, bendixson_floor, ince_matrix
 from oracles import periodic_dense, wh_bands
 
 
 def eig_sym_tridiagonal(d, e) -> np.ndarray:
     """Eigenvalues of the symmetric tridiagonal (d, e) by the QL kernel, ascending."""
-    return np.sort(_ql_eigenvalues(d, e).real)
+    return np.sort(np.asarray(_ql_eigenvalues(d, e)).real)
 
 
 def householder_eigenvalues(a) -> np.ndarray:
@@ -109,7 +108,7 @@ class TestDenseSymmetric:
         rng = np.random.default_rng(5)
         a = rng.standard_normal((8, 8))
         a = a + a.T
-        monkeypatch.setattr(eigen_mod, "_QL_MAX_SWEEPS", 0)
+        monkeypatch.setattr(whittakerhill, "_QL_MAX_SWEEPS", 0)
         with pytest.raises(NoConvergence):
             householder_eigenvalues(a)
 
@@ -193,8 +192,10 @@ class TestPeriodicInertia:
         # the same quarter steps for n = 5..44: zero pivots land on the rows
         # next to each of the four separators, for every remainder of n mod
         # 4, among them each block's last row, where the block is singular
-        # and that row is counted beside the Schur complement
-        for n in range(5, 45):
+        # and that row is counted beside the Schur complement.  At n = 87,
+        # 174 and 197 the Householder reduction of a cycle of nodes
+        # underflows, which must not raise under check_counts' error state
+        for n in [*range(5, 45), 87, 88, 174, 197, 198]:
             bands = wh_bands(0.0, n)
             ev = np.linalg.eigvalsh(periodic_dense(*bands))
             check_counts(bands, ev, [bands[0][0] * j / 4 for j in range(-1, 18)])
@@ -613,6 +614,12 @@ class TestPeriodicTridiagonal:
             eig_periodic_sym_tridiagonal([1.0, 1.0, 2.0], [1.0, 1.0], np.inf)
 
 
+# ---------------------------------------------------------------------------
+# the general tridiagonal path of ``wh-sweep`` (``kohnspec.whittakerhill``):
+# QL on builtin complex, which returns lists, and the sector certificate
+# ---------------------------------------------------------------------------
+
+
 # signed magnitudes 10^-150 .. 10^150, and zeros that split the matrix
 wide_entries = st.one_of(
     st.just(0.0),
@@ -631,7 +638,7 @@ def wide_tridiagonals(draw):
 class TestGeneralTridiagonal:
     def test_diagonal_only(self):
         tri = Tridiagonal([1.0, 4.0, 9.0, 16.0], np.zeros(3), np.zeros(3))
-        np.testing.assert_allclose(eig_general_tridiagonal(tri).real, [1, 4, 9, 16])
+        np.testing.assert_allclose(np.asarray(eig_general_tridiagonal(tri)).real, [1, 4, 9, 16])
 
     def test_truncation_order_two_real(self):
         vals = eig_general_tridiagonal(ince_matrix(1.0, 2))
@@ -646,7 +653,7 @@ class TestGeneralTridiagonal:
         rng = np.random.default_rng(23)
         tri = Tridiagonal(rng.uniform(0, 3, 20), rng.uniform(0.1, 2, 19),
                           -rng.uniform(0.1, 2, 19))
-        vals = eig_general_tridiagonal(tri)
+        vals = np.asarray(eig_general_tridiagonal(tri))
         complex_vals = vals[np.abs(vals.imag) > 1e-10]
         assert len(complex_vals) % 2 == 0
         paired = np.sort_complex(complex_vals)
@@ -674,14 +681,14 @@ class TestGeneralTridiagonal:
         # f^2 + g^2 underflows to 0 for f, g about 1e-200: not isotropic
         d, e = np.array([1.0, 1e-200, 3e-200]), np.array([0.5, 1e-200])
         want = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
-        got = eig_general_tridiagonal(Tridiagonal(d, e, e))
+        got = np.asarray(eig_general_tridiagonal(Tridiagonal(d, e, e)))
         np.testing.assert_array_equal(got.imag, 0.0)
         np.testing.assert_allclose(got.real, want, rtol=1e-14)
         np.testing.assert_allclose(householder_eigenvalues(periodic_dense(d, e, 0.0)),
                                    want, rtol=1e-14)
 
     def test_sweep_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(eigen_mod, "_QL_MAX_SWEEPS", 0)
+        monkeypatch.setattr(whittakerhill, "_QL_MAX_SWEEPS", 0)
         with pytest.raises(NoConvergence, match="exceeded 0 sweeps"):
             eig_general_tridiagonal(ince_matrix(1.0, 5))
 
@@ -696,7 +703,7 @@ class TestGeneralTridiagonal:
         # entries over 10^+-150 with mixed-sign couplings still end in a
         # finite, conjugation-closed spectrum or in NoConvergence
         try:
-            vals = eig_general_tridiagonal(tri)
+            vals = np.asarray(eig_general_tridiagonal(tri))
         except NoConvergence:
             return
         assert len(vals) == tri.n and np.all(np.isfinite(vals))
@@ -707,7 +714,7 @@ class TestGeneralTridiagonal:
         def kernel(d, e, max_sweeps):
             raise error("out of range")
 
-        monkeypatch.setattr(eigen_mod, "_tqli_kernel", kernel)
+        monkeypatch.setattr(whittakerhill, "_tqli_kernel", kernel)
         with pytest.raises(NoConvergence, match="floating-point range"):
             eig_general_tridiagonal(ince_matrix(1.0, 4))
 
@@ -723,7 +730,7 @@ class TestGeneralTridiagonal:
                 ref, vecs = np.linalg.eig(tri.to_dense())
                 kappa = (np.linalg.norm(np.linalg.inv(vecs), axis=1)
                          * np.linalg.norm(vecs, axis=0))
-                mine = eig_general_tridiagonal(tri)
+                mine = np.asarray(eig_general_tridiagonal(tri))
                 cost = np.abs(ref[:, None] - mine[None, :])
                 rows, cols = assignment(cost)
                 tol = 1e-9 * np.maximum(1.0, np.abs(ref[rows])) * kappa[rows]

@@ -27,7 +27,7 @@ CONVERGENCE_FLOOR = 1e-11
 
 
 def ince_eigenvalues(a, N):
-    return eig_general_tridiagonal(ince_matrix(a, N))
+    return np.asarray(eig_general_tridiagonal(ince_matrix(a, N)))
 
 
 def bottom_rows(a, sizes):
@@ -223,7 +223,7 @@ class TestVerifyFloor:
     def test_positive_product_voids_the_bendixson_floor(self, monkeypatch):
         def ince_with_positive_product(a, N):
             tri = ince_matrix(a, N)
-            lower = tri.lower.copy()
+            lower = np.asarray(tri.lower).copy()
             lower[N // 2] = -lower[N // 2]
             return Tridiagonal(tri.diag, tri.upper, lower)
 
