@@ -70,12 +70,17 @@ def _write_output(data: bytes, out: str | None) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     from . import curve as curve_mod
+    from .modes import GridTooCoarse
     from .spectrum import ModeWindow, emit_report, lambda1_kohn
 
     with open(args.input) as handle:
         spec = json.load(handle)
     curve = curve_mod.curve_from_spec(spec, grid=args.grid)
-    report = lambda1_kohn(curve, ModeWindow(*args.window))
+    try:
+        report = lambda1_kohn(curve, ModeWindow(*args.window))
+    except GridTooCoarse as exc:  # the grid cannot resolve this curve: an input error
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     _write_output(emit_report(report, args.format), args.out)
     if not report.holds:
         print(f"error: eigenvalue estimate {report.lambda1_estimate!r} exceeds "
@@ -87,6 +92,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_wh_sweep(args: argparse.Namespace) -> int:
     if args.a_min > args.a_max:
         raise ValueError("--a-min must not exceed --a-max")
+    if not math.isfinite(args.a_max - args.a_min):
+        raise ValueError(f"--a-max - --a-min must be finite, got {args.a_max!r} - "
+                         f"{args.a_min!r}")
     if args.steps > _MAX_STEPS:
         raise ValueError(f"--steps must be at most {_MAX_STEPS}, got {args.steps}")
     from .whittakerhill import CertificateFailed, verify_E_geq_1

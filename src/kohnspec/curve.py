@@ -20,6 +20,7 @@ identities (total curvature, volume, mean curvature) rely on.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -32,6 +33,11 @@ DEFAULT_CLOSURE_TOL = 1e-8
 
 #: Absolute tolerance on the first Fourier harmonic of a profile.
 FIRST_HARMONIC_TOL = 1e-12
+
+#: Smallest radius of curvature of a profile: above it the curvature, its
+#: square and the mode operators' entries, of order grid^2 / rho, stay far
+#: below the overflow threshold.
+MIN_RHO = 2.0**-400
 
 #: Largest grid: building a curve holds about 650 bytes per grid point
 #: (a dense table of 8 x grid turning angles and its arc lengths), so
@@ -263,21 +269,25 @@ def build_curve(profile: RadiusOfCurvatureProfile, n: int) -> GeneratingCurve:
     Newton iteration at the n uniform arc-length targets; curvature,
     tangent and position are then evaluated in closed form.  The position
     is centered at its sample mean (a rigid translation, irrelevant to
-    every spectral quantity downstream).
+    every spectral quantity downstream).  A profile too large to sample
+    (``_check_magnitude``) or with rho below MIN_RHO is a ValueError.
     """
     n = _validate_grid(n)
     c1, d1 = profile.first_harmonic()
     if abs(c1) + abs(d1) > FIRST_HARMONIC_TOL:
         raise ClosureViolated(
             f"first Fourier harmonic of rho must vanish; got c1={c1!r}, d1={d1!r}")
+    _check_magnitude(profile)
 
     rho = profile.series()
     dense = max(8 * n, 2048)
     phi_dense = np.linspace(0.0, TWO_PI, dense + 1)
     rho_dense = rho(phi_dense)
-    if rho_dense.min() <= 0.0:
-        raise NonPositiveCurvature(
-            f"rho must be positive; min over dense grid is {rho_dense.min():.6g}")
+    low = rho_dense.min()
+    if low <= 0.0:
+        raise NonPositiveCurvature(f"rho must be positive; min over dense grid is {low:.6g}")
+    if low < MIN_RHO:
+        raise ValueError(f"rho must be at least 2^-400; min over dense grid is {low:.6g}")
 
     rate, s_per = rho.antiderivative()
     length = TWO_PI * rate
@@ -312,6 +322,20 @@ def build_curve(profile: RadiusOfCurvatureProfile, n: int) -> GeneratingCurve:
     curve = GeneratingCurve(length, s_grid, kappa, q, p, xi, eta)
     _check_total_turning(curve)
     return curve
+
+
+def _check_magnitude(profile: RadiusOfCurvatureProfile) -> None:
+    """ValueError naming the largest coefficient of a profile too large to sample.
+
+    rho, the arc length and the positions are all at most 2*pi times the
+    sum of the coefficients' magnitudes, so that bound must be finite.
+    """
+    fields = {f"{name}[{j}]": c for name in ("cos_coeffs", "sin_coeffs")
+              for j, c in enumerate(getattr(profile, name))}
+    if not math.isfinite(math.tau * sum(map(abs, fields.values()))):
+        field = max(fields, key=lambda key: abs(fields[key]))
+        raise ValueError(f"profile is too large: 2*pi times the sum of |cos_coeffs| and "
+                         f"|sin_coeffs| overflows (largest: {field} = {fields[field]!r})")
 
 
 def curve_from_curvature_samples(kappa_samples, length: float) -> GeneratingCurve:
@@ -361,7 +385,7 @@ def curve_from_curvature_samples(kappa_samples, length: float) -> GeneratingCurv
 
 def _check_total_turning(curve: GeneratingCurve) -> None:
     total = periodic_quadrature(curve.kappa, curve.length)
-    if abs(total / TWO_PI - 1.0) > 1e-8:
+    if not abs(total / TWO_PI - 1.0) <= 1e-8:  # NaN fails too
         raise NotClosed(f"total curvature {total:.12g} deviates from 2*pi")
 
 

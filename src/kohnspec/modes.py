@@ -27,6 +27,7 @@ scheme can never push below roundoff.)  The mass matrix is diag(kappa h).
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -66,6 +67,30 @@ def _log_kernel(curve: GeneratingCurve, m, l) -> np.ndarray:
     return l * curve.eta + m * curve.xi
 
 
+#: Largest exponent of a transport factor: r and 1/r stay within 2^(+-512),
+#: so the bands, the kernel and its Rayleigh quotient are finite with
+#: room to spare.
+MAX_TRANSPORT_EXPONENT = 512 * math.log(2)
+
+
+def _check_transport(curve: GeneratingCurve, modes) -> None:
+    """ValueError naming the grid and the first of ``modes`` whose transport
+    factors may leave exp(+-MAX_TRANSPORT_EXPONENT), before any is built.
+
+    Each exponent l (eta_{i+1} - eta_i) + m (xi_{i+1} - xi_i) is at most
+    hypot(m, l) times the longest chord between neighbouring nodes.
+    """
+    chord = float(np.hypot(np.roll(curve.xi, -1) - curve.xi,
+                           np.roll(curve.eta, -1) - curve.eta).max())
+    for m, l in modes:
+        exponent = math.hypot(m, l) * chord
+        if not exponent <= MAX_TRANSPORT_EXPONENT:
+            raise ValueError(
+                f"mode ({m}, {l}) at grid {curve.n} is not resolved: its transport factors "
+                f"may reach exp({exponent:.6g}), beyond exp({MAX_TRANSPORT_EXPONENT:.6g}) "
+                f"= 2^512; use a finer grid or a smaller window")
+
+
 def _transport_factors(w_log) -> np.ndarray:
     """r_i = exp of the exact increment of l*eta + m*xi across cell i."""
     return np.exp(np.roll(w_log, -1, axis=-1) - w_log)
@@ -91,8 +116,11 @@ def assemble_bands(curve: GeneratingCurve, mode):
     Returns (diag, offdiag, corner) of M^{-1/2} S M^{-1/2}, where S is the
     factored stiffness and M = diag(kappa h).  The matrix couples only
     neighbours plus the periodic wrap, so its bands are all there is.
+    ValueError if the mode fails ``_check_transport``.
     """
-    r = _transport_factors(_log_kernel(curve, *ModeIndex(*mode)))
+    mode = ModeIndex(*mode)
+    _check_transport(curve, [mode])
+    r = _transport_factors(_log_kernel(curve, *mode))
     return (_diag_band(curve, r), *_coupling_bands(curve))
 
 
@@ -184,11 +212,13 @@ def mode_spectra(curve: GeneratingCurve, modes, k: int = 2) -> np.ndarray:
     least _SHARE_MODES modes each, shares past the first in forked
     children; the rows are the same bits as in one process.
     GridTooCoarse names the first mode, in the given order, that fails
-    the certificate.
+    the certificate; a ValueError the first that fails
+    ``_check_transport``, which runs here, before the shares fork.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     modes = [ModeIndex(*mode) for mode in modes]
+    _check_transport(curve, modes)
     if not modes:
         return np.empty((0, k))
     return np.array(shares.interleaved(functools.partial(_share_spectra, curve, modes, k),
@@ -214,12 +244,15 @@ def rayleigh_quotient(curve: GeneratingCurve, mode, values) -> float:
     """Discrete Rayleigh quotient of a sample vector in the weighted space.
 
     Evaluates the factored stiffness form directly, so the sampled kernel
-    returns zero up to roundoff.
+    returns zero up to roundoff.  ValueError if the mode fails
+    ``_check_transport``.
     """
     u = np.asarray(values, dtype=float)
     if len(u) != curve.n:
         raise ValueError("sample count must match the curve grid")
-    return float(_quotient(curve, _transport_factors(_log_kernel(curve, *ModeIndex(*mode))), u))
+    mode = ModeIndex(*mode)
+    _check_transport(curve, [mode])
+    return float(_quotient(curve, _transport_factors(_log_kernel(curve, *mode)), u))
 
 
 def _quotient(curve: GeneratingCurve, r, u):

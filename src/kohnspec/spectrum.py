@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,9 +33,6 @@ EQUALITY_TOL = 1e-4
 
 #: Relative curvature variance below this counts as "constant curvature".
 KAPPA_VARIANCE_TOL = 1e-10
-
-#: Cap on the window expansions of an adaptive sweep.
-MAX_ADAPTIVE_ROUNDS = 6
 
 #: Largest grid x modes of a sweep: the (grid, modes) diagonal bands take
 #: 8 bytes an entry, and the inertia kernel's workspace of grid x columns
@@ -62,14 +59,6 @@ class ModeWindow:
             for l in range(-self.l_max, self.l_max + 1):
                 yield ModeIndex(m, l)
 
-    def boundary_modes(self):
-        for mode in self.modes():
-            if abs(mode.m) == self.m_max or abs(mode.l) == self.l_max:
-                yield mode
-
-    def grow(self) -> "ModeWindow":
-        return ModeWindow(self.m_max + 1, self.l_max + 1)
-
 
 @dataclass
 class ModeEigenvalues:
@@ -86,16 +75,14 @@ class SpectrumReport:
     curve_summary: dict
     grid: int
     window: tuple
-    modes: list = field(default_factory=list)
-    lambda1_estimate: float | None = None
-    bound_rhs: float | None = None
-    ccy_lower: float | None = None
-    slack: float | None = None
-    holds: bool | None = None
-    equality: bool | None = None
-    argmin_mode: tuple | None = None
-    adaptive_rounds: int = 0
-    window_caveat: str = WINDOW_CAVEAT
+    modes: list
+    lambda1_estimate: float
+    bound_rhs: float
+    ccy_lower: float
+    slack: float
+    holds: bool
+    equality: bool
+    argmin_mode: tuple
 
 
 def ccy_lower_bound(curve: GeneratingCurve) -> float:
@@ -108,62 +95,40 @@ def _kappa_variance(curve: GeneratingCurve) -> float:
     return float(np.var(curve.kappa) / mean**2)
 
 
-def lambda1_kohn(curve: GeneratingCurve, window: ModeWindow,
-                 adaptive: bool = False) -> SpectrumReport:
+def lambda1_kohn(curve: GeneratingCurve, window: ModeWindow) -> SpectrumReport:
     """Sweep the mode window and report the minimal first positive eigenvalue.
 
-    The (0, 0) mode is always part of the window.  With ``adaptive`` set,
-    the window grows by one in each direction while some boundary mode
-    attains the current minimum within 10 percent (capped at
-    MAX_ADAPTIVE_ROUNDS expansions).  A window whose modes times the grid
-    exceed MAX_BAND_ENTRIES is a ValueError, raised before its modes are
-    built.
+    The (0, 0) mode is always part of the window.  A window whose modes
+    times the grid exceed MAX_BAND_ENTRIES is a ValueError, raised before
+    its modes are built.
     """
-    table: dict[ModeIndex, ModeEigenvalues] = {}
-
-    def sweep(window):
-        count = (2 * window.m_max + 1) * (2 * window.l_max + 1)
-        if curve.n * count > MAX_BAND_ENTRIES:
-            raise ValueError(
-                f"window ({window.m_max}, {window.l_max}) at grid {curve.n} needs {count} "
-                f"modes x {curve.n} = {count * curve.n} band entries, more than "
-                f"{MAX_BAND_ENTRIES}")
-        new = [mode for mode in window.modes() if mode not in table]
-        for mode, (lam0, lam1) in zip(new, mode_spectra(curve, new, k=2)):
-            table[mode] = ModeEigenvalues(mode.m, mode.l, float(lam0), float(lam1))
-
-    sweep(window)
-    rounds = 0
-    if adaptive:
-        while rounds < MAX_ADAPTIVE_ROUNDS:
-            best = min(entry.lambda1 for entry in table.values())
-            boundary_best = min(table[mode].lambda1 for mode in window.boundary_modes())
-            if boundary_best > 1.1 * best:
-                break
-            window = window.grow()
-            sweep(window)
-            rounds += 1
-
-    entries = [table[mode] for mode in sorted(table, key=lambda mo: (mo.m, mo.l))]
+    count = (2 * window.m_max + 1) * (2 * window.l_max + 1)
+    if curve.n * count > MAX_BAND_ENTRIES:
+        raise ValueError(
+            f"window ({window.m_max}, {window.l_max}) at grid {curve.n} needs {count} "
+            f"modes x {curve.n} = {count * curve.n} band entries, more than "
+            f"{MAX_BAND_ENTRIES}")
+    modes = list(window.modes())
+    entries = [ModeEigenvalues(mode.m, mode.l, float(lam0), float(lam1))
+               for mode, (lam0, lam1) in zip(modes, mode_spectra(curve, modes, k=2))]
     best_entry = min(entries, key=lambda entry: entry.lambda1)
     invariants = geometric_invariants(curve)
-
-    report = SpectrumReport(
+    bound_rhs = invariants["bound_rhs"]
+    slack = bound_rhs - best_entry.lambda1
+    return SpectrumReport(
         curve_summary=invariants,
         grid=curve.n,
         window=(window.m_max, window.l_max),
         modes=entries,
         lambda1_estimate=best_entry.lambda1,
-        bound_rhs=invariants["bound_rhs"],
+        bound_rhs=bound_rhs,
         ccy_lower=ccy_lower_bound(curve),
+        slack=slack,
+        holds=best_entry.lambda1 <= bound_rhs + BOUND_TOL * max(1.0, bound_rhs),
+        equality=bool(abs(slack) < EQUALITY_TOL
+                      and _kappa_variance(curve) < KAPPA_VARIANCE_TOL),
         argmin_mode=(best_entry.m, best_entry.l),
-        adaptive_rounds=rounds,
     )
-    report.slack = report.bound_rhs - report.lambda1_estimate
-    report.holds = report.lambda1_estimate <= report.bound_rhs + BOUND_TOL * max(1.0, report.bound_rhs)
-    report.equality = bool(abs(report.slack) < EQUALITY_TOL
-                           and _kappa_variance(curve) < KAPPA_VARIANCE_TOL)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -186,17 +151,16 @@ def _report_payload(report: SpectrumReport) -> dict:
         "slack": report.slack,
         "holds": report.holds,
         "equality": report.equality,
-        "argmin_mode": list(report.argmin_mode) if report.argmin_mode else None,
-        "adaptive_rounds": report.adaptive_rounds,
-        "window_caveat": report.window_caveat,
+        "argmin_mode": list(report.argmin_mode),
+        "window_caveat": WINDOW_CAVEAT,
     }
 
 
 def emit_report(report: SpectrumReport, format: str = "json") -> bytes:
     """Serialize a report deterministically (same report, same bytes).
 
-    JSON keeps the field order of the report; CSV emits one row per mode
-    followed by a summary footer row (header only for an empty table).
+    JSON keeps the field order of the report and ends with the window
+    caveat; CSV emits one row per mode followed by a summary footer row.
     """
     if format == "json":
         return (json.dumps(_report_payload(report), indent=2) + "\n").encode()
@@ -206,15 +170,14 @@ def emit_report(report: SpectrumReport, format: str = "json") -> bytes:
         writer.writerow(["m", "l", "lambda0", "lambda1"])
         for entry in report.modes:
             writer.writerow([entry.m, entry.l, repr(entry.lambda0), repr(entry.lambda1)])
-        if report.lambda1_estimate is not None:
-            writer.writerow([
-                "summary",
-                f"lambda1_estimate={report.lambda1_estimate!r}",
-                f"bound_rhs={report.bound_rhs!r}",
-                f"ccy_lower={report.ccy_lower!r}",
-                f"slack={report.slack!r}",
-                f"holds={report.holds}",
-                f"equality={report.equality}",
-            ])
+        writer.writerow([
+            "summary",
+            f"lambda1_estimate={report.lambda1_estimate!r}",
+            f"bound_rhs={report.bound_rhs!r}",
+            f"ccy_lower={report.ccy_lower!r}",
+            f"slack={report.slack!r}",
+            f"holds={report.holds}",
+            f"equality={report.equality}",
+        ])
         return buf.getvalue().encode()
     raise ValueError(f"unknown format {format!r}")

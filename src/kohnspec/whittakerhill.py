@@ -210,8 +210,9 @@ def _ql_eigenvalues(diag, offdiag) -> list:
     """Eigenvalues of the complex symmetric tridiagonal (diag, offdiag), unsorted.
 
     The matrix is first scaled by a power of two, which is exact, so that
-    its largest entry lies in [1/2, 1): the rotations square their inputs,
-    and the scaling keeps those squares clear of overflow.  The kernel runs
+    its largest entry lies in [1/2, 1), or in [1, 2) from 2^1023 on: the
+    rotations square their inputs, and the scaling keeps those squares
+    clear of overflow.  The kernel runs
     on lists of builtin complex; where that arithmetic raises, it counts as
     a non-finite result.  Raises NoConvergence when an eigenvalue needs
     more than _QL_MAX_SWEEPS sweeps, when a rotation breaks down, or when
@@ -222,7 +223,8 @@ def _ql_eigenvalues(diag, offdiag) -> list:
     if not all(map(cmath.isfinite, d)) or not all(map(cmath.isfinite, e)):
         raise ValueError("matrix entries must be finite")
     big = max(max(map(abs, d), default=0.0), max(map(abs, e)))
-    scale = math.ldexp(1.0, math.frexp(big)[1]) if big > 0.0 else 1.0
+    # 2^1024 overflows
+    scale = math.ldexp(1.0, min(math.frexp(big)[1], 1023)) if big > 0.0 else 1.0
     # each part divided on its own, as numpy divides a complex by a real:
     # cmath.sqrt branches on the sign of a zero part, and CPython's
     # z / scale can flip it
@@ -286,8 +288,9 @@ def _close_under_conjugation(ev: list) -> list:
         j = gaps.index(gap)
         free[j] = False
         w = ev[j]
-        re = 0.5 * (z.real + w.real)
-        im = 0.5 * (abs(z.imag) + abs(w.imag))
+        # halved before they are added, which cannot overflow
+        re = 0.5 * z.real + 0.5 * w.real
+        im = 0.5 * abs(z.imag) + 0.5 * abs(w.imag)
         up, down = (i, j) if z.imag >= w.imag else (j, i)
         out[up], out[down] = complex(re, im), complex(re, -im)
     return out

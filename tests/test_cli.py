@@ -1,8 +1,11 @@
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -14,6 +17,9 @@ from hypothesis import strategies as st
 import kohnspec.eigen
 import kohnspec.whittakerhill
 from kohnspec.cli import _linspace, main
+from kohnspec.curve import curve_from_spec
+from kohnspec.modes import assemble_bands
+from oracles import periodic_dense
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -267,13 +273,16 @@ class TestNonFiniteInput:
         (["wh-sweep", "--a-min", "nan"], "--a-min"),
         (["wh-sweep", "--a-min", "inf", "--a-max", "inf"], "--a-min"),
         (["wh-sweep", "--a-max", "nan"], "--a-max"),
+        (["wh-sweep", "--a-min=-1e308", "--a-max=1e308", "--steps", "3"], "--a-max - --a-min"),
+        (["make-curve", "circle", "--radius", "1e308", "--grid", "64"], "cos_coeffs[0]"),
     ])
     def test_option_exits_one_without_warning(self, argv, field, tmp_path, capsys):
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(argv + ["--out", str(out)]) == 1
-        assert field in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and field in err, err
         assert not out.exists()
 
     @pytest.mark.parametrize("spec, field", [
@@ -282,6 +291,10 @@ class TestNonFiniteInput:
         ({"kappa_samples": [2.0] * 5 + [float("nan")] + [2.0] * 122, "length": np.pi},
          "sample 5"),
         ({"kappa_samples": [2.0] * 128, "length": float("inf")}, "length"),
+        ({"rho": {"cos": [1e308]}, "grid": 64}, "cos_coeffs[0]"),
+        ({"rho": {"cos": [1e5]}, "grid": 64}, "mode (-1, -1) at grid 64"),
+        ({"rho": {"cos": [1e-100]}, "grid": 64}, "zero mode"),
+        ({"rho": {"cos": [1e-200]}, "grid": 64}, "rho must be at least 2^-400"),
     ])
     def test_spec_exits_one_without_warning(self, spec, field, tmp_path, capsys):
         path = tmp_path / "spec.json"
@@ -289,7 +302,8 @@ class TestNonFiniteInput:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(["analyze", str(path), "--window", "1", "1"]) == 1
-        assert field in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err, err
 
 
 class TestOversizedInput:
@@ -431,3 +445,99 @@ def test_default_sweep_same_bytes_on_one_and_two_cpus(tmp_path, monkeypatch):
         assert run(["wh-sweep", "--out", str(out)]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+# The CLI gate: whatever a spec, grid, window or sweep range holds, a run
+# exits 0, 1 or 2, with no traceback and no warning, and an exit-0 report's
+# minimum is LAPACK's eigenvalue of the argmin mode's matrix.
+
+#: Numbers of random specs: up to 2 in magnitude, and the extremes (tiny,
+#: huge, non-finite, past the float range).  Radii between 2 and 1e15 stay
+#: out: a circle of radius 300 takes minutes at grid 512, in the inertia
+#: kernel's dense count of nodal cycles, which a gate of hundreds of runs
+#: cannot afford.
+spec_numbers = st.floats(-2.0, 2.0) | st.sampled_from(
+    [float("nan"), float("inf"), -1e308, 1e308, 1e15, 1e-100, 1e-300, 5e-324, 10**400])
+json_leaves = st.one_of(st.none(), st.booleans(), spec_numbers, st.integers(-2, 2),
+                        st.text(max_size=4))
+json_values = st.recursive(json_leaves, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.dictionaries(st.sampled_from(["rho", "cos", "sin", "kappa_samples", "length", "grid"])
+                    | st.text(max_size=4), inner, max_size=4)), max_leaves=12)
+
+#: Grids around the even, >= 16 rule, and past the largest grid.
+grids = st.integers(8, 40).map(lambda half: 2 * half) | st.sampled_from(
+    [10, 14, 15, 17, 15.0, 16.0, 10**15, None])
+
+#: Closed profiles (c_1 = d_1 = 0, mostly) with small harmonics, the
+#: constant term, the radius, in [0.5, 2] (see ``spec_numbers``).
+harmonics = st.lists(st.floats(-0.1, 0.1) | st.sampled_from([-0.0, 5e-324, 1e-300]),
+                     max_size=4)
+rho_specs = st.builds(
+    lambda c0, c1, cos, d1, sin, grid: {"rho": {"cos": [c0, c1, *cos], "sin": [d1, *sin]},
+                                        "grid": grid},
+    st.floats(0.5, 2.0), st.sampled_from([0.0, 0.0, 0.0, 1e-13]), harmonics,
+    st.sampled_from([0.0, 0.0, 0.0, -1e-13]), harmonics, grids)
+
+#: Curvature samples: circles of any sampled length, some perturbed.
+sample_specs = st.builds(
+    lambda n, length, bump: {"kappa_samples": [2 * np.pi / length + bump * (i == 0)
+                                               for i in range(n)], "length": length},
+    st.integers(14, 40), st.floats(1.0, 20.0), st.sampled_from([0.0, 0.0, 1e-9, 0.5]))
+
+specs = st.one_of(rho_specs, sample_specs, json_values)
+grid_options = st.none() | grids
+windows = st.tuples(st.integers(-1, 2), st.integers(0, 2))
+sweep_ends = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1e308,
+                                                     sys.float_info.max]))
+
+
+def _run_quietly(argv):
+    """main(argv) with warnings as errors; (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=specs, window=windows, grid_option=grid_options)
+@example(spec={"rho": {"cos": [1e308]}, "grid": 64}, window=(1, 1), grid_option=None)
+@example(spec={"rho": {"cos": [1e5]}, "grid": 64}, window=(1, 1), grid_option=None)
+@example(spec={"rho": {"cos": [1e-100]}, "grid": 64}, window=(1, 1), grid_option=None)
+@example(spec={"rho": {"cos": [1000.0]}, "grid": 16}, window=(2, 2), grid_option=None)
+def test_analyze_gate(spec, window, grid_option):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, report = os.path.join(tmp, "spec.json"), os.path.join(tmp, "report.json")
+        with open(path, "w") as handle:
+            json.dump(spec, handle)
+        argv = ["analyze", path, "--window", *map(str, window), "--out", report]
+        if grid_option is not None:
+            argv += ["--grid", str(grid_option)]
+        code, _, err = _run_quietly(argv)
+        assert code in (0, 1, 2), err
+        assert "Traceback" not in err
+        assert (code == 0) == (err == ""), err
+        if code != 0:
+            assert "error:" in err, err
+            return
+        with open(report) as handle:
+            payload = json.load(handle)
+    curve = curve_from_spec(spec, grid=grid_option)
+    lam1 = np.linalg.eigvalsh(periodic_dense(*assemble_bands(curve, payload["argmin_mode"])))[1]
+    assert abs(payload["lambda1_estimate"] - lam1) <= 1e-9 * max(1.0, abs(lam1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(a_min=sweep_ends, a_max=sweep_ends, steps=st.integers(0, 5), N=st.integers(0, 12))
+@example(a_min=-1e308, a_max=1e308, steps=3, N=60)
+def test_wh_sweep_gate(a_min, a_max, steps, N):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, _, err = _run_quietly(["wh-sweep", f"--a-min={a_min!r}", f"--a-max={a_max!r}",
+                                     "--steps", str(steps), "--N", str(N),
+                                     "--out", os.path.join(tmp, "sweep.csv")])
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in err
+    assert code == 0 or "error:" in err, err

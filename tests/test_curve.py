@@ -3,6 +3,7 @@ import pytest
 
 from kohnspec import (
     ClosureViolated,
+    GeneratingCurve,
     NonPositiveCurvature,
     NotClosed,
     RadiusOfCurvatureProfile,
@@ -57,6 +58,34 @@ class TestBuildCurve:
     def test_rejects_non_finite_coefficients(self, cos, sin, field):
         with pytest.raises(ValueError, match=field):
             RadiusOfCurvatureProfile(cos, sin)
+
+    @pytest.mark.parametrize("cos, sin, field", [
+        ((1e308,), (), r"cos_coeffs\[0\]"),
+        ((1e308, 0.0, 9e307), (), r"cos_coeffs\[0\]"),
+        ((2e307,), (0.0, 0.0, -1.7e308), r"sin_coeffs\[2\]"),
+    ])
+    def test_rejects_a_profile_too_large_to_sample(self, cos, sin, field):
+        # 2*pi times the sum of the magnitudes overflows: the length or rho
+        # would be inf and the arc-length nodes NaN
+        with pytest.raises(ValueError, match=field):
+            build_curve(RadiusOfCurvatureProfile(cos, sin), 64)
+
+    @pytest.mark.parametrize("radius", [1e-200, 5e-324])
+    def test_rejects_rho_below_the_smallest_radius(self, radius):
+        with pytest.raises(ValueError, match=r"rho must be at least 2\^-400"):
+            build_curve(circle_profile(radius), 64)
+
+    def test_largest_and_smallest_radii_build(self):
+        for radius in (2.0**-399, 1e307):
+            curve = build_curve(circle_profile(radius), 64)
+            assert curve.length == pytest.approx(TWO_PI * radius, rel=1e-15)
+
+    def test_total_turning_check_rejects_nan(self):
+        curve = build_curve(circle_profile(), 16)
+        nan_curve = GeneratingCurve(curve.length, curve.s, np.full(16, np.nan), curve.q, curve.p,
+                                    curve.xi, curve.eta)
+        with pytest.raises(NotClosed):
+            curve_mod._check_total_turning(nan_curve)
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):

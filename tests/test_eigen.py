@@ -687,6 +687,17 @@ class TestGeneralTridiagonal:
         np.testing.assert_allclose(householder_eigenvalues(periodic_dense(d, e, 0.0)),
                                    want, rtol=1e-14)
 
+    @pytest.mark.parametrize("big", [2.0**1023, np.finfo(float).max])
+    def test_entries_from_two_to_the_1023(self, big):
+        # scaling the largest entry into [1/2, 1) would divide by 2^1024,
+        # which overflows; these scale by 2^1023
+        np.testing.assert_allclose(eig_sym_tridiagonal([1.0, 2.0], [big]), [-big, big],
+                                   rtol=1e-15)
+        # [[1, 2a], [-a, 4]] has eigenvalues 2.5 +- i sqrt(2 a^2 - 2.25)
+        a = big / 2.0
+        vals = np.asarray(eig_general_tridiagonal(ince_matrix(a, 2)))
+        np.testing.assert_allclose(vals.imag, [-np.sqrt(2.0) * a, np.sqrt(2.0) * a], rtol=1e-15)
+
     def test_sweep_cap_raises(self, monkeypatch):
         monkeypatch.setattr(whittakerhill, "_QL_MAX_SWEEPS", 0)
         with pytest.raises(NoConvergence, match="exceeded 0 sweeps"):

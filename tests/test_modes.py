@@ -17,7 +17,7 @@ from kohnspec import (
     rayleigh_quotient,
 )
 from kohnspec import shares
-from kohnspec.modes import ZERO_MODE_TOL, assemble_bands
+from kohnspec.modes import MAX_TRANSPORT_EXPONENT, ZERO_MODE_TOL, assemble_bands
 from oracles import periodic_dense, wh_spectrum
 
 
@@ -90,6 +90,38 @@ class TestAssemble:
             fast = mode_spectrum(ellipse_03, mode, k=3)
             dense = dense_eigenvalues(ellipse_03, mode)[:3]
             np.testing.assert_allclose(fast, dense, atol=1e-9)
+
+
+class TestTransportRule:
+    """One rule, before any transport factor is built: hypot(m, l) times the
+    longest chord between neighbouring nodes is at most MAX_TRANSPORT_EXPONENT."""
+
+    @staticmethod
+    def circle_at(fraction, n=16):
+        # the circle whose mode (1, 1) sits at ``fraction`` of the limit
+        chord = 2.0 * np.sin(np.pi / n)
+        return build_curve(circle_profile(fraction * MAX_TRANSPORT_EXPONENT
+                                          / (np.sqrt(2.0) * chord)), n)
+
+    def test_modes_inside_the_limit_run_without_warning(self):
+        curve = self.circle_at(0.99)
+        for mode in [(1, 1), (-1, 1), (1, 0)]:
+            lam0, lam1 = mode_spectrum(curve, mode)
+            assert np.isfinite(lam1) and lam1 > 0
+            assert np.isfinite(rayleigh_quotient(curve, mode, kernel_function(curve, mode)))
+            np.testing.assert_array_equal(np.isfinite(assemble_bands(curve, mode)[0]), True)
+
+    def test_modes_past_the_limit_are_named_with_the_grid(self):
+        curve = self.circle_at(1.01)
+        match = r"mode \(1, -1\) at grid 16 is not resolved"
+        with pytest.raises(ValueError, match=match):
+            assemble_bands(curve, (1, -1))
+        with pytest.raises(ValueError, match=match):
+            rayleigh_quotient(curve, (1, -1), np.ones(16))
+        # the first failing mode in the given order
+        with pytest.raises(ValueError, match=match):
+            mode_spectra(curve, [(0, 0), (1, 0), (1, -1), (2, 2)])
+        assert mode_spectra(curve, [(0, 0), (1, 0)]).shape == (2, 2)
 
 
 class TestModeSpectrum:

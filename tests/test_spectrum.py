@@ -5,7 +5,6 @@ import pytest
 
 from kohnspec import (
     ModeWindow,
-    SpectrumReport,
     build_curve,
     ccy_lower_bound,
     circle_profile,
@@ -49,29 +48,6 @@ class TestLambda1:
         estimates = [lambda1_kohn(ellipse_03, ModeWindow(k, k)).lambda1_estimate
                      for k in (0, 1, 2, 3)]
         assert all(b <= a + 1e-12 for a, b in zip(estimates, estimates[1:]))
-
-    def test_adaptive_expands_from_tight_window(self, unit_circle):
-        report = lambda1_kohn(unit_circle, ModeWindow(0, 0), adaptive=True)
-        # the (0,0) mode is its own boundary, so one expansion must happen;
-        # the first shell sits well above the minimum, so exactly one
-        assert report.adaptive_rounds == 1
-        assert report.window == (1, 1)
-        assert report.lambda1_estimate == pytest.approx(0.5, abs=1e-4)
-
-    def test_adaptive_solves_only_new_modes(self, unit_circle, monkeypatch):
-        import kohnspec.spectrum as spectrum_mod
-        calls = []
-
-        def recording(curve, modes, k=2):
-            calls.append(list(modes))
-            return mode_spectra(curve, modes, k)
-
-        monkeypatch.setattr(spectrum_mod, "mode_spectra", recording)
-        report = lambda1_kohn(unit_circle, ModeWindow(0, 0), adaptive=True)
-        solved = [mode for call in calls for mode in call]
-        assert len(calls) == 2
-        assert len(solved) == len(set(solved)) == 9
-        assert sorted(solved) == sorted((row.m, row.l) for row in report.modes)
 
     @pytest.mark.parametrize("curve_name", ["unit_circle", "ellipse_03", "random_7"])
     def test_rows_equal_single_mode_solves(self, curve_name, request):
@@ -150,7 +126,9 @@ class TestEmitReport:
         assert payload["lambda1_estimate"] == pytest.approx(0.5, abs=1e-4)
         assert payload["window"] == [1, 1]
         assert len(payload["modes"]) == 9
-        assert list(payload)[:4] == ["curve", "grid", "window", "modes"]
+        assert list(payload) == ["curve", "grid", "window", "modes", "lambda1_estimate",
+                                 "bound_rhs", "ccy_lower", "slack", "holds", "equality",
+                                 "argmin_mode", "window_caveat"]
 
     def test_deterministic(self, unit_circle):
         report = lambda1_kohn(unit_circle, ModeWindow(1, 1))
@@ -163,11 +141,6 @@ class TestEmitReport:
         assert lines[0] == "m,l,lambda0,lambda1"
         assert len(lines) == 1 + 9 + 1
         assert lines[-1].startswith("summary,")
-
-    def test_empty_table_single_header(self):
-        report = SpectrumReport(curve_summary={}, grid=0, window=(0, 0), modes=[])
-        lines = emit_report(report, "csv").decode().strip().split("\n")
-        assert lines == ["m,l,lambda0,lambda1"]
 
     def test_unknown_format(self, unit_circle):
         report = lambda1_kohn(unit_circle, ModeWindow(0, 0))
