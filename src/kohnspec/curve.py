@@ -36,7 +36,9 @@ FIRST_HARMONIC_TOL = 1e-12
 
 #: Smallest radius of curvature of a profile: above it the curvature, its
 #: square and the mode operators' entries, of order grid^2 / rho, stay far
-#: below the overflow threshold.
+#: below the overflow threshold.  A sampled curve's kappa_i is at most its
+#: reciprocal, and h^2 kappa_i at least it (h the grid spacing): its
+#: operators' entries are of order 1 / (h^2 kappa_i).
 MIN_RHO = 2.0**-400
 
 #: Largest grid: building a curve holds about 650 bytes per grid point
@@ -345,7 +347,9 @@ def curve_from_curvature_samples(kappa_samples, length: float) -> GeneratingCurv
     the position the cumulative integral of the tangent.  Raises NotClosed
     when the total turning is not 2*pi (tolerance 1e-8) or when the
     reconstructed position fails to return to its start (tolerance
-    DEFAULT_CLOSURE_TOL times the length).
+    DEFAULT_CLOSURE_TOL times the length), and before either when one cell
+    would turn by more than 4*pi.  A sample above 1 / MIN_RHO, or with h^2
+    kappa below MIN_RHO, h = length / n, is a ValueError naming it.
     """
     kappa = np.asarray(kappa_samples, dtype=float)
     n = _validate_grid(len(kappa))
@@ -358,8 +362,19 @@ def curve_from_curvature_samples(kappa_samples, length: float) -> GeneratingCurv
     if kappa.min() <= 0.0:
         raise NonPositiveCurvature(
             f"curvature samples must be positive; min is {kappa.min():.6g}")
-
     h = length / n
+    # h * h first: on builtin floats it overflows to inf without a warning
+    bad = np.flatnonzero((kappa > 1.0 / MIN_RHO) | (kappa * (h * h) < MIN_RHO))
+    if len(bad):
+        raise ValueError(
+            f"kappa_samples: sample {bad[0]} = {float(kappa[bad[0]])!r} is out of range; each "
+            f"must be at most 2^400 and, times h^2 = (length / {n})^2 = {h * h!r}, at least "
+            f"2^-400")
+    bad = np.flatnonzero(kappa > 2.0 * TWO_PI / h)  # h >= 2^-400 here
+    if len(bad):
+        raise NotClosed(f"kappa_samples: sample {bad[0]} alone turns "
+                        f"{float(kappa[bad[0]]) * h:.12g} over its cell, more than 2*pi")
+
     kap_ext = np.append(kappa, kappa[0])
     phi = np.concatenate([[0.0], np.cumsum(0.5 * h * (kap_ext[1:] + kap_ext[:-1]))])
     total_turning = phi[-1]

@@ -160,7 +160,7 @@ class _PeriodicBands:
             s[:min(stop, n - 1) - start] += np.abs(e[start:min(stop, n - 1)])
             if start == 0:
                 s[0] += np.abs(self.corner)
-            if stop == n and n > 1:
+            if stop == n:
                 s[-1] += np.abs(self.corner)
             np.minimum(lo, (d[start:stop] - s).min(axis=0), out=lo)
             np.maximum(hi, (d[start:stop] + s).max(axis=0), out=hi)
@@ -193,20 +193,20 @@ def _sturm_pivots(diag, off):
 def _cycle_negatives(sd, so):
     """Negative eigenvalues and determinants of 4 x 4 cyclic matrices, elementwise.
 
-    ``sd`` and ``so`` (m, 4, P) hold the diagonals and the couplings (j,
+    ``sd`` and ``so`` (4, P) hold the diagonals and the couplings (j,
     j+1 mod 4).  Each matrix is scaled by a power of two, then made
     tridiagonal by two Givens rotations: plane (1, 3) zeroes the corner
     (0, 3), plane (2, 3) the fill at (3, 1).  Rotations are orthogonal, so
     the count holds for a matrix within roundoff of S, singular or not.
     Returns the count and the determinant as the product of the four
     clamped Sturm pivots, of magnitude within 2^-800..2^808, times 2 to
-    the returned exponent (m, P).
+    the returned exponent, each (P,).
     """
-    t = np.concatenate([sd, so], axis=1)
-    exponent = np.frexp(np.abs(t).max(axis=1))[1]
-    t *= np.ldexp(1.0, -exponent)[:, None]
+    t = np.concatenate([sd, so])
+    exponent = np.frexp(np.abs(t).max(axis=0))[1]
+    t *= np.ldexp(1.0, -exponent)
     _flush(t)
-    a0, a1, a2, a3, b0, b1, b2, b3 = t.transpose(1, 0, 2)
+    a0, a1, a2, a3, b0, b1, b2, b3 = t
     r1, c, s = _rotation(b0, b3)
     a1, a3, h, p, q = (c * c * a1 + s * s * a3, s * s * a1 + c * c * a3, c * s * (a3 - a1),
                        c * b1 + s * b2, c * b2 - s * b1)
@@ -260,21 +260,21 @@ def _householder_tridiagonalize(matrix: np.ndarray):
 
 
 def _small_negatives(diag, off):
-    """Negative eigenvalues of one small periodic tridiagonal matrix.
+    """Negative eigenvalues of the cycle of separators and nodes of one column.
 
-    ``off`` holds the couplings (k, k+1), the last one the corner (n-1, 0).
-    Householder reduction of the scaled dense matrix, then a Sturm count.
-    The matrix is first equilibrated by a congruence with powers of two,
-    which keeps its inertia exactly: row i is scaled by about one over the
-    square root of its largest entry.  A cycle of separators and nodes
-    can be graded: on the Whittaker-Hill operator at a = 40, n = 256, one
-    holds -1.7e10 next to 1.6e-4, and its count turns on an eigenvalue of
-    about 1e-7, which a reduction of the unequilibrated matrix loses in
-    roundoff.
+    ``diag`` and ``off`` hold the cycle's diagonal and its couplings (k,
+    k+1 mod len(diag)), at least 4 of each.  Householder reduction of the
+    scaled dense matrix, then a Sturm count.  The matrix is first
+    equilibrated by a congruence with powers of two, which keeps its
+    inertia exactly: row i is scaled by about one over the square root of
+    its largest entry.  A cycle of separators and nodes can be graded: on
+    the Whittaker-Hill operator at a = 40, n = 256, one holds -1.7e10 next
+    to 1.6e-4, and its count turns on an eigenvalue of about 1e-7, which a
+    reduction of the unequilibrated matrix loses in roundoff.
     """
     n = len(diag)
     mat = np.diag(diag) + np.diag(off[:n - 1], 1)
-    mat[0, -1] += off[-1] if n > 1 else 0.0
+    mat[0, -1] += off[-1]
     mat = mat + np.triu(mat, 1).T
     big = np.abs(mat).max(axis=1)
     t = np.ldexp(1.0, -(np.frexp(np.where(big > 0.0, big, 1.0))[1] // 2))
@@ -287,16 +287,14 @@ def _small_negatives(diag, off):
 
 
 def _periodic_inertia(bands: _PeriodicBands, x: np.ndarray):
-    """Eigenvalues below each shift and det(A - x), for a batch of periodic matrices.
+    """Eigenvalues below x[p] of matrix p of ``bands``, and det(A - x[p]).
 
-    ``x`` is (m, P): m shifts for each matrix of ``bands``.  Returns three
-    (m, P) arrays: the counts, and det(A - x) (of the matrix divided by
-    ``bands.unit``, if any) as a mantissa, of magnitude in [1/2, 1) and
-    sign (-1)^count, and a base-2 exponent.  Matrices of at most four rows
-    are counted densely (``_small_negatives``), with a NaN mantissa: no
-    determinant.  Larger ones go through ``_inertia``.
+    ``x`` is (P,), one shift per matrix.  Returns three (P,) arrays: the
+    counts, and det(A - x) (of the matrix divided by ``bands.unit``, if
+    any) as a mantissa, of magnitude in [1/2, 1) and sign (-1)^count, and
+    a base-2 exponent; NaN mantissas where the count met a node (see
+    ``_inertia``).
     """
-    n, p = bands.diag.shape
     # eigenvalues lie within 3 scale (scaled entries are below 2, so in
     # (-6, 6)): a shift saturated past them keeps its count, and pivots
     # stay below 2^21 scale
@@ -305,33 +303,27 @@ def _periodic_inertia(bands: _PeriodicBands, x: np.ndarray):
             x = np.clip(x / bands.unit, -8.0, 8.0)
     else:
         x = np.clip(x, -8.0 * bands.scale, 8.0 * bands.scale)
-    if n > 4:
-        return _inertia(bands.diag, bands.offdiag, bands.corner, x, bands.scale)
-    count = np.zeros(x.shape, dtype=np.intp)
-    off = np.broadcast_to(bands.offdiag, (n - 1, p))
-    for i, k in np.ndindex(x.shape):
-        count[i, k] = _small_negatives(bands.diag[:, k] - x[i, k], [*off[:, k], bands.corner[k]])
-    return count, np.full(x.shape, np.nan), np.zeros(x.shape, dtype=np.intp)
+    return _inertia(bands.diag, bands.offdiag, bands.corner, x, bands.scale)
 
 
 def _inertia(diag, off, corner, x, scale):
     """``_periodic_inertia`` of the periodic matrices (diag, off, corner), n > 4.
 
-    ``scale`` (P,) sets the thresholds of each matrix.  With K = max(4,
-    n // _BLOCK_ROWS) and q, r = divmod(n, K), separator rows 0, q+r,
-    2q+r, ..., (K-1)q+r split A - x into K blocks, tridiagonals of q-1
-    rows (the first has r more, taken first while the others wait on
-    pivots of +inf).  By Haynsworth's inertia additivity the count is the blocks'
-    negative pivots plus the negative eigenvalues of the K x K cyclic
-    Schur complement S on the separators: block j couples only separators
-    j and j+1.  For K = 4 that is ``_cycle_negatives``; a larger S is
-    counted by this same recurrence (``_schur_inertia``), so a probe at
-    n = 512 takes 31 row steps on 16 blocks, then 3 on 4.  The blocks run
-    side by side as extra batch columns, through strided views of the
-    bands.  Each carries the fill f of its row into its opening separator
-    and that separator's update g; a last step onto the closing separator
-    (coupling v) leaves -f^2/a in g, the coupling -f v/a and the pivot
-    -v^2/a.
+    ``x`` and ``scale`` (P,) are each column's shift and the scale that
+    sets its thresholds.  With K = max(4, n // _BLOCK_ROWS) and q, r =
+    divmod(n, K), separator rows 0, q+r, 2q+r, ..., (K-1)q+r split A - x
+    into K blocks, tridiagonals of q-1 rows (the first has r more, taken
+    first while the others wait on pivots of +inf).  By Haynsworth's
+    inertia additivity the count is the blocks' negative pivots plus the
+    negative eigenvalues of the K x K cyclic Schur complement S on the
+    separators: block j couples only separators j and j+1.  For K = 4
+    that is ``_cycle_negatives``; a larger S is counted by this same
+    recurrence (``_schur_inertia``), so a probe at n = 512 takes 31 row
+    steps on 16 blocks, then 3 on 4.  The blocks run side by side as the
+    rows of (K, P) arrays, through strided views of the bands.  Each
+    carries the fill f of its row into its opening separator and that
+    separator's update g; a last step onto the closing separator (coupling
+    v) leaves -f^2/a in g, the coupling -f v/a and the pivot -v^2/a.
 
     No pivot within _NODE_REL of the matrix scale is divided by: its row
     stays beside S as a node, and the rest of its block opens on that row
@@ -354,12 +346,11 @@ def _inertia(diag, off, corner, x, scale):
     # -e; ``sign`` turns the fill of the step onto the separator back
     v = np.concatenate([np.broadcast_to(off[q + rem - 1::q], (blocks - 1, p)), corner[None]])
     sign = np.array([(-1.0) ** rows] + [(-1.0) ** (q - 1)] * (blocks - 1))[:, None]
-    x3 = x[:, None, :]
-    shape = (x.shape[0], blocks, p)
+    shape = (blocks, p)
     # rows of every block (the separators' last, x, makes the last pivot
     # -v^2/a) and the couplings to the next row
     last = 2 + (blocks - 1) * q
-    diag_rows = [diag[1 + i:last + i:q] for i in range(rows)] + [x3]
+    diag_rows = [diag[1 + i:last + i:q] for i in range(rows)] + [x]
     for i in range(rem):
         diag_rows[i] = np.concatenate([diag[1 + i:2 + i], np.full((blocks - 1, p), np.inf)])
     couplings = [off[1 + i:last + i:q] for i in range(rows - 1)] + [v]
@@ -369,10 +360,10 @@ def _inertia(diag, off, corner, x, scale):
     smallest = np.minimum.reduce
     screen = _NODE_REL * float(scale.max())
     flush = _FLUSH_REL * float(scale.min())
-    a = diag_rows[0] - x3
+    a = diag_rows[0] - x
     f = np.zeros(shape)
     starting = seps[:1] if rem else seps  # blocks whose first row is row 0
-    f[:, :len(starting)] = off[starting]
+    f[:len(starting)] = off[starting]
     g = np.zeros(shape)
     sign_rows = max(1, min(rows, _SIGN_ROWS))
     negative = np.empty((sign_rows,) + shape, dtype=bool)
@@ -380,34 +371,34 @@ def _inertia(diag, off, corner, x, scale):
     a_next, f_next, buf = np.empty(shape), np.empty(shape), np.empty(shape)
     mask = np.empty(shape, dtype=bool)
     det, det_exp, exp_buf = np.ones(shape), np.zeros(shape, dtype=np.intp), np.empty(shape, np.intc)
-    count = np.zeros(x.shape, dtype=np.intp)
+    count = np.zeros(p, dtype=np.intp)
     nodes = {}
     for i in range(rows):
         e, tiny = couplings[i], None
         absolute(a, buf)
         if smallest(buf, None) <= screen:
-            # nodes: (pivot, fill to the row their part of the block opened
-            # on, that row's update g)
+            # nodes, keyed by (block, column): (pivot, fill to the row their
+            # part of the block opened on, that row's update g)
             tiny = buf <= _NODE_REL * scale
             flip = sign * (-1.0) ** (rows - i)
             for key in zip(*np.nonzero(tiny)):
-                nodes.setdefault(key, []).append((a[key], flip[key[1], 0] * f[key], g[key]))
+                nodes.setdefault(key, []).append((a[key], flip[key[0], 0] * f[key], g[key]))
             a[tiny], g[tiny] = np.inf, 0.0
             buf[tiny] = 1.0  # keeps the product finite; the column has no det
         if i < rem:
-            mul(det[:, :1], buf[:, :1], det[:, :1])  # the other blocks wait on +inf
+            mul(det[:1], buf[:1], det[:1])  # the other blocks wait on +inf
         else:
             mul(det, buf, det)
         less(a, 0.0, is_negative[i % sign_rows])
         if i % sign_rows == sign_rows - 1:
-            count += np.count_nonzero(negative, axis=(0, 2))
-        sub(diag_rows[i + 1], x3, a_next)
+            count += np.count_nonzero(negative, axis=(0, 1))
+        sub(diag_rows[i + 1], x, a_next)
         div(squares[i], a, buf)
         sub(a_next, buf, a_next)
         div(f, a, buf)  # f/a: the fill times e, and f times it leaves g
         mul(e, buf, f_next)
         if i + 1 == rem:
-            f_next[:, 1:] += e[1:]  # the other blocks enter their first row
+            f_next[1:] += e[1:]  # the other blocks enter their first row
         if tiny is not None:
             f_next[tiny] = np.broadcast_to(-flip * e, shape)[tiny]  # rows after a node
         mul(f, buf, buf)
@@ -422,66 +413,62 @@ def _inertia(diag, off, corner, x, scale):
             if smallest(buf, None) < flush:
                 less(buf, flush, mask)
                 f[mask] = 0.0
-    count += np.count_nonzero(negative[:rows % sign_rows], axis=(0, 2))
+    count += np.count_nonzero(negative[:rows % sign_rows], axis=(0, 1))
     np.frexp(det, det, exp_buf)
     det_exp += exp_buf
-    sd = diag[seps] - x3 + g
-    sd[:, 1:] += a[:, :-1]  # block j closes on separator j + 1
-    sd[:, 0] += a[:, -1]
+    sd = diag[seps] - x + g
+    sd[1:] += a[:-1]  # block j closes on separator j + 1
+    sd[0] += a[-1]
     so = sign * f
     # columns with nodes: the cycle of separators and nodes replaces S,
     # g going to the last row each part of a block opened on
     cycles = {}
-    for i, k in sorted({(s, k) for s, _, k in nodes}):
+    for k in sorted({k for _, k in nodes}):
         cycle_diag, cycle_off = [], []
         for j in range(blocks):
-            chain = nodes.get((i, j, k), [])
-            updates = [node[2] for node in chain] + [g[i, j, k]]
-            cycle_diag.append(diag[seps[j], k] - x[i, k] + updates[0] + a[i, j - 1, k])
+            chain = nodes.get((j, k), [])
+            updates = [node[2] for node in chain] + [g[j, k]]
+            cycle_diag.append(diag[seps[j], k] - x[k] + updates[0] + a[j - 1, k])
             for (pivot, fill, _), update in zip(chain, updates[1:]):
                 cycle_off.append(fill)
                 cycle_diag.append(pivot + update)
-            cycle_off.append(so[i, j, k])
-        cycles[i, k] = _small_negatives(cycle_diag, cycle_off)
-        sd[i, :, k], so[i, :, k] = 1.0, 0.0  # S is not counted there
+            cycle_off.append(so[j, k])
+        cycles[k] = _small_negatives(cycle_diag, cycle_off)
+        sd[:, k], so[:, k] = 1.0, 0.0  # S is not counted there
     s_count, s_det, s_exp = (_cycle_negatives if blocks == 4 else _schur_inertia)(sd, so)
     count += s_count
-    block_det, block_exp = np.ones(det.shape[::2]), det_exp.sum(axis=1)
+    block_det, block_exp = np.ones(p), det_exp.sum(axis=0)
     for j in range(0, blocks, 512):  # each factor is at least 1/2
-        block_det, shift = np.frexp(block_det * det[:, j:j + 512].prod(axis=1))
+        block_det, shift = np.frexp(block_det * det[j:j + 512].prod(axis=0))
         block_exp += shift
     mantissa, exponent = np.frexp(np.abs(block_det * s_det))
     exponent = exponent + block_exp + s_exp
     mantissa[count % 2 == 1] *= -1.0
-    for (i, k), cycle in cycles.items():
-        count[i, k] += cycle - s_count[i, k]
-        mantissa[i, k] = np.nan
+    for k, cycle in cycles.items():
+        count[k] += cycle - s_count[k]
+        mantissa[k] = np.nan
     return count, mantissa, exponent
 
 
 def _schur_inertia(sd, so):
     """Negative eigenvalues and determinants of K x K cyclic matrices, K > 4.
 
-    ``sd`` and ``so`` (m, K, P) hold the diagonals and the couplings (j,
+    ``sd`` and ``so`` (K, P) hold the diagonals and the couplings (j,
     j+1 mod K), as for ``_cycle_negatives``.  Each matrix is scaled by the
     power of two that brings its largest entry into [1/2, 1), entries
     below _FLUSH_REL are flushed, and ``_inertia`` counts it at shift 0.
     Returns the count, det as a signed mantissa (NaN where that count met
-    a node) and the exponent, each (m, P).
+    a node) and the exponent, each (P,).
     """
-    m, k, p = sd.shape
-    t = np.concatenate([sd, so], axis=1)
-    big = np.abs(t).max(axis=1)
+    k = len(sd)
+    t = np.concatenate([sd, so])
+    big = np.abs(t).max(axis=0)
     exponent = np.frexp(big)[1]
-    t *= np.ldexp(1.0, -exponent)[:, None]
+    t *= np.ldexp(1.0, -exponent)
     _flush(t)
-    d, e = (t[:, :k].transpose(1, 0, 2).reshape(k, m * p),
-            t[:, k:].transpose(1, 0, 2).reshape(k, m * p))
-    count, mantissa, det_exp = _inertia(
-        d, e[:k - 1], e[k - 1], np.zeros((1, m * p)),
-        np.maximum(np.ldexp(big, -exponent).ravel(), _MIN_SCALE))
-    return (count.reshape(m, p), mantissa.reshape(m, p),
-            det_exp.reshape(m, p) + k * exponent)
+    count, mantissa, det_exp = _inertia(t[:k], t[k:-1], t[-1], np.zeros(len(big)),
+                                        np.maximum(np.ldexp(big, -exponent), _MIN_SCALE))
+    return count, mantissa, det_exp + k * exponent
 
 
 def _dyadic_points(lo, hi, levels):
@@ -505,35 +492,6 @@ def _dyadic_points(lo, hi, levels):
         out[..., 1::2] = mid
         pts = out
     return pts
-
-
-def _probe(bands: _PeriodicBands, cols, x, work):
-    """Counts, det mantissas and exponents at the shifts x[i] of matrices cols[i].
-
-    ``cols`` is ascending.  One kernel call takes the shifts as (m,
-    matrices), m the most any matrix has, where that pads at most an
-    eighth more columns (repeating a matrix's last shift); otherwise it
-    takes one shift per column, on the matrices gathered by ``cols``,
-    which costs a copy of their diagonals into ``work[0]``, a flat array
-    grown as needed.  A padded column costs the kernel about 5 us at n =
-    512, as a gathered diagonal costs a copy: thresholds from a half to a
-    thousandth sweep 8 x 8 windows in the same time within noise.
-    """
-    mats, first, per = np.unique(cols, return_index=True, return_counts=True)
-    m = per.max()
-
-    def gather(sel):
-        if work[0].size < bands.diag.shape[0] * len(sel):
-            work[0] = np.empty(bands.diag.shape[0] * len(sel))
-        return bands.take(sel, work[0])
-
-    if 8 * m * len(mats) > 9 * len(cols):
-        return [v[0] for v in _periodic_inertia(gather(cols), x[None])]
-    slot = np.minimum(np.arange(m), per[:, None] - 1) + first[:, None]
-    sub = bands if len(mats) == bands.diag.shape[1] else gather(mats)
-    out = _periodic_inertia(sub, x[slot].T.copy())
-    mat = np.repeat(np.arange(len(mats)), per)
-    return [v[np.arange(len(cols)) - first[mat], mat] for v in out]
 
 
 class _Toms748:
@@ -669,7 +627,7 @@ def _bisect(bands: _PeriodicBands, k: int, start: int = 0, lower=None) -> np.nda
     mantissa, exponent = np.full((size, 2), np.nan), np.zeros((size, 2), dtype=np.intp)
     polishing, polished = np.zeros(size, dtype=bool), np.zeros(size, dtype=np.intp)
     toms = _Toms748(size)
-    work = [np.empty(0)]  # for _probe's gathers
+    work = np.empty(0)  # the gathered diagonals, reused across rounds
 
     def converged(sel, lo, hi):
         return hi - lo <= _BISECT_TOL * np.maximum(floor[sel], np.abs(lo) + np.abs(hi))
@@ -688,11 +646,10 @@ def _bisect(bands: _PeriodicBands, k: int, start: int = 0, lower=None) -> np.nda
             shifts.append(toms.points(pol, a, b, np.maximum(
                 0.5 * _BISECT_TOL * np.maximum(floor[pol], np.abs(a) + np.abs(b)), room[pol])))
         ids = np.concatenate(([np.repeat(bis, top - 1)] if len(bis) else []) + [pol])
-        order = np.argsort(ids, kind="stable")
-        found = _probe(bands, col[ids[order]], np.concatenate(shifts)[order], work)
-        c_all, m_all, e_all = (np.empty_like(v) for v in found)
-        for out, v in zip((c_all, m_all, e_all), found):
-            out[order] = v
+        if work.size < bands.diag.shape[0] * len(ids):
+            work = np.empty(bands.diag.shape[0] * len(ids))
+        c_all, m_all, e_all = _periodic_inertia(bands.take(col[ids], work),
+                                                np.concatenate(shifts))
         cut = len(ids) - len(pol)
         if len(bis):
             # count and det at every dyadic point, the brackets' ends included
@@ -732,11 +689,13 @@ def _bisect(bands: _PeriodicBands, k: int, start: int = 0, lower=None) -> np.nda
 
 
 def _periodic_batch(diag, offdiag, corner) -> _PeriodicBands:
-    """Validated (n, P) bands of a batch of periodic matrices."""
+    """Validated (n, P) bands of a batch of periodic matrices, n >= 5."""
     d = np.ascontiguousarray(diag, dtype=float)
     e = np.ascontiguousarray(offdiag, dtype=float)
     if d.ndim != 2 or e.shape not in ((d.shape[0] - 1, d.shape[1]), (d.shape[0] - 1, 1)):
         raise ValueError("offdiag must have length n-1")
+    if d.shape[0] < 5:
+        raise ValueError(f"periodic matrices must have at least 5 rows, got {d.shape[0]}")
     c = np.broadcast_to(np.asarray(corner, dtype=float), (d.shape[1],))
     if not (np.isfinite(d).all() and np.isfinite(e).all() and np.isfinite(c).all()):
         raise ValueError("matrix entries must be finite")
@@ -747,15 +706,18 @@ def periodic_eigenvalue_counts(diag, offdiag, corner, shifts) -> np.ndarray:
     """Number of eigenvalues below each shift, for a batch of periodic matrices.
 
     The bands are laid out as in ``eig_periodic_sym_tridiagonal``'s batch
-    form, one matrix per column; ``shifts`` is (m, P), m shifts for each
-    matrix, and so is the integer result.  All of them take one pass of
-    the inertia recurrence.  Raises ValueError on a non-finite entry.
+    form, one matrix per column; each row of ``shifts`` holds one shift per
+    matrix, and the integer result has the shape of ``shifts``.  Every
+    (matrix, shift) pair is one column of a single inertia kernel call.
+    Raises ValueError on a non-finite entry or fewer than 5 rows.
     """
     bands = _periodic_batch(diag, offdiag, corner)
     x = np.asarray(shifts, dtype=float)
     if x.ndim != 2 or x.shape[1] != bands.diag.shape[1]:
         raise ValueError("shifts must be (m, P), m shifts for each of the P matrices")
-    return _periodic_inertia(bands, x)[0]
+    cols = np.tile(np.arange(x.shape[1]), x.shape[0])
+    work = np.empty(bands.diag.shape[0] * x.size)
+    return _periodic_inertia(bands.take(cols, work), x.ravel())[0].reshape(x.shape)
 
 
 def eig_periodic_sym_tridiagonal(diag, offdiag, corner, k: int = 1, start: int = 0,
@@ -771,7 +733,8 @@ def eig_periodic_sym_tridiagonal(diag, offdiag, corner, k: int = 1, start: int =
     batch of P matrices, ``diag`` is (n, P), ``offdiag`` (n-1, P), or
     (n-1, 1) when all P share it, and ``corner`` (P,), one matrix per
     column, and the result is (P, k); all of them are bisected together,
-    one row of the recurrence at a time.
+    one row of the recurrence at a time, each (matrix, shift) probe one
+    column of the inertia kernel.  Every matrix must have at least 5 rows.
     With ``start`` the first ``start`` eigenvalues are skipped (the result
     has k - start columns), and ``lower`` (scalar or (P,)), a point with at
     most ``start`` eigenvalues below it, replaces the Gershgorin lower end
@@ -779,7 +742,7 @@ def eig_periodic_sym_tridiagonal(diag, offdiag, corner, k: int = 1, start: int =
     bracket with a positive lower end spans more than a factor of two, and
     arithmetic otherwise; a bracket is done at a width of 1e-13 max(min(1,
     s), |lo| + |hi|), s the largest entry of its matrix in magnitude.
-    Raises ValueError on a non-finite entry.
+    Raises ValueError on a non-finite entry or fewer than 5 rows.
     """
     d = np.asarray(diag, dtype=float)
     single = d.ndim == 1

@@ -7,11 +7,16 @@
   (mode sweep, Ince truncation, direct solve) for constant curvature.  A
   mode (m, l) on a circle of curvature kappa is the Whittaker-Hill
   operator at a = hypot(m, l) / kappa, with lambda = kappa * E / 2.
+* ``eig_sym_tridiagonal`` and ``householder_eigenvalues``: whole symmetric
+  spectra through the library's QL kernel (after its Householder
+  reduction), for the tests of those two kernels.
 """
 
 import numpy as np
 
+from kohnspec.eigen import _householder_tridiagonalize
 from kohnspec.modes import certified_spectra
+from kohnspec.whittakerhill import _ql_eigenvalues
 
 
 def periodic_dense(diag, offdiag, corner) -> np.ndarray:
@@ -65,3 +70,13 @@ def wh_spectrum(a: float, n: int = 1024, k: int = 2) -> np.ndarray:
     u = np.exp(w_log - w_log.max())
     E0 = np.sum((np.roll(u, -1) - r * u) ** 2 / r) / h**2 / np.sum(u**2)
     return np.concatenate([[E0], upper[0]])
+
+
+def eig_sym_tridiagonal(d, e) -> np.ndarray:
+    """Eigenvalues of the symmetric tridiagonal (d, e) by the QL kernel, ascending."""
+    return np.sort(np.asarray(_ql_eigenvalues(d, e)).real)
+
+
+def householder_eigenvalues(a) -> np.ndarray:
+    """Eigenvalues of a dense symmetric matrix, ascending: Householder, then QL."""
+    return eig_sym_tridiagonal(*_householder_tridiagonalize(a))

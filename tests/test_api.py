@@ -7,6 +7,9 @@ import kohnspec
 #: every mode's kernel through its Rayleigh quotient with them.
 CRITERION_04 = {"kernel_function", "rayleigh_quotient"}
 
+#: Test oracles only: the library's eigensolvers are self-contained.
+ORACLE_ONLY = {"linalg", "scipy", "mpmath"}
+
 
 def test_exports_resolve_to_their_modules():
     # a name deleted from its module but left in the lazy table would fail
@@ -28,3 +31,28 @@ def test_every_export_has_a_caller_in_the_library():
                 elif isinstance(node, ast.Attribute):
                     read.add(node.attr)
     assert set(kohnspec.__all__) - read == CRITERION_04
+
+
+def _names(node):
+    """The dotted name parts that ``node`` imports, reads or spells as a string."""
+    if isinstance(node, ast.Import):
+        return {part for alias in node.names for part in alias.name.split(".")}
+    if isinstance(node, ast.ImportFrom):
+        return set((node.module or "").split(".")) | {alias.name for alias in node.names}
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return set(node.value.split("."))
+    return set()
+
+
+def test_library_names_no_oracle_module():
+    # numpy.linalg, scipy and mpmath check the library in the tests; the
+    # library itself neither imports them nor reaches them by attribute or
+    # by a module name in a string
+    for path in Path(kohnspec.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            found = _names(node) & ORACLE_ONLY
+            assert not found, (path.name, node.lineno, found)

@@ -26,6 +26,11 @@ ROOT = Path(__file__).resolve().parents[1]
 #: The default ``wh-sweep`` table, as written before the Ince path left numpy.
 DEFAULT_SWEEP = ROOT / "tests" / "data" / "wh_sweep_default.csv"
 
+#: ``analyze --grid 512 --window 8 8 --format csv`` of ``make-curve random
+#: --seed 7``, the benchmark's sweep, as written before the inertia kernel
+#: took one shift per column.
+ANALYZE_SEED7 = ROOT / "tests" / "data" / "analyze_seed7.csv"
+
 
 def run(argv):
     return main(argv)
@@ -225,6 +230,16 @@ def test_default_sweep_bytes_unchanged(tmp_path):
     assert proc.returncode == 0 and proc.stdout == DEFAULT_SWEEP.read_bytes()
 
 
+def test_benchmark_analyze_bytes_unchanged(tmp_path):
+    spec, out = tmp_path / "random.json", tmp_path / "report.csv"
+    for argv in (["make-curve", "random", "--seed", "7", "--out", str(spec)],
+                 ["analyze", str(spec), "--grid", "512", "--window", "8", "8", "--format", "csv",
+                  "--out", str(out)]):
+        proc = subprocess.run([sys.executable, "-m", "kohnspec.cli", *argv], capture_output=True)
+        assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
+    assert out.read_bytes() == ANALYZE_SEED7.read_bytes()
+
+
 def test_default_sweep_passes_the_benchmark_oracle():
     # the oracle imports the sector certificate from kohnspec.eigen, which
     # re-exports whittakerhill's, and applies it to whittakerhill's
@@ -295,6 +310,12 @@ class TestNonFiniteInput:
         ({"rho": {"cos": [1e5]}, "grid": 64}, "mode (-1, -1) at grid 64"),
         ({"rho": {"cos": [1e-100]}, "grid": 64}, "zero mode"),
         ({"rho": {"cos": [1e-200]}, "grid": 64}, "rho must be at least 2^-400"),
+        # the turning sits in two spikes of pi / h; the other samples' band
+        # entries, of order 1 / (h^2 kappa), overflowed
+        ({"kappa_samples": [16.0 * np.pi] + [1e-306] * 7 + [16.0 * np.pi] + [1e-306] * 7,
+          "length": 1.0}, "kappa_samples: sample 1 = 1e-306"),
+        ({"kappa_samples": [1e308] * 16, "length": 1.0}, "kappa_samples: sample 0 = 1e+308"),
+        ({"kappa_samples": [2.0**399] * 16, "length": 1e300}, "kappa_samples: sample 0 alone turns"),
     ])
     def test_spec_exits_one_without_warning(self, spec, field, tmp_path, capsys):
         path = tmp_path / "spec.json"

@@ -5,22 +5,29 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from kohnspec import (
     CertificateFailed,
     NoConvergence,
+    SectorRegion,
     Tridiagonal,
     build_curve,
     circle_profile,
     eig_general_tridiagonal,
     ince_matrix,
     mode_spectra,
+    point_in_sector,
+    sector_exclusion_certificate,
     verify_E_geq_1,
     whittakerhill,
 )
 from kohnspec.modes import GridTooCoarse
-from oracles import periodic_dense, wh_bands, wh_spectrum
+from kohnspec.whittakerhill import bendixson_floor
+from oracles import (eig_sym_tridiagonal, householder_eigenvalues, periodic_dense, wh_bands,
+                     wh_spectrum)
 
 #: differences below this are eigensolver roundoff, not truncation error
 CONVERGENCE_FLOOR = 1e-11
@@ -484,3 +491,215 @@ class TestEqualityPipeline:
         report = lambda1_kohn(circle_kappa2, ModeWindow(2, 2))
         assert min(rescaled) == pytest.approx(kappa / 2, rel=1e-4)
         assert min(rescaled) == pytest.approx(report.lambda1_estimate, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the general tridiagonal path of ``wh-sweep`` (``kohnspec.whittakerhill``):
+# QL on builtin complex, which returns lists, and the sector certificate
+# ---------------------------------------------------------------------------
+
+
+# signed magnitudes 10^-150 .. 10^150, and zeros that split the matrix
+wide_entries = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, exponent: sign * 10.0**exponent,
+              st.sampled_from([-1.0, 1.0]), st.floats(-150.0, 150.0)))
+
+
+@st.composite
+def wide_tridiagonals(draw):
+    n = draw(st.integers(1, 40))
+    diag, upper, lower = (draw(st.lists(wide_entries, min_size=size, max_size=size))
+                          for size in (n, n - 1, n - 1))
+    return Tridiagonal(diag, upper, lower)
+
+
+class TestGeneralTridiagonal:
+    def test_diagonal_only(self):
+        tri = Tridiagonal([1.0, 4.0, 9.0, 16.0], np.zeros(3), np.zeros(3))
+        np.testing.assert_allclose(np.asarray(eig_general_tridiagonal(tri)).real, [1, 4, 9, 16])
+
+    def test_truncation_order_two_real(self):
+        vals = eig_general_tridiagonal(ince_matrix(1.0, 2))
+        np.testing.assert_allclose(vals, [2.0 + 0j, 3.0 + 0j], atol=1e-12)
+
+    def test_truncation_order_two_complex(self):
+        vals = eig_general_tridiagonal(ince_matrix(2.0, 2))
+        expected = np.array([2.5 - 1j * np.sqrt(23) / 2, 2.5 + 1j * np.sqrt(23) / 2])
+        np.testing.assert_allclose(vals, expected, atol=1e-12)
+
+    def test_conjugate_pairs(self):
+        rng = np.random.default_rng(23)
+        tri = Tridiagonal(rng.uniform(0, 3, 20), rng.uniform(0.1, 2, 19),
+                          -rng.uniform(0.1, 2, 19))
+        vals = np.asarray(eig_general_tridiagonal(tri))
+        complex_vals = vals[np.abs(vals.imag) > 1e-10]
+        assert len(complex_vals) % 2 == 0
+        paired = np.sort_complex(complex_vals)
+        np.testing.assert_allclose(paired, np.sort_complex(paired.conj()), atol=1e-9)
+
+    def test_diagonal_similarity_invariance(self):
+        rng = np.random.default_rng(29)
+        n = 15
+        diag = rng.standard_normal(n)
+        up = rng.standard_normal(n - 1)
+        lo = rng.standard_normal(n - 1)
+        scale = rng.uniform(0.5, 2.0, n)
+        tri = Tridiagonal(diag, up, lo)
+        similar = Tridiagonal(diag, up * scale[:-1] / scale[1:], lo * scale[1:] / scale[:-1])
+        a = eig_general_tridiagonal(tri)
+        b = eig_general_tridiagonal(similar)
+        np.testing.assert_allclose(a, b, atol=1e-9)
+
+    def test_isotropic_rotation_raises(self):
+        # similar to [[0, i], [i, 2]]: the first QL rotation has f^2 + g^2 = 0
+        with pytest.raises(NoConvergence, match="isotropic"):
+            eig_general_tridiagonal(Tridiagonal([0.0, 2.0], [1.0], [-1.0]))
+
+    def test_underflowing_rotation_matches_lapack(self):
+        # f^2 + g^2 underflows to 0 for f, g about 1e-200: not isotropic
+        d, e = np.array([1.0, 1e-200, 3e-200]), np.array([0.5, 1e-200])
+        want = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        got = np.asarray(eig_general_tridiagonal(Tridiagonal(d, e, e)))
+        np.testing.assert_array_equal(got.imag, 0.0)
+        np.testing.assert_allclose(got.real, want, rtol=1e-14)
+        np.testing.assert_allclose(householder_eigenvalues(periodic_dense(d, e, 0.0)),
+                                   want, rtol=1e-14)
+
+    @pytest.mark.parametrize("big", [2.0**1023, np.finfo(float).max])
+    def test_entries_from_two_to_the_1023(self, big):
+        # scaling the largest entry into [1/2, 1) would divide by 2^1024,
+        # which overflows; these scale by 2^1023
+        np.testing.assert_allclose(eig_sym_tridiagonal([1.0, 2.0], [big]), [-big, big],
+                                   rtol=1e-15)
+        # [[1, 2a], [-a, 4]] has eigenvalues 2.5 +- i sqrt(2 a^2 - 2.25)
+        a = big / 2.0
+        vals = np.asarray(eig_general_tridiagonal(ince_matrix(a, 2)))
+        np.testing.assert_allclose(vals.imag, [-np.sqrt(2.0) * a, np.sqrt(2.0) * a], rtol=1e-15)
+
+    def test_sweep_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(whittakerhill, "_QL_MAX_SWEEPS", 0)
+        with pytest.raises(NoConvergence, match="exceeded 0 sweeps"):
+            eig_general_tridiagonal(ince_matrix(1.0, 5))
+
+    def test_non_finite_entries_rejected(self):
+        with pytest.raises(ValueError):
+            eig_general_tridiagonal(Tridiagonal([np.nan, 1.0], [1.0], [-1.0]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(tri=wide_tridiagonals())
+    def test_wide_entries_converge_or_raise_no_convergence(self, tri):
+        # builtin complex raises where numpy scalars returned inf or nan:
+        # entries over 10^+-150 with mixed-sign couplings still end in a
+        # finite, conjugation-closed spectrum or in NoConvergence
+        try:
+            vals = np.asarray(eig_general_tridiagonal(tri))
+        except NoConvergence:
+            return
+        assert len(vals) == tri.n and np.all(np.isfinite(vals))
+        np.testing.assert_array_equal(np.sort_complex(vals), np.sort_complex(vals.conj()))
+
+    @pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError])
+    def test_kernel_range_errors_raise_no_convergence(self, monkeypatch, error):
+        def kernel(d, e, max_sweeps):
+            raise error("out of range")
+
+        monkeypatch.setattr(whittakerhill, "_tqli_kernel", kernel)
+        with pytest.raises(NoConvergence, match="floating-point range"):
+            eig_general_tridiagonal(ince_matrix(1.0, 4))
+
+    def test_ince_spectra_match_lapack(self):
+        # optimal matching against LAPACK, each eigenvalue to 1e-9 relative
+        # times its condition number |y||x| / |y^H x| (x, y right and left
+        # eigenvectors): the large eigenvalues at strong coupling are too
+        # ill-conditioned for any double-precision solver to pin down
+        assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+        for N in (2, 10, 60, 120):
+            for a in (0.0, 1.0, 5.0, 10.0, 40.0):
+                tri = ince_matrix(a, N)
+                ref, vecs = np.linalg.eig(tri.to_dense())
+                kappa = (np.linalg.norm(np.linalg.inv(vecs), axis=1)
+                         * np.linalg.norm(vecs, axis=0))
+                mine = np.asarray(eig_general_tridiagonal(tri))
+                cost = np.abs(ref[:, None] - mine[None, :])
+                rows, cols = assignment(cost)
+                tol = 1e-9 * np.maximum(1.0, np.abs(ref[rows])) * kappa[rows]
+                assert np.all(cost[rows, cols] <= tol), (N, a)
+
+    def test_char_poly_vanishes_at_eigenvalues(self):
+        rng = np.random.default_rng(31)
+        tri = Tridiagonal(rng.uniform(0.5, 4.0, 12), rng.standard_normal(11),
+                          rng.standard_normal(11))
+        scale = np.prod(np.maximum(1.0, np.abs(tri.diag)))
+        for z in eig_general_tridiagonal(tri):
+            assert abs(np.linalg.det(tri.to_dense() - z * np.eye(tri.n))) < 1e-6 * scale
+
+
+class TestSectorCertificate:
+    def test_ince_truncations_pass(self):
+        for N in (2, 4, 20, 60, 200):
+            cert = sector_exclusion_certificate(ince_matrix(3.0, N), 3 / np.pi)
+            assert cert.hypotheses_ok, cert.failures
+            assert cert.region.mu == 1.0
+            # sum k^-2 < pi^2/6 keeps the admissible delta above 3/pi for all N
+
+    def test_positive_offdiagonal_product_fails(self):
+        tri = Tridiagonal([1.0, 2.0], [1.0], [1.0])
+        cert = sector_exclusion_certificate(tri, 0.1)
+        assert not cert.hypotheses_ok
+
+    def test_huge_coupling_without_overflow(self):
+        # upper * lower would overflow to -inf; the signs are compared instead
+        with np.errstate(all="raise"):
+            cert = sector_exclusion_certificate(ince_matrix(1e200, 4), 3 / np.pi)
+        assert cert.hypotheses_ok, cert.failures
+
+    def test_nan_coupling_fails(self):
+        tri = Tridiagonal([1.0, 2.0], [np.nan], [-1.0])
+        assert not sector_exclusion_certificate(tri, 0.1).hypotheses_ok
+
+    def test_oversized_delta_fails(self):
+        cert = sector_exclusion_certificate(ince_matrix(1.0, 10), 10.0)
+        assert not cert.hypotheses_ok
+
+    def test_nonpositive_diagonal_fails(self):
+        tri = Tridiagonal([1.0, -2.0], [1.0], [-1.0])
+        cert = sector_exclusion_certificate(tri, 0.1)
+        assert not cert.hypotheses_ok
+
+    def test_bendixson_floor(self):
+        # Ince truncations: min diag 1; a zero product splits the matrix
+        # and keeps the floor; a positive or NaN product voids it
+        for N in (1, 2, 60):
+            assert bendixson_floor(ince_matrix(7.0, N)) == 1.0
+        assert bendixson_floor(Tridiagonal([3.0, -2.0, 5.0], [1.0, 0.0], [0.0, 4.0])) == -2.0
+        assert bendixson_floor(Tridiagonal([1.0, 2.0, 3.0], [1.0, 1.0], [-1.0, 1.0])) is None
+        assert bendixson_floor(Tridiagonal([1.0, 2.0], [np.nan], [-1.0])) is None
+        assert bendixson_floor(Tridiagonal([], [], [])) is None
+        with np.errstate(all="raise"):
+            assert bendixson_floor(ince_matrix(1e200, 4)) == 1.0
+
+    def test_bendixson_floor_bounds_the_spectrum(self):
+        rng = np.random.default_rng(59)
+        for _ in range(20):
+            n = int(rng.integers(1, 30))
+            up = rng.standard_normal(n - 1)
+            tri = Tridiagonal(rng.uniform(-3.0, 3.0, n), up,
+                              -np.sign(up) * rng.uniform(0.0, 3.0, n - 1))
+            floor = bendixson_floor(tri)
+            assert np.linalg.eigvals(tri.to_dense()).real.min() >= floor - 1e-12 * n
+
+    def test_point_membership(self):
+        region = SectorRegion(mu=1.0, delta=3 / np.pi)
+        assert point_in_sector(0.5, region)
+        assert not point_in_sector(1.0, region)
+        assert not point_in_sector(2.5 + 1j * np.sqrt(23) / 2, region)
+        assert not point_in_sector(0.5 + 0.5j, region)  # above the slanted edge
+
+    def test_certified_spectra_avoid_sector(self):
+        for a in (0.0, 0.5, 2.0, 7.0):
+            tri = ince_matrix(a, 40)
+            cert = sector_exclusion_certificate(tri, 3 / np.pi)
+            assert cert.hypotheses_ok
+            for z in eig_general_tridiagonal(tri):
+                assert not point_in_sector(z, cert.region)
