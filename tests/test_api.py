@@ -19,17 +19,23 @@ def test_exports_resolve_to_their_modules():
         assert value.__module__ == f"kohnspec.{kohnspec._MODULE_OF[name]}", name
 
 
+def _library_nodes():
+    """(file name, node) for every AST node of the modules under src/kohnspec."""
+    for path in Path(kohnspec.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            yield path.name, node
+
+
 def test_every_export_has_a_caller_in_the_library():
     # names read anywhere in the package outside __init__; a definition
     # binds its name without reading it
     read = set()
-    for path in Path(kohnspec.__file__).parent.glob("*.py"):
-        if path.name != "__init__.py":
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
-                    read.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    read.add(node.attr)
+    for name, node in _library_nodes():
+        if name != "__init__.py":
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
     assert set(kohnspec.__all__) - read == CRITERION_04
 
 
@@ -52,7 +58,6 @@ def test_library_names_no_oracle_module():
     # numpy.linalg, scipy and mpmath check the library in the tests; the
     # library itself neither imports them nor reaches them by attribute or
     # by a module name in a string
-    for path in Path(kohnspec.__file__).parent.rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            found = _names(node) & ORACLE_ONLY
-            assert not found, (path.name, node.lineno, found)
+    for name, node in _library_nodes():
+        found = _names(node) & ORACLE_ONLY
+        assert not found, (name, node.lineno, found)
