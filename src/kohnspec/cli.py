@@ -158,12 +158,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(run=cmd_wh_sweep)
 
     make = sub.add_parser("make-curve", help="write a preset curve spec file")
-    make.add_argument("preset", choices=["circle", "ellipse", "random"])
-    make.add_argument("--radius", type=float, default=1.0)
-    make.add_argument("--eps", type=float, default=0.3)
-    make.add_argument("--seed", type=int, default=0)
-    make.add_argument("--grid", type=int, default=512)
-    make.add_argument("--out", default=None, metavar="PATH")
+    # each preset takes its own parameter only, beside the shared --grid and --out
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--grid", type=int, default=512)
+    shared.add_argument("--out", default=None, metavar="PATH")
+    presets = make.add_subparsers(dest="preset", required=True)
+    for preset, option, kind, default, text in (
+            ("circle", "--radius", float, 1.0, "a circle of the given radius"),
+            ("ellipse", "--eps", float, 0.3, "the profile rho = 1 + eps cos 2phi"),
+            ("random", "--seed", int, 0, "a random convex curve, seeded")):
+        presets.add_parser(preset, parents=[shared], help=text).add_argument(
+            option, type=kind, default=default)
     make.set_defaults(run=cmd_make_curve)
 
     return parser

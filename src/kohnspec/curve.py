@@ -358,7 +358,8 @@ def curve_from_curvature_samples(kappa_samples, length: float) -> GeneratingCurv
         raise ValueError(f"length must be finite and positive, got {length!r}")
     bad = np.flatnonzero(~np.isfinite(kappa))
     if len(bad):
-        raise ValueError(f"curvature samples must be finite; sample {bad[0]} is {kappa[bad[0]]!r}")
+        raise ValueError(f"curvature samples must be finite; sample {bad[0]} is "
+                         f"{float(kappa[bad[0]])!r}")
     if kappa.min() <= 0.0:
         raise NonPositiveCurvature(
             f"curvature samples must be positive; min is {kappa.min():.6g}")
@@ -485,25 +486,37 @@ def _spec_numbers(value, field: str) -> list:
     return [_spec_number(x, f"{field}[{j}]") for j, x in enumerate(value)]
 
 
+def _only_keys(obj: dict, name: str, keys) -> None:
+    """ValueError naming the first key of ``obj`` outside ``keys``."""
+    for key in obj:
+        if key not in keys:
+            allowed = " and ".join(f'"{k}"' for k in keys)
+            raise ValueError(f'{name} takes only {allowed}; it does not read "{key}"')
+
+
 def curve_from_spec(data: dict, grid: int | None = None) -> GeneratingCurve:
     """Build a curve from the JSON curve-spec dictionary.
 
     Accepted forms: {"rho": {"cos": [c0, ...], "sin": [d1, ...]}, "grid": n}
     or {"kappa_samples": [...], "length": l}.  ``grid`` overrides the
     profile's grid; a sampled spec's grid is its sample count, so passing
-    ``grid`` with it is a ValueError.  So is every field of the wrong type.
+    ``grid`` with it is a ValueError.  So is every field of the wrong type,
+    and every key its form does not read, which the message names.
     """
     if not isinstance(data, dict):
         raise ValueError(f"curve spec must be a JSON object, got {type(data).__name__}")
     if "rho" in data:
+        _only_keys(data, 'a "rho" curve spec', ("rho", "grid"))
         rho = data["rho"]
         if not isinstance(rho, dict) or "cos" not in rho:
             raise ValueError('"rho" must be an object with a "cos" list')
+        _only_keys(rho, '"rho"', ("cos", "sin"))
         profile = RadiusOfCurvatureProfile(tuple(_spec_numbers(rho["cos"], '"cos"')),
                                            tuple(_spec_numbers(rho.get("sin", []), '"sin"')))
         n = grid if grid is not None else data.get("grid", 512)
         return build_curve(profile, n)
     if "kappa_samples" in data:
+        _only_keys(data, 'a "kappa_samples" curve spec', ("kappa_samples", "length"))
         if grid is not None:
             raise ValueError("grid applies only to rho specs; a kappa_samples "
                              "spec's sample count is its grid")

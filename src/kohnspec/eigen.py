@@ -6,12 +6,13 @@ per probe.  Separator rows, one about every 32, split the shifted matrix
 into tridiagonal blocks, which one numpy kernel eliminates side by side
 for a batch of (matrix, shift) columns, in about 32 row steps;
 Haynsworth's inertia additivity adds the inertia of the cyclic tridiagonal
-Schur complement on the separators, which the same kernel counts in turn
-until 4 separators are left, whose 4 x 4 complement is made tridiagonal by
-two Givens rotations (nested dissection, George 1973).  The same pivots
-give det(A - x), and a bracket that isolates its eigenvalue is polished on
-it by the enclosing steps of Alefeld, Potra & Shi (Algorithm 748), each
-probe's count keeping the bracket certified.
+Schur complement S on the separators.  One step scales S by a power of two
+and counts it: with the same kernel in turn while it has more than 4 rows,
+and at 4 rows after two Givens rotations make it tridiagonal (nested
+dissection, George 1973).  The same pivots give det(A - x), and a bracket
+that isolates its eigenvalue is polished on it by the enclosing steps of
+Alefeld, Potra & Shi (Algorithm 748), each probe's count keeping the
+bracket certified.
 
 The general real tridiagonal matrices of ``wh-sweep`` (the Ince
 truncations), their QL eigensolver and the sector-exclusion certificate
@@ -60,9 +61,6 @@ _PIVMIN_REL = 2.0**-200
 #: squares could underflow, and their effect is far below roundoff.
 _FLUSH_REL = 2.0**-200
 _FLUSH_EVERY = 4
-
-#: Rows whose pivot signs the kernel buffers before adding them up.
-_SIGN_ROWS = 64
 
 #: Floor on a matrix's scale, so that the thresholds above stay normal
 #: numbers (and a zero pivot of the zero matrix is still a node).
@@ -190,22 +188,18 @@ def _sturm_pivots(diag, off):
     return pivots
 
 
-def _cycle_negatives(sd, so):
+def _cycle_negatives(t):
     """Negative eigenvalues and determinants of 4 x 4 cyclic matrices, elementwise.
 
-    ``sd`` and ``so`` (4, P) hold the diagonals and the couplings (j,
-    j+1 mod 4).  Each matrix is scaled by a power of two, then made
-    tridiagonal by two Givens rotations: plane (1, 3) zeroes the corner
-    (0, 3), plane (2, 3) the fill at (3, 1).  Rotations are orthogonal, so
-    the count holds for a matrix within roundoff of S, singular or not.
-    Returns the count and the determinant as the product of the four
-    clamped Sturm pivots, of magnitude within 2^-800..2^808, times 2 to
-    the returned exponent, each (P,).
+    ``t`` (8, P) holds the diagonals, then the couplings (j, j+1 mod 4),
+    of matrices that ``_inertia`` has scaled below 1 and flushed.  Each is
+    made tridiagonal by two Givens rotations: plane (1, 3) zeroes the
+    corner (0, 3), plane (2, 3) the fill at (3, 1).  Rotations are
+    orthogonal, so the count holds for a matrix within roundoff of S,
+    singular or not.  Returns the count and the determinant, the product
+    of the four clamped Sturm pivots, of magnitude within 2^-800..2^808,
+    each (P,).
     """
-    t = np.concatenate([sd, so])
-    exponent = np.frexp(np.abs(t).max(axis=0))[1]
-    t *= np.ldexp(1.0, -exponent)
-    _flush(t)
     a0, a1, a2, a3, b0, b1, b2, b3 = t
     r1, c, s = _rotation(b0, b3)
     a1, a3, h, p, q = (c * c * a1 + s * s * a3, s * s * a1 + c * c * a3, c * s * (a3 - a1),
@@ -216,8 +210,7 @@ def _cycle_negatives(sd, so):
                   + c * c * a3, c * s * (a3 - a2) + (c * c - s * s) * q)
     _flush(r3)
     pivots = _sturm_pivots([a0, a1, a2, a3], [r1, r2, r3])
-    det = pivots[0] * pivots[1] * pivots[2] * pivots[3]
-    return sum(piv < 0.0 for piv in pivots), det, 4 * exponent
+    return sum(piv < 0.0 for piv in pivots), pivots[0] * pivots[1] * pivots[2] * pivots[3]
 
 
 def _householder_tridiagonalize(matrix: np.ndarray):
@@ -316,12 +309,15 @@ def _inertia(diag, off, corner, x, scale):
     first while the others wait on pivots of +inf).  By Haynsworth's
     inertia additivity the count is the blocks' negative pivots plus the
     negative eigenvalues of the K x K cyclic Schur complement S on the
-    separators: block j couples only separators j and j+1.  For K = 4
-    that is ``_cycle_negatives``; a larger S is counted by this same
-    recurrence (``_schur_inertia``), so a probe at n = 512 takes 31 row
-    steps on 16 blocks, then 3 on 4.  The blocks run side by side as the
-    rows of (K, P) arrays, through strided views of the bands.  Each
-    carries the fill f of its row into its opening separator and that
+    separators: block j couples only separators j and j+1.  Each column's
+    S is scaled by the power of two that brings its largest entry into
+    [1/2, 1), and entries below _FLUSH_REL are flushed; then it is counted
+    by ``_cycle_negatives`` for K = 4, and by this same recurrence at
+    shift 0 for K > 4, so a probe at n = 512 takes 31 row steps on 16
+    blocks, then 3 on 4.  The blocks run side by side as the rows of (K,
+    P) arrays, through strided views of the bands; one (rows, K, P) buffer
+    holds the signs of their pivots (rows is at most 62 for n up to 2^18).
+    Each carries the fill f of its row into its opening separator and that
     separator's update g; a last step onto the closing separator (coupling
     v) leaves -f^2/a in g, the coupling -f v/a and the pivot -v^2/a.
 
@@ -329,7 +325,7 @@ def _inertia(diag, off, corner, x, scale):
     stays beside S as a node, and the rest of its block opens on that row
     as on a separator.  The separators and nodes of such a column then form
     a longer cycle, free of huge entries, which ``_small_negatives``
-    counts in place of S.
+    counts in place of S, whose column is set to the identity.
 
     The determinant is the product of the blocks' pivots, kept as a
     mantissa renormalised every _DET_ROWS rows and an exponent, times
@@ -365,13 +361,10 @@ def _inertia(diag, off, corner, x, scale):
     starting = seps[:1] if rem else seps  # blocks whose first row is row 0
     f[:len(starting)] = off[starting]
     g = np.zeros(shape)
-    sign_rows = max(1, min(rows, _SIGN_ROWS))
-    negative = np.empty((sign_rows,) + shape, dtype=bool)
-    is_negative = list(negative)
+    negative = np.empty((rows,) + shape, dtype=bool)  # the pivots' signs
     a_next, f_next, buf = np.empty(shape), np.empty(shape), np.empty(shape)
     mask = np.empty(shape, dtype=bool)
     det, det_exp, exp_buf = np.ones(shape), np.zeros(shape, dtype=np.intp), np.empty(shape, np.intc)
-    count = np.zeros(p, dtype=np.intp)
     nodes = {}
     for i in range(rows):
         e, tiny = couplings[i], None
@@ -389,9 +382,7 @@ def _inertia(diag, off, corner, x, scale):
             mul(det[:1], buf[:1], det[:1])  # the other blocks wait on +inf
         else:
             mul(det, buf, det)
-        less(a, 0.0, is_negative[i % sign_rows])
-        if i % sign_rows == sign_rows - 1:
-            count += np.count_nonzero(negative, axis=(0, 1))
+        less(a, 0.0, negative[i])
         sub(diag_rows[i + 1], x, a_next)
         div(squares[i], a, buf)
         sub(a_next, buf, a_next)
@@ -413,13 +404,14 @@ def _inertia(diag, off, corner, x, scale):
             if smallest(buf, None) < flush:
                 less(buf, flush, mask)
                 f[mask] = 0.0
-    count += np.count_nonzero(negative[:rows % sign_rows], axis=(0, 1))
+    count = np.count_nonzero(negative, axis=(0, 1))
     np.frexp(det, det, exp_buf)
     det_exp += exp_buf
-    sd = diag[seps] - x + g
-    sd[1:] += a[:-1]  # block j closes on separator j + 1
-    sd[0] += a[-1]
-    so = sign * f
+    # S: its diagonal, then its couplings (j, j+1 mod K)
+    t = np.concatenate([diag[seps] - x + g, sign * f])
+    t[1:blocks] += a[:-1]  # block j closes on separator j + 1
+    t[0] += a[-1]
+    so = t[blocks:]
     # columns with nodes: the cycle of separators and nodes replaces S,
     # g going to the last row each part of a block opened on
     cycles = {}
@@ -434,8 +426,18 @@ def _inertia(diag, off, corner, x, scale):
                 cycle_diag.append(pivot + update)
             cycle_off.append(so[j, k])
         cycles[k] = _small_negatives(cycle_diag, cycle_off)
-        sd[:, k], so[:, k] = 1.0, 0.0  # S is not counted there
-    s_count, s_det, s_exp = (_cycle_negatives if blocks == 4 else _schur_inertia)(sd, so)
+        t[:blocks, k], so[:, k] = 1.0, 0.0  # S is the identity there: no negatives
+    # each column's largest entry scaled into [1/2, 1): det S = det t 2^(K s_exp)
+    t_scale, s_exp = np.frexp(np.abs(t).max(axis=0))
+    t *= np.ldexp(1.0, -s_exp)
+    _flush(t)
+    if blocks == 4:
+        s_count, s_det = _cycle_negatives(t)
+        s_exp = 4 * s_exp
+    else:
+        s_count, s_det, t_exp = _inertia(t[:blocks], t[blocks:-1], t[-1], np.zeros(p),
+                                         np.maximum(t_scale, _MIN_SCALE))
+        s_exp = t_exp + blocks * s_exp
     count += s_count
     block_det, block_exp = np.ones(p), det_exp.sum(axis=0)
     for j in range(0, blocks, 512):  # each factor is at least 1/2
@@ -445,30 +447,9 @@ def _inertia(diag, off, corner, x, scale):
     exponent = exponent + block_exp + s_exp
     mantissa[count % 2 == 1] *= -1.0
     for k, cycle in cycles.items():
-        count[k] += cycle - s_count[k]
+        count[k] += cycle
         mantissa[k] = np.nan
     return count, mantissa, exponent
-
-
-def _schur_inertia(sd, so):
-    """Negative eigenvalues and determinants of K x K cyclic matrices, K > 4.
-
-    ``sd`` and ``so`` (K, P) hold the diagonals and the couplings (j,
-    j+1 mod K), as for ``_cycle_negatives``.  Each matrix is scaled by the
-    power of two that brings its largest entry into [1/2, 1), entries
-    below _FLUSH_REL are flushed, and ``_inertia`` counts it at shift 0.
-    Returns the count, det as a signed mantissa (NaN where that count met
-    a node) and the exponent, each (P,).
-    """
-    k = len(sd)
-    t = np.concatenate([sd, so])
-    big = np.abs(t).max(axis=0)
-    exponent = np.frexp(big)[1]
-    t *= np.ldexp(1.0, -exponent)
-    _flush(t)
-    count, mantissa, det_exp = _inertia(t[:k], t[k:-1], t[-1], np.zeros(len(big)),
-                                        np.maximum(np.ldexp(big, -exponent), _MIN_SCALE))
-    return count, mantissa, det_exp + k * exponent
 
 
 def _dyadic_points(lo, hi, levels):

@@ -31,6 +31,20 @@ DEFAULT_SWEEP = ROOT / "tests" / "data" / "wh_sweep_default.csv"
 #: took one shift per column.
 ANALYZE_SEED7 = ROOT / "tests" / "data" / "analyze_seed7.csv"
 
+#: ``analyze --grid 512 --window 1 1 --format csv`` of ``make-curve circle
+#: --radius 10``, as written before the inertia kernel's two Schur
+#: complement steps became one: its probes meet hundreds of nodes.
+ANALYZE_CIRCLE10 = ROOT / "tests" / "data" / "analyze_circle10.csv"
+
+#: Specs with a key their form does not read, and that key.
+FOREIGN_KEYS = [
+    ({"rho": {"cos": [1.0]}, "grid": 64, "kappa_samples": [2.0] * 128, "length": 5.0},
+     '"kappa_samples"'),
+    ({"rho": {"cos": [1.0]}, "length": 5.0}, '"length"'),
+    ({"kappa_samples": [2.0] * 128, "length": np.pi, "grid": 64}, '"grid"'),
+    ({"rho": {"cos": [1.0], "sin": [], "tan": [0.5]}}, '"tan"'),
+]
+
 
 def run(argv):
     return main(argv)
@@ -63,6 +77,17 @@ class TestMakeCurve:
     def test_bad_eps(self, tmp_path):
         assert run(["make-curve", "ellipse", "--eps", "1.5",
                     "--out", str(tmp_path / "x.json")]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["random", "--seed", "3", "--radius", "5", "--eps", "0.9"],
+        ["circle", "--eps", "0.3"],
+        ["ellipse", "--seed", "1"],
+    ])
+    def test_option_of_another_preset_exits_one(self, argv, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert run(["make-curve", *argv, "--out", str(out)]) == 1
+        assert "error: unrecognized arguments: " in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAnalyze:
@@ -145,6 +170,7 @@ class TestAnalyze:
         {"kappa_samples": 5, "length": 1.0},
         {"kappa_samples": [1.0] * 16, "length": None},
         {"rho": {"cos": [10**400]}},
+        *(spec for spec, _ in FOREIGN_KEYS),
     ])
     def test_malformed_spec_exits_one_with_a_message(self, spec, tmp_path):
         path = tmp_path / "spec.json"
@@ -230,14 +256,25 @@ def test_default_sweep_bytes_unchanged(tmp_path):
     assert proc.returncode == 0 and proc.stdout == DEFAULT_SWEEP.read_bytes()
 
 
-def test_benchmark_analyze_bytes_unchanged(tmp_path):
-    spec, out = tmp_path / "random.json", tmp_path / "report.csv"
-    for argv in (["make-curve", "random", "--seed", "7", "--out", str(spec)],
-                 ["analyze", str(spec), "--grid", "512", "--window", "8", "8", "--format", "csv",
+def analyze_csv(tmp_path, preset, window):
+    """The ``analyze --grid 512 --format csv`` bytes of ``make-curve`` ``preset``."""
+    spec, out = tmp_path / "curve.json", tmp_path / "report.csv"
+    for argv in (["make-curve", *preset, "--out", str(spec)],
+                 ["analyze", str(spec), "--grid", "512", "--window", *window, "--format", "csv",
                   "--out", str(out)]):
         proc = subprocess.run([sys.executable, "-m", "kohnspec.cli", *argv], capture_output=True)
         assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
-    assert out.read_bytes() == ANALYZE_SEED7.read_bytes()
+    return out.read_bytes()
+
+
+def test_benchmark_analyze_bytes_unchanged(tmp_path):
+    report = analyze_csv(tmp_path, ["random", "--seed", "7"], ["8", "8"])
+    assert report == ANALYZE_SEED7.read_bytes()
+
+
+def test_nodal_circle_analyze_bytes_unchanged(tmp_path):
+    report = analyze_csv(tmp_path, ["circle", "--radius", "10"], ["1", "1"])
+    assert report == ANALYZE_CIRCLE10.read_bytes()
 
 
 def test_default_sweep_passes_the_benchmark_oracle():
@@ -316,6 +353,8 @@ class TestNonFiniteInput:
           "length": 1.0}, "kappa_samples: sample 1 = 1e-306"),
         ({"kappa_samples": [1e308] * 16, "length": 1.0}, "kappa_samples: sample 0 = 1e+308"),
         ({"kappa_samples": [2.0**399] * 16, "length": 1e300}, "kappa_samples: sample 0 alone turns"),
+        ({"kappa_samples": [float("inf")] * 16, "length": 1.0}, "sample 0 is inf"),
+        *((spec, f"does not read {key}") for spec, key in FOREIGN_KEYS),
     ])
     def test_spec_exits_one_without_warning(self, spec, field, tmp_path, capsys):
         path = tmp_path / "spec.json"
