@@ -105,22 +105,33 @@ _ROW_COST = 200
 class _PeriodicBands:
     """A batch of P symmetric periodic tridiagonal matrices, column p each.
 
-    ``diag`` is (n, P), ``offdiag`` (n-1, P), or (n-1, 1) for a coupling
-    shared by all P, and ``corner`` (P,), so one row of the recurrence
-    reads contiguous memory.  ``scale`` (P,) is each matrix's largest entry
-    in magnitude (at least _MIN_SCALE), which sets its thresholds.  If a
-    scale lies outside [1/_SAFE_SCALE, _SAFE_SCALE], every matrix is
-    divided, exactly, by ``unit`` (P,), the power of two that brings its
-    scale into [1, 2); ``_periodic_inertia`` divides the shifts likewise
-    and ``gershgorin`` returns unscaled bounds.  Else ``unit`` is None.
+    ``diag`` is (n, P), n >= 5, ``offdiag`` (n-1, P), or (n-1, 1) for a
+    coupling shared by all P, and ``corner`` (P,), so one row of the
+    recurrence reads contiguous memory; other shapes and non-finite entries
+    are a ValueError.  ``scale`` (P,) is each matrix's largest entry in
+    magnitude (at least _MIN_SCALE), which sets its thresholds.  ``unit``
+    (P,) is 1 while every scale lies within [1/_SAFE_SCALE, _SAFE_SCALE],
+    and the bands are kept as given.  Otherwise it is the power of two
+    that brings each scale into [1, 2), and every matrix is divided by it,
+    exactly; ``_periodic_inertia`` divides the shifts by it and
+    ``gershgorin`` multiplies its bounds by it.
     """
 
     def __init__(self, diag, offdiag, corner):
+        diag, offdiag = (np.ascontiguousarray(a, dtype=float) for a in (diag, offdiag))
+        n = diag.shape[0]
+        if diag.ndim != 2 or offdiag.shape not in ((n - 1, diag.shape[1]), (n - 1, 1)):
+            raise ValueError("offdiag must have length n-1")
+        if n < 5:
+            raise ValueError(f"periodic matrices must have at least 5 rows, got {n}")
+        corner = np.broadcast_to(np.asarray(corner, dtype=float), (diag.shape[1],))
+        if not all(np.isfinite(a).all() for a in (diag, offdiag, corner)):
+            raise ValueError("matrix entries must be finite")
         scale = np.maximum(diag.max(axis=0, initial=0.0), -diag.min(axis=0, initial=0.0))
         scale = np.maximum(scale, np.maximum(offdiag.max(axis=0, initial=0.0),
                                              -offdiag.min(axis=0, initial=0.0)))
         scale = np.maximum(scale, np.abs(corner))
-        self.unit = None
+        self.unit = np.ones_like(scale)
         if scale.min() < 1.0 / _SAFE_SCALE or scale.max() > _SAFE_SCALE:
             self.unit = np.ldexp(1.0, np.frexp(scale)[1] - 1)
             diag, offdiag, corner = diag / self.unit, offdiag / self.unit, corner / self.unit
@@ -138,31 +149,22 @@ class _PeriodicBands:
         # mode="clip" writes straight into ``work``: "raise" buffers the copy
         sub.diag = self.diag.take(cols, 1, work[:self.diag.shape[0] * len(cols)].reshape(
             -1, len(cols)), mode="clip")
-        sub.corner, sub.scale = self.corner[cols], self.scale[cols]
+        sub.corner, sub.scale, sub.unit = self.corner[cols], self.scale[cols], self.unit[cols]
         if self.offdiag.shape[1] > 1:
             sub.offdiag = self.offdiag.take(cols, 1)
-        if self.unit is not None:
-            sub.unit = self.unit[cols]
         return sub
 
     def gershgorin(self):
         """Per-matrix bounds (lo, hi) on the spectrum, each of shape (P,)."""
-        d, e = self.diag, self.offdiag
-        n, p = d.shape
-        lo, hi = d[0].copy(), d[0].copy()
-        for start in range(0, n, 128):
-            stop = min(start + 128, n)
-            # radius of row i: |e[i-1]| + |e[i]|, plus |corner| at both ends
-            s = np.zeros((stop - start, p))
-            s[start == 0:] += np.abs(e[max(start - 1, 0):stop - 1])
-            s[:min(stop, n - 1) - start] += np.abs(e[start:min(stop, n - 1)])
-            if start == 0:
-                s[0] += np.abs(self.corner)
-            if stop == n:
-                s[-1] += np.abs(self.corner)
-            np.minimum(lo, (d[start:stop] - s).min(axis=0), out=lo)
-            np.maximum(hi, (d[start:stop] + s).max(axis=0), out=hi)
-        return (lo, hi) if self.unit is None else (lo * self.unit, hi * self.unit)
+        d, e = self.diag, np.abs(self.offdiag)
+        # radius of row i: |e[i-1]| + |e[i]|, plus |corner| at both ends
+        s = np.zeros((len(d), e.shape[1]))
+        s[1:] += e
+        s[:-1] += e
+        ends = s[[0, -1]] + np.abs(self.corner)
+        lo = np.minimum((d[1:-1] - s[1:-1]).min(axis=0), (d[[0, -1]] - ends).min(axis=0))
+        hi = np.maximum((d[1:-1] + s[1:-1]).max(axis=0), (d[[0, -1]] + ends).max(axis=0))
+        return lo * self.unit, hi * self.unit
 
 
 def _flush(*arrays):
@@ -283,19 +285,15 @@ def _periodic_inertia(bands: _PeriodicBands, x: np.ndarray):
     """Eigenvalues below x[p] of matrix p of ``bands``, and det(A - x[p]).
 
     ``x`` is (P,), one shift per matrix.  Returns three (P,) arrays: the
-    counts, and det(A - x) (of the matrix divided by ``bands.unit``, if
-    any) as a mantissa, of magnitude in [1/2, 1) and sign (-1)^count, and
-    a base-2 exponent; NaN mantissas where the count met a node (see
-    ``_inertia``).
+    counts, and det(A - x) of the matrix divided by ``bands.unit`` (1 in
+    range) as a mantissa, of magnitude in [1/2, 1) and sign (-1)^count,
+    and a base-2 exponent; NaN mantissas where the count met a node (see
+    ``_inertia``).  The shifts are divided by ``bands.unit`` too.
     """
-    # eigenvalues lie within 3 scale (scaled entries are below 2, so in
-    # (-6, 6)): a shift saturated past them keeps its count, and pivots
-    # stay below 2^21 scale
-    if bands.unit is not None:
-        with np.errstate(over="ignore"):
-            x = np.clip(x / bands.unit, -8.0, 8.0)
-    else:
-        x = np.clip(x, -8.0 * bands.scale, 8.0 * bands.scale)
+    # eigenvalues lie within 3 scale: a shift saturated past them keeps its
+    # count, and pivots stay below 2^21 scale
+    with np.errstate(over="ignore"):  # x / unit overflows only out of range
+        x = np.clip(x / bands.unit, -8.0 * bands.scale, 8.0 * bands.scale)
     return _inertia(bands.diag, bands.offdiag, bands.corner, x, bands.scale)
 
 
@@ -601,7 +599,7 @@ def _bisect(bands: _PeriodicBands, k: int, start: int = 0, lower=None) -> np.nda
     col = np.repeat(np.arange(p), width)  # the matrix of each bracket
     index = np.tile(np.arange(start, k), p)
     lo, hi = lo[col], hi[col]
-    scale = (bands.scale if bands.unit is None else bands.scale * bands.unit)[col]
+    scale = (bands.scale * bands.unit)[col]
     floor, room = np.minimum(1.0, scale), _POLISH_ULPS * _EPS * scale
     # count and det (mantissa, exponent) at lo and hi; -1 and NaN until probed
     count = np.full((size, 2), -1)
@@ -669,20 +667,6 @@ def _bisect(bands: _PeriodicBands, k: int, start: int = 0, lower=None) -> np.nda
     return 0.5 * (lo + hi).reshape(p, width)
 
 
-def _periodic_batch(diag, offdiag, corner) -> _PeriodicBands:
-    """Validated (n, P) bands of a batch of periodic matrices, n >= 5."""
-    d = np.ascontiguousarray(diag, dtype=float)
-    e = np.ascontiguousarray(offdiag, dtype=float)
-    if d.ndim != 2 or e.shape not in ((d.shape[0] - 1, d.shape[1]), (d.shape[0] - 1, 1)):
-        raise ValueError("offdiag must have length n-1")
-    if d.shape[0] < 5:
-        raise ValueError(f"periodic matrices must have at least 5 rows, got {d.shape[0]}")
-    c = np.broadcast_to(np.asarray(corner, dtype=float), (d.shape[1],))
-    if not (np.isfinite(d).all() and np.isfinite(e).all() and np.isfinite(c).all()):
-        raise ValueError("matrix entries must be finite")
-    return _PeriodicBands(d, e, c)
-
-
 def periodic_eigenvalue_counts(diag, offdiag, corner, shifts) -> np.ndarray:
     """Number of eigenvalues below each shift, for a batch of periodic matrices.
 
@@ -692,7 +676,7 @@ def periodic_eigenvalue_counts(diag, offdiag, corner, shifts) -> np.ndarray:
     (matrix, shift) pair is one column of a single inertia kernel call.
     Raises ValueError on a non-finite entry or fewer than 5 rows.
     """
-    bands = _periodic_batch(diag, offdiag, corner)
+    bands = _PeriodicBands(diag, offdiag, corner)
     x = np.asarray(shifts, dtype=float)
     if x.ndim != 2 or x.shape[1] != bands.diag.shape[1]:
         raise ValueError("shifts must be (m, P), m shifts for each of the P matrices")
@@ -729,7 +713,7 @@ def eig_periodic_sym_tridiagonal(diag, offdiag, corner, k: int = 1, start: int =
     single = d.ndim == 1
     if single:
         d, offdiag = d[:, None], np.reshape(offdiag, (-1, 1))
-    bands = _periodic_batch(d, offdiag, corner)
+    bands = _PeriodicBands(d, offdiag, corner)
     if not 0 <= start < k <= bands.diag.shape[0]:
         raise ValueError("k out of range")
     if lower is not None:

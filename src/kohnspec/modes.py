@@ -137,10 +137,10 @@ def certified_spectra(diag, off, corner, k: int, labels) -> np.ndarray:
     inertia pass at the shifts -tau and tau, tau = ZERO_MODE_TOL, certifies
     for every matrix that exactly one eigenvalue lies in (-tau, tau)
     (Sylvester's law of inertia); GridTooCoarse names the first label, in
-    the given order, that fails.  The eigenvalues from the first positive
-    one on are then bisected in one batch, with tau as the lower end of
-    every bracket.  The result is (P, k - 1); the zero eigenvalue itself is
-    left to the caller, who knows its null vector.
+    the given order, that fails.  Eigenvalues 1, ..., k-1, if any, are
+    then bisected in one batch, with tau as the lower end of every
+    bracket.  The result is (P, k - 1); the zero eigenvalue itself is left
+    to the caller, who knows its null vector.
     """
     tau = np.full(len(labels), ZERO_MODE_TOL)
     low, high = periodic_eigenvalue_counts(diag, off, corner, np.stack([-tau, tau]))
@@ -151,9 +151,9 @@ def certified_spectra(diag, off, corner, k: int, labels) -> np.ndarray:
             f"zero mode of {labels[j]} is not isolated: "
             f"{low[j]} eigenvalue(s) below -{ZERO_MODE_TOL:.0e} and "
             f"{high[j] - low[j]} in [-{ZERO_MODE_TOL:.0e}, {ZERO_MODE_TOL:.0e})", j)
-    upper = eig_periodic_sym_tridiagonal(diag, off, corner, k=max(k, 2), start=1,
-                                         lower=ZERO_MODE_TOL)
-    return upper[:, :k - 1]
+    if k == 1:
+        return np.empty((len(labels), 0))
+    return eig_periodic_sym_tridiagonal(diag, off, corner, k=k, start=1, lower=ZERO_MODE_TOL)
 
 
 def _window_bands(curve: GeneratingCurve, modes):

@@ -25,10 +25,11 @@ import numpy as np
 from .curve import GeneratingCurve, geometric_invariants, webster_scalar_curvature
 from .modes import ModeIndex, mode_spectra
 
-#: Slack tolerance when checking lambda_1 <= bound_rhs numerically.
+#: Slack tolerance, relative to bound_rhs, when checking lambda_1 <= bound_rhs.
 BOUND_TOL = 1e-6
 
-#: |slack| below this (plus constant curvature) flags the equality case.
+#: |slack| below this times bound_rhs (plus constant curvature) flags the
+#: equality case: at grid 512 a circle's slack is 1.25e-5 of its bound.
 EQUALITY_TOL = 1e-4
 
 #: Relative curvature variance below this counts as "constant curvature".
@@ -124,8 +125,8 @@ def lambda1_kohn(curve: GeneratingCurve, window: ModeWindow) -> SpectrumReport:
         bound_rhs=bound_rhs,
         ccy_lower=ccy_lower_bound(curve),
         slack=slack,
-        holds=best_entry.lambda1 <= bound_rhs + BOUND_TOL * max(1.0, bound_rhs),
-        equality=bool(abs(slack) < EQUALITY_TOL
+        holds=best_entry.lambda1 <= bound_rhs + BOUND_TOL * bound_rhs,
+        equality=bool(abs(slack) < EQUALITY_TOL * bound_rhs
                       and _kappa_variance(curve) < KAPPA_VARIANCE_TOL),
         argmin_mode=(best_entry.m, best_entry.l),
     )

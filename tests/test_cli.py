@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import kohnspec.eigen
 import kohnspec.whittakerhill
 from kohnspec.cli import _linspace, main
-from kohnspec.curve import curve_from_spec
+from kohnspec.curve import curve_from_spec, geometric_invariants
 from kohnspec.modes import assemble_bands
 from oracles import periodic_dense
 
@@ -73,6 +73,11 @@ class TestMakeCurve:
         out3 = tmp_path / "r3.json"
         assert run(["make-curve", "random", "--seed", "8", "--out", str(out3)]) == 0
         assert out1.read_bytes() != out3.read_bytes()
+
+    def test_negative_radius_exits_one(self, capsys):
+        assert run(["make-curve", "circle", "--radius", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "radius" in err and "Traceback" not in err, err
 
     def test_bad_eps(self, tmp_path):
         assert run(["make-curve", "ellipse", "--eps", "1.5",
@@ -180,6 +185,31 @@ class TestAnalyze:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr, proc.stderr
 
+    def test_profile_without_coefficients_exits_one(self, tmp_path, capsys):
+        spec = tmp_path / "empty.json"
+        spec.write_text(json.dumps({"rho": {"cos": []}}))
+        assert run(["analyze", str(spec), "--window", "1", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "c_0" in err and "Traceback" not in err, err
+
+    def test_estimate_above_a_small_bound_exits_two(self, tmp_path, monkeypatch, capsys):
+        # lambda_1 1e-4 above the bound 5e-4 of a circle of radius 1000: the
+        # tolerance of ``holds`` is 1e-6 of the bound, 5e-10 here
+        import kohnspec.spectrum
+        spec, out = tmp_path / "circle.json", tmp_path / "report.json"
+        assert run(["make-curve", "circle", "--radius", "1000", "--out", str(spec)]) == 0
+
+        def above_bound(curve, modes, k):
+            bound = geometric_invariants(curve)["bound_rhs"]
+            return np.tile([0.0, bound * (1.0 + 1e-4)], (len(modes), 1))
+
+        monkeypatch.setattr(kohnspec.spectrum, "mode_spectra", above_bound)
+        assert run(["analyze", str(spec), "--window", "1", "1", "--out", str(out)]) == 2
+        report = json.loads(out.read_text())
+        assert report["bound_rhs"] == pytest.approx(5e-4, rel=1e-12)
+        assert report["holds"] is False and report["equality"] is False
+        assert "exceeds the bound" in capsys.readouterr().err
+
     def test_missing_file_exits_one(self, tmp_path):
         assert run(["analyze", str(tmp_path / "nope.json")]) == 1
 
@@ -244,6 +274,28 @@ class TestWHSweep:
     def test_zero_steps_exits_one(self, capsys):
         assert run(["wh-sweep", "--steps", "0"]) == 1
         assert "--steps" in capsys.readouterr().err
+
+    def test_steps_past_the_limit_exits_one(self, capsys):
+        assert run(["wh-sweep", "--steps", "262145"]) == 1
+        assert capsys.readouterr().err == "error: --steps must be at most 262144, got 262145\n"
+
+    def test_certificate_failure_exits_two(self, monkeypatch, capsys):
+        def failing(a_values, N):
+            raise kohnspec.whittakerhill.CertificateFailed("eigenvalue in the sector at a=2.0")
+
+        monkeypatch.setattr(kohnspec.whittakerhill, "verify_E_geq_1", failing)
+        assert run(["wh-sweep", "--steps", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: eigenvalue in the sector at a=2.0\n"
+
+    def test_failed_floor_exits_two_after_the_table(self, monkeypatch, tmp_path, capsys):
+        real = kohnspec.whittakerhill.verify_E_geq_1
+        monkeypatch.setattr(kohnspec.whittakerhill, "verify_E_geq_1",
+                            lambda a_values, N: {**real(a_values, N=N), "all_pass": False})
+        out = tmp_path / "sweep.csv"
+        assert run(["wh-sweep", "--steps", "3", "--N", "20", "--out", str(out)]) == 2
+        assert len(out.read_text().splitlines()) == 4
+        assert capsys.readouterr().err == "error: spectral floor verification failed\n"
 
 
 def test_default_sweep_bytes_unchanged(tmp_path):

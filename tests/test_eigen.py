@@ -407,6 +407,30 @@ class TestPeriodicInertia:
             np.testing.assert_array_equal(eig_periodic_sym_tridiagonal(d, e, corner, k=3),
                                           eig_periodic_sym_tridiagonal(d, full, corner, k=3))
 
+    def test_gershgorin_equals_a_loop_over_rows(self):
+        # each row's radius 0 + |e[i-1]| + |e[i]| (+ |corner| at both ends),
+        # added in this order, for per-matrix and shared couplings, in range
+        # and scaled by 2^600 (divided by ``unit``, exactly)
+        rng = np.random.default_rng(67)
+        n, p = 300, 4
+        for s in (1.0, 2.0**600):
+            d = rng.uniform(-2.0, 2.0, (n, p)) * s
+            corner = rng.standard_normal(p) * s
+            for e in (rng.standard_normal((n - 1, p)) * s, rng.standard_normal((n - 1, 1)) * s):
+                lo, hi = _PeriodicBands(d, e, corner).gershgorin()
+                for j in range(p):
+                    ej = e[:, min(j, e.shape[1] - 1)]
+                    radius = [0.0] * n
+                    for i in range(n):
+                        if i:
+                            radius[i] += abs(ej[i - 1])
+                        if i < n - 1:
+                            radius[i] += abs(ej[i])
+                    radius[0] += abs(corner[j])
+                    radius[-1] += abs(corner[j])
+                    assert lo[j] == min(d[i, j] - radius[i] for i in range(n))
+                    assert hi[j] == max(d[i, j] + radius[i] for i in range(n))
+
     @pytest.mark.usefixtures("raise_fp")
     def test_plain_tridiagonal_zero_pivots(self):
         # the free Dirichlet Laplacian counted at its own diagonal

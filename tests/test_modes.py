@@ -258,6 +258,25 @@ class TestModeSpectra:
         mode_spectra(build_curve(random_profile(7), 512), list(ModeWindow(8, 8).modes()))
         assert len(columns) <= 25 and sum(columns) <= 11_000, (len(columns), sum(columns))
 
+    def test_k1_certifies_without_bisecting(self, monkeypatch):
+        # with k = 1 the +-tau certificate is the only kernel call: no
+        # lambda_1 is bisected and then dropped
+        import kohnspec.eigen as eigen_mod
+        calls = []
+        inertia = eigen_mod._periodic_inertia
+
+        def counted(bands, x):
+            calls.append(x.size)
+            return inertia(bands, x)
+
+        monkeypatch.setattr(eigen_mod, "_periodic_inertia", counted)
+        monkeypatch.setattr(shares, "_worker_count", lambda items, least: 1)
+        curve = build_curve(random_profile(7), 128)
+        modes = list(ModeWindow(2, 2).modes())
+        rows = mode_spectra(curve, modes, k=1)
+        assert calls == [2 * len(modes)]
+        np.testing.assert_array_equal(rows, mode_spectra(curve, modes, k=2)[:, :1])
+
     def test_circle_double_eigenvalue_accuracy(self, unit_circle):
         # Mode (0, 0) of the circle, the paper's equality case, has a double
         # lambda_1 = lambda_2 (split by 2.2e-13 at grid 512).  The inertia

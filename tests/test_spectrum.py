@@ -88,6 +88,16 @@ class TestVerifyUpperBound:
         assert report.slack > 1e-3
 
 
+class TestVerdictsRelativeToBound:
+    @pytest.mark.parametrize("radius", [1e-3, 0.05])
+    def test_small_circles_read_equality(self, radius):
+        # at grid 512 a circle's slack is 1.25e-5 of its bound at every
+        # radius, 6.27e-3 at radius 1e-3 and 1.25e-4 at 0.05: ``equality``
+        # compares it with 1e-4 of the bound, not with 1e-4
+        report = lambda1_kohn(build_curve(circle_profile(radius), 512), ModeWindow(1, 1))
+        assert report.holds and report.equality
+        assert 0.0 < report.slack < 2e-5 * report.bound_rhs
+
 class TestBracketing:
     def test_random_curves(self):
         for seed in range(5):
