@@ -32,10 +32,9 @@ _EXPORTS = {
         "webster_scalar_curvature",
     ),
     "eigen": (
-        "eig_periodic_sym_tridiagonal",
+        "GridTooCoarse",
     ),
     "modes": (
-        "GridTooCoarse",
         "ModeIndex",
         "kernel_function",
         "mode_spectra",

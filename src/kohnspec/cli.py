@@ -70,7 +70,7 @@ def _write_output(data: bytes, out: str | None) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     from . import curve as curve_mod
-    from .modes import GridTooCoarse
+    from .eigen import GridTooCoarse
     from .spectrum import ModeWindow, emit_report, lambda1_kohn
 
     with open(args.input) as handle:

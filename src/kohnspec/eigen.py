@@ -12,7 +12,9 @@ and at 4 rows after two Givens rotations make it tridiagonal (nested
 dissection, George 1973).  The same pivots give det(A - x), and a bracket
 that isolates its eigenvalue is polished on it by the enclosing steps of
 Alefeld, Potra & Shi (Algorithm 748), each probe's count keeping the
-bracket certified.
+bracket certified.  ``certified_spectra``, the one entry point, counts a
+batch at -tau and tau to certify each matrix's zero mode, then bisects the
+same batch from tau.
 
 The general real tridiagonal matrices of ``wh-sweep`` (the Ince
 truncations), their QL eigensolver and the sector-exclusion certificate
@@ -589,8 +591,10 @@ def _bisect(bands: _PeriodicBands, k: int, start: int = 0, lower=None) -> np.nda
     bisection.  Converged brackets leave the rounds.  Every bracket's path
     depends on its own probes only, so the result is bit for bit the same
     at any level count and in any batch, and with _POLISH_STEPS = 0 it is
-    plain bisection's.
+    plain bisection's.  ValueError unless 0 <= start < k <= n.
     """
+    if not 0 <= start < k <= bands.diag.shape[0]:
+        raise ValueError("k out of range")
     lo, hi = bands.gershgorin()
     if lower is not None:
         lo = np.maximum(lo, lower)
@@ -667,56 +671,52 @@ def _bisect(bands: _PeriodicBands, k: int, start: int = 0, lower=None) -> np.nda
     return 0.5 * (lo + hi).reshape(p, width)
 
 
-def periodic_eigenvalue_counts(diag, offdiag, corner, shifts) -> np.ndarray:
-    """Number of eigenvalues below each shift, for a batch of periodic matrices.
+class GridTooCoarse(RuntimeError):
+    """The discrete zero mode strayed from zero: the grid cannot resolve the operator.
 
-    The bands are laid out as in ``eig_periodic_sym_tridiagonal``'s batch
-    form, one matrix per column; each row of ``shifts`` holds one shift per
-    matrix, and the integer result has the shape of ``shifts``.  Every
-    (matrix, shift) pair is one column of a single inertia kernel call.
-    Raises ValueError on a non-finite entry or fewer than 5 rows.
+    ``index`` is the position of the failing matrix in the batch that
+    ``certified_spectra`` checked.
+    """
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
+
+
+#: Zero-mode acceptance threshold: ``certified_spectra`` certifies that the
+#: zero mode is the only eigenvalue in (-tau, tau) for tau = this.
+ZERO_MODE_TOL = 1e-6
+
+
+def certified_spectra(diag, offdiag, corner, k: int, labels) -> np.ndarray:
+    """Eigenvalues 1, ..., k-1 of periodic matrices with a certified zero mode.
+
+    Matrix p is the tridiagonal (diag[:, p], offdiag[:, p]) plus corner[p]
+    at (0, n-1) and (n-1, 0): ``diag`` is (n, P), n >= 5, ``offdiag``
+    (n-1, P), or (n-1, 1) when all P share it, and ``corner`` (P,); other
+    shapes and non-finite entries are a ValueError.  ``labels`` names each
+    matrix.  One inertia kernel call at the shifts -tau and tau, tau =
+    ZERO_MODE_TOL, certifies for every matrix that exactly one eigenvalue
+    lies in (-tau, tau) (Sylvester's law of inertia); GridTooCoarse names
+    the first label, in the given order, that fails.  Eigenvalues 1, ...,
+    k-1, if any, are then bisected in the same batch, with tau as the lower
+    end of every bracket; k outside 1..n is a ValueError.  The result is
+    (P, k - 1); the zero eigenvalue itself is left to the caller, who knows
+    its null vector.
     """
     bands = _PeriodicBands(diag, offdiag, corner)
-    x = np.asarray(shifts, dtype=float)
-    if x.ndim != 2 or x.shape[1] != bands.diag.shape[1]:
-        raise ValueError("shifts must be (m, P), m shifts for each of the P matrices")
-    cols = np.tile(np.arange(x.shape[1]), x.shape[0])
-    work = np.empty(bands.diag.shape[0] * x.size)
-    return _periodic_inertia(bands.take(cols, work), x.ravel())[0].reshape(x.shape)
-
-
-def eig_periodic_sym_tridiagonal(diag, offdiag, corner, k: int = 1, start: int = 0,
-                                 lower=None) -> np.ndarray:
-    """The k smallest eigenvalues of symmetric periodic tridiagonal matrices.
-
-    The matrix is the tridiagonal (diag, offdiag) plus ``corner`` at the two
-    wrap-around positions (0, n-1) and (n-1, 0).  Each eigenvalue comes from
-    inertia bisection, so the result is reliable for tightly clustered pairs;
-    once a bracket holds just its eigenvalue, Algorithm 748 steps on
-    det(A - x) narrow it, every probe still counted by inertia.
-    For one matrix, ``diag`` has length n and the result length k.  For a
-    batch of P matrices, ``diag`` is (n, P), ``offdiag`` (n-1, P), or
-    (n-1, 1) when all P share it, and ``corner`` (P,), one matrix per
-    column, and the result is (P, k); all of them are bisected together,
-    one row of the recurrence at a time, each (matrix, shift) probe one
-    column of the inertia kernel.  Every matrix must have at least 5 rows.
-    With ``start`` the first ``start`` eigenvalues are skipped (the result
-    has k - start columns), and ``lower`` (scalar or (P,)), a point with at
-    most ``start`` eigenvalues below it, replaces the Gershgorin lower end
-    of the brackets where it is larger.  Midpoints are geometric while a
-    bracket with a positive lower end spans more than a factor of two, and
-    arithmetic otherwise; a bracket is done at a width of 1e-13 max(min(1,
-    s), |lo| + |hi|), s the largest entry of its matrix in magnitude.
-    Raises ValueError on a non-finite entry or fewer than 5 rows.
-    """
-    d = np.asarray(diag, dtype=float)
-    single = d.ndim == 1
-    if single:
-        d, offdiag = d[:, None], np.reshape(offdiag, (-1, 1))
-    bands = _PeriodicBands(d, offdiag, corner)
-    if not 0 <= start < k <= bands.diag.shape[0]:
-        raise ValueError("k out of range")
-    if lower is not None:
-        lower = np.broadcast_to(np.asarray(lower, dtype=float), bands.corner.shape)
-    vals = _bisect(bands, k, start, lower)
-    return vals[0] if single else vals
+    p = len(bands.corner)
+    tau = np.full(p, ZERO_MODE_TOL)
+    cols = np.tile(np.arange(p), 2)  # every matrix at -tau, then at tau
+    low, high = _periodic_inertia(bands.take(cols, np.empty(bands.diag.shape[0] * 2 * p)),
+                                  np.concatenate([-tau, tau]))[0].reshape(2, p)
+    failed = np.flatnonzero((low != 0) | (high != 1))
+    if len(failed):
+        j = failed[0]
+        raise GridTooCoarse(
+            f"zero mode of {labels[j]} is not isolated: "
+            f"{low[j]} eigenvalue(s) below -{ZERO_MODE_TOL:.0e} and "
+            f"{high[j] - low[j]} in [-{ZERO_MODE_TOL:.0e}, {ZERO_MODE_TOL:.0e})", j)
+    if k == 1:
+        return np.empty((p, 0))
+    return _bisect(bands, k, 1, tau)

@@ -34,19 +34,7 @@ import numpy as np
 
 from . import shares
 from .curve import GeneratingCurve, periodic_quadrature
-from .eigen import eig_periodic_sym_tridiagonal, periodic_eigenvalue_counts
-
-
-class GridTooCoarse(RuntimeError):
-    """The discrete zero mode strayed from zero: the grid cannot resolve the operator.
-
-    ``index`` is the position of the failing matrix in the batch that
-    ``certified_spectra`` checked.
-    """
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
+from .eigen import GridTooCoarse, certified_spectra
 
 
 class ModeIndex(NamedTuple):
@@ -122,38 +110,6 @@ def assemble_bands(curve: GeneratingCurve, mode):
     _check_transport(curve, [mode])
     r = _transport_factors(_log_kernel(curve, *mode))
     return (_diag_band(curve, r), *_coupling_bands(curve))
-
-
-#: Zero-mode acceptance threshold: ``certified_spectra`` certifies that the
-#: zero mode is the only eigenvalue in (-tau, tau) for tau = this.
-ZERO_MODE_TOL = 1e-6
-
-
-def certified_spectra(diag, off, corner, k: int, labels) -> np.ndarray:
-    """Eigenvalues 1, ..., k-1 of periodic matrices with a certified zero mode.
-
-    The bands hold one matrix per column, as in the batch form of
-    ``eig_periodic_sym_tridiagonal``; ``labels`` names each matrix.  One
-    inertia pass at the shifts -tau and tau, tau = ZERO_MODE_TOL, certifies
-    for every matrix that exactly one eigenvalue lies in (-tau, tau)
-    (Sylvester's law of inertia); GridTooCoarse names the first label, in
-    the given order, that fails.  Eigenvalues 1, ..., k-1, if any, are
-    then bisected in one batch, with tau as the lower end of every
-    bracket.  The result is (P, k - 1); the zero eigenvalue itself is left
-    to the caller, who knows its null vector.
-    """
-    tau = np.full(len(labels), ZERO_MODE_TOL)
-    low, high = periodic_eigenvalue_counts(diag, off, corner, np.stack([-tau, tau]))
-    failed = np.flatnonzero((low != 0) | (high != 1))
-    if len(failed):
-        j = failed[0]
-        raise GridTooCoarse(
-            f"zero mode of {labels[j]} is not isolated: "
-            f"{low[j]} eigenvalue(s) below -{ZERO_MODE_TOL:.0e} and "
-            f"{high[j] - low[j]} in [-{ZERO_MODE_TOL:.0e}, {ZERO_MODE_TOL:.0e})", j)
-    if k == 1:
-        return np.empty((len(labels), 0))
-    return eig_periodic_sym_tridiagonal(diag, off, corner, k=k, start=1, lower=ZERO_MODE_TOL)
 
 
 def _window_bands(curve: GeneratingCurve, modes):

@@ -10,12 +10,13 @@
 * ``eig_sym_tridiagonal`` and ``householder_eigenvalues``: whole symmetric
   spectra through the library's QL kernel (after its Householder
   reduction), for the tests of those two kernels.
+* ``inertia_counts``: the inertia kernel's counts of a batch at many
+  shifts per matrix, in one kernel call.
 """
 
 import numpy as np
 
-from kohnspec.eigen import _householder_tridiagonalize
-from kohnspec.modes import certified_spectra
+from kohnspec.eigen import _householder_tridiagonalize, _periodic_inertia, certified_spectra
 from kohnspec.whittakerhill import _ql_eigenvalues
 
 
@@ -53,7 +54,7 @@ def wh_spectrum(a: float, n: int = 1024, k: int = 2) -> np.ndarray:
 
     The coupling is a >= 0 and the grid even with n >= 64.  The ground
     state goes through the library's zero-mode certificate
-    (``modes.certified_spectra``), which raises GridTooCoarse naming the
+    (``eigen.certified_spectra``), which raises GridTooCoarse naming the
     coupling if it fails; E_0 is then the factored Rayleigh quotient of the
     sampled kernel exp(-a cos tau), zero up to roundoff.
     """
@@ -80,3 +81,15 @@ def eig_sym_tridiagonal(d, e) -> np.ndarray:
 def householder_eigenvalues(a) -> np.ndarray:
     """Eigenvalues of a dense symmetric matrix, ascending: Householder, then QL."""
     return eig_sym_tridiagonal(*_householder_tridiagonalize(a))
+
+
+def inertia_counts(bands, shifts) -> np.ndarray:
+    """Eigenvalues of each matrix of the batch ``bands`` below each shift.
+
+    Row i of ``shifts`` holds one shift per matrix; every (matrix, shift)
+    pair is one column of a single ``_periodic_inertia`` call.
+    """
+    x = np.asarray(shifts, dtype=float)
+    cols = np.tile(np.arange(x.shape[1]), x.shape[0])
+    work = np.empty(bands.diag.shape[0] * x.size)
+    return _periodic_inertia(bands.take(cols, work), x.ravel())[0].reshape(x.shape)

@@ -36,6 +36,11 @@ ANALYZE_SEED7 = ROOT / "tests" / "data" / "analyze_seed7.csv"
 #: complement steps became one: its probes meet hundreds of nodes.
 ANALYZE_CIRCLE10 = ROOT / "tests" / "data" / "analyze_circle10.csv"
 
+#: ``analyze --grid 1000 --window 2 2 --format csv`` of ``make-curve random
+#: --seed 7``: K = 31 blocks with remainder 8, and remainder 3 in the Schur
+#: complement, the uneven block split.
+ANALYZE_SEED7_GRID1000 = ROOT / "tests" / "data" / "analyze_seed7_grid1000.csv"
+
 #: Specs with a key their form does not read, and that key.
 FOREIGN_KEYS = [
     ({"rho": {"cos": [1.0]}, "grid": 64, "kappa_samples": [2.0] * 128, "length": 5.0},
@@ -78,6 +83,16 @@ class TestMakeCurve:
         assert run(["make-curve", "circle", "--radius", "-1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "radius" in err and "Traceback" not in err, err
+
+    def test_unresolved_total_turning_names_the_grid(self, tmp_path, capsys):
+        # the narrow ends of eps = 0.9 turn faster than grid 512 integrates
+        # to 1e-8; grid 1024 builds the same profile
+        assert run(["make-curve", "ellipse", "--eps", "0.9"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: total curvature") and "Traceback" not in err, err
+        assert "at grid 512" in err and "finer grid" in err, err
+        assert run(["make-curve", "ellipse", "--eps", "0.9", "--grid", "1024",
+                    "--out", str(tmp_path / "x.json")]) == 0
 
     def test_bad_eps(self, tmp_path):
         assert run(["make-curve", "ellipse", "--eps", "1.5",
@@ -308,11 +323,11 @@ def test_default_sweep_bytes_unchanged(tmp_path):
     assert proc.returncode == 0 and proc.stdout == DEFAULT_SWEEP.read_bytes()
 
 
-def analyze_csv(tmp_path, preset, window):
-    """The ``analyze --grid 512 --format csv`` bytes of ``make-curve`` ``preset``."""
+def analyze_csv(tmp_path, preset, window, grid="512"):
+    """The ``analyze --grid GRID --format csv`` bytes of ``make-curve`` ``preset``."""
     spec, out = tmp_path / "curve.json", tmp_path / "report.csv"
     for argv in (["make-curve", *preset, "--out", str(spec)],
-                 ["analyze", str(spec), "--grid", "512", "--window", *window, "--format", "csv",
+                 ["analyze", str(spec), "--grid", grid, "--window", *window, "--format", "csv",
                   "--out", str(out)]):
         proc = subprocess.run([sys.executable, "-m", "kohnspec.cli", *argv], capture_output=True)
         assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
@@ -327,6 +342,11 @@ def test_benchmark_analyze_bytes_unchanged(tmp_path):
 def test_nodal_circle_analyze_bytes_unchanged(tmp_path):
     report = analyze_csv(tmp_path, ["circle", "--radius", "10"], ["1", "1"])
     assert report == ANALYZE_CIRCLE10.read_bytes()
+
+
+def test_uneven_blocks_analyze_bytes_unchanged(tmp_path):
+    report = analyze_csv(tmp_path, ["random", "--seed", "7"], ["2", "2"], grid="1000")
+    assert report == ANALYZE_SEED7_GRID1000.read_bytes()
 
 
 def test_default_sweep_passes_the_benchmark_oracle():

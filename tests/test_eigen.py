@@ -10,23 +10,24 @@ from kohnspec import (
     circle_profile,
     random_profile,
     NoConvergence,
-    eig_periodic_sym_tridiagonal,
 )
 import kohnspec.eigen as eigen_mod
 import kohnspec.whittakerhill as whittakerhill
 from kohnspec.eigen import (
     _PeriodicBands,
+    _bisect,
     _dyadic_points,
     _periodic_inertia,
-    periodic_eigenvalue_counts,
+    certified_spectra,
 )
 from kohnspec.modes import assemble_bands
-from oracles import eig_sym_tridiagonal, householder_eigenvalues, periodic_dense, wh_bands
+from oracles import (eig_sym_tridiagonal, householder_eigenvalues, inertia_counts, periodic_dense,
+                     wh_bands)
 
 
 def tridiagonal_count(d, e, x) -> int:
     """Eigenvalues of the symmetric tridiagonal (d, e) below x: a periodic count with corner 0."""
-    return int(periodic_eigenvalue_counts(d[:, None], e[:, None], [0.0], [[x]])[0, 0])
+    return int(inertia_counts(_PeriodicBands(d[:, None], e[:, None], [0.0]), [[x]])[0, 0])
 
 
 def charpoly_bisection_roots(a, samples=20000):
@@ -210,8 +211,8 @@ class TestPeriodicInertia:
                     d[s] = target + a[s, rest] @ np.linalg.solve(a[np.ix_(rest, rest)], a[rest, s])
                     ev = np.linalg.eigvalsh(periodic_dense(d, e, corner))
                     assert np.min(np.abs(ev - target)) < 1e-9
-                    count = periodic_eigenvalue_counts(d[:, None], e[:, None], [corner],
-                                                       [[0.0]])[0, 0]
+                    bands = _PeriodicBands(d[:, None], e[:, None], [corner])
+                    count = inertia_counts(bands, [[0.0]])[0, 0]
                     assert count == np.count_nonzero(ev < 0.0), (n, t, target)
 
     @pytest.mark.usefixtures("raise_fp")
@@ -303,8 +304,8 @@ class TestPeriodicInertia:
         for diag, off, corner in (circle, wh_bands(0.0, 256)):
             lam = np.linalg.eigvalsh(periodic_dense(diag, off, corner))[1]
             x = lam + np.linspace(-6e-9, 6e-9, 61)
-            counts = periodic_eigenvalue_counts(diag[:, None], off[:, None], [corner],
-                                                x[:, None])[:, 0]
+            bands = _PeriodicBands(diag[:, None], off[:, None], [corner])
+            counts = inertia_counts(bands, x[:, None])[:, 0]
             assert np.all(np.diff(counts) >= 0), counts
             assert counts[0] == 1 and counts[-1] == 3
 
@@ -361,12 +362,12 @@ class TestPeriodicInertia:
         want = np.linalg.eigvalsh(periodic_dense(d, e, -1.0))
         for k in range(-1020, 1021, 10):
             s = 2.0**k
-            counts = periodic_eigenvalue_counts(d[:, None] * s, e[:, None] * s, [-s], x * s)
-            assert counts[:, 0].tolist() == [3, 7, 13], k
+            bands = _PeriodicBands(d[:, None] * s, e[:, None] * s, [-s])
+            assert inertia_counts(bands, x * s)[:, 0].tolist() == [3, 7, 13], k
             # lambda_0 = 0, known only to roundoff of the norm 4 s, and the
             # double lambda_1 = lambda_2 (higher ones meet dyadic zero
             # pivots, whose dense node counts are slow)
-            vals = eig_periodic_sym_tridiagonal(d * s, e * s, -s, k=3)
+            vals = _bisect(bands, 3)[0]
             np.testing.assert_allclose(vals, want[:3] * s, rtol=1e-10, atol=4e-10 * s,
                                        err_msg=k)
 
@@ -379,15 +380,13 @@ class TestPeriodicInertia:
         d, e = rng.uniform(-2.0, 2.0, n), rng.standard_normal(n - 1)
         x = rng.uniform(-4.0, 4.0, (9, 1))
         s = 2.0**520
-        counts = periodic_eigenvalue_counts(np.stack([d, d * s], axis=1),
-                                            np.stack([e, e * s], axis=1), [0.3, 0.3 * s],
-                                            np.hstack([x, x * s]))
+        both = _PeriodicBands(np.stack([d, d * s], axis=1), np.stack([e, e * s], axis=1),
+                              [0.3, 0.3 * s])
+        alone = _PeriodicBands(d[:, None], e[:, None], [0.3])
+        counts = inertia_counts(both, np.hstack([x, x * s]))
         np.testing.assert_array_equal(counts[:, 0], counts[:, 1])
-        np.testing.assert_array_equal(
-            counts[:, :1], periodic_eigenvalue_counts(d[:, None], e[:, None], [0.3], x))
-        both = eig_periodic_sym_tridiagonal(np.stack([d, d * s], axis=1),
-                                            np.stack([e, e * s], axis=1), [0.3, 0.3 * s], k=4)
-        np.testing.assert_array_equal(both[0], eig_periodic_sym_tridiagonal(d, e, 0.3, k=4))
+        np.testing.assert_array_equal(counts[:, :1], inertia_counts(alone, x))
+        np.testing.assert_array_equal(_bisect(both, 4)[0], _bisect(alone, 4)[0])
 
     def test_shared_coupling_column(self):
         # an (n-1, 1) coupling broadcasts over the batch: the same counts
@@ -401,11 +400,10 @@ class TestPeriodicInertia:
             e = rng.standard_normal((n - 1, 1)) * s
             corner = rng.standard_normal(p) * s
             x = rng.uniform(-4.0, 4.0, (7, p)) * s
-            full = np.repeat(e, p, axis=1)
-            np.testing.assert_array_equal(periodic_eigenvalue_counts(d, e, corner, x),
-                                          periodic_eigenvalue_counts(d, full, corner, x))
-            np.testing.assert_array_equal(eig_periodic_sym_tridiagonal(d, e, corner, k=3),
-                                          eig_periodic_sym_tridiagonal(d, full, corner, k=3))
+            shared = _PeriodicBands(d, e, corner)
+            full = _PeriodicBands(d, np.repeat(e, p, axis=1), corner)
+            np.testing.assert_array_equal(inertia_counts(shared, x), inertia_counts(full, x))
+            np.testing.assert_array_equal(_bisect(shared, 3), _bisect(full, 3))
 
     def test_gershgorin_equals_a_loop_over_rows(self):
         # each row's radius 0 + |e[i-1]| + |e[i]| (+ |corner| at both ends),
@@ -454,7 +452,7 @@ class TestPeriodicTridiagonal:
         dense[0, -1] += corner
         dense[-1, 0] += corner
         ref = np.linalg.eigvalsh(dense)[:5]
-        mine = eig_periodic_sym_tridiagonal(d, e, corner, k=5)
+        mine = _bisect(_PeriodicBands(d[:, None], e[:, None], [corner]), 5)[0]
         np.testing.assert_allclose(mine, ref, atol=1e-9)
 
     def test_handles_degenerate_pairs(self):
@@ -462,7 +460,7 @@ class TestPeriodicTridiagonal:
         n = 64
         d = np.full(n, 2.0)
         e = np.full(n - 1, -1.0)
-        vals = eig_periodic_sym_tridiagonal(d, e, -1.0, k=5)
+        vals = _bisect(_PeriodicBands(d[:, None], e[:, None], [-1.0]), 5)[0]
         expected = 4 * np.sin(np.pi * np.array([0, 1, 1, 2, 2]) / n) ** 2
         np.testing.assert_allclose(vals, expected, atol=1e-10)
 
@@ -477,7 +475,8 @@ class TestPeriodicTridiagonal:
             return _periodic_inertia(bands, x)
 
         monkeypatch.setattr(eigen_mod, "_periodic_inertia", spy)
-        vals = eig_periodic_sym_tridiagonal(np.full(n, 2.0), np.full(n - 1, -1.0), -1.0, k=5)
+        vals = _bisect(_PeriodicBands(np.full((n, 1), 2.0), np.full((n - 1, 1), -1.0), [-1.0]),
+                       5)[0]
         assert min(widths) > 5
         expected = np.linalg.eigvalsh(periodic_dense(np.full(n, 2.0), np.full(n - 1, -1.0), -1.0))
         np.testing.assert_allclose(vals, expected[:5], atol=1e-10)
@@ -487,9 +486,10 @@ class TestPeriodicTridiagonal:
         n = 48
         d = rng.uniform(1.0, 5.0, n)
         e = rng.standard_normal(n - 1)
-        multi = eig_periodic_sym_tridiagonal(d, e, 0.4, k=4)
+        bands = _PeriodicBands(d[:, None], e[:, None], [0.4])
+        multi = _bisect(bands, 4)
         monkeypatch.setattr(eigen_mod, "_ROW_COST", 0)
-        plain = eig_periodic_sym_tridiagonal(d, e, 0.4, k=4)
+        plain = _bisect(bands, 4)
         np.testing.assert_array_equal(multi, plain)
 
     def test_one_midpoint_rule(self):
@@ -504,7 +504,8 @@ class TestPeriodicTridiagonal:
         # bisected from 1e-6, so the first midpoints are geometric
         curve = build_curve(random_profile(3), 128)
         d, e, corner = assemble_bands(curve, (2, -1))
-        multi = eig_periodic_sym_tridiagonal(d, e, corner, k=4, start=1, lower=1e-6)
+        bands = _PeriodicBands(d[:, None], e[:, None], [corner])
+        multi = _bisect(bands, 4, 1, 1e-6)[0]
         shifts = []
 
         def spy(bands, x):
@@ -513,9 +514,9 @@ class TestPeriodicTridiagonal:
 
         monkeypatch.setattr(eigen_mod, "_ROW_COST", 0)
         monkeypatch.setattr(eigen_mod, "_periodic_inertia", spy)
-        plain = eig_periodic_sym_tridiagonal(d, e, corner, k=4, start=1, lower=1e-6)
+        plain = _bisect(bands, 4, 1, 1e-6)[0]
         np.testing.assert_array_equal(multi, plain)
-        hi = _PeriodicBands(d[:, None], e[:, None], np.array([corner])).gershgorin()[1][0]
+        hi = bands.gershgorin()[1][0]
         assert len(shifts[0]) == 3  # one level, three brackets
         assert shifts[0][0] == np.sqrt(1e-6) * np.sqrt(hi)
         want = np.linalg.eigvalsh(periodic_dense(d, e, corner))[1:4]
@@ -532,20 +533,20 @@ class TestPeriodicTridiagonal:
                  (rng.uniform(1.0, 5.0, n), rng.standard_normal(n - 1), 0.4, 4, 0, None)]
         monkeypatch.setattr(eigen_mod, "_POLISH_STEPS", 0)
         for d, e, corner, k, start, lower in cases:
-            lo, hi = _PeriodicBands(d[:, None], e[:, None], np.array([corner])).gershgorin()
+            bands = _PeriodicBands(d[:, None], e[:, None], [corner])
+            lo, hi = bands.gershgorin()
             scale = max(np.abs(d).max(), np.abs(e).max(), abs(corner))
             want = []
             for index in range(start, k):
                 a, b = max(lo[0], lower or -np.inf), hi[0]
                 while b - a > 1e-13 * max(min(1.0, scale), abs(a) + abs(b)):
                     mid = np.sqrt(a) * np.sqrt(b) if 0.0 < 2.0 * a < b else 0.5 * (a + b)
-                    if periodic_eigenvalue_counts(d[:, None], e[:, None], [corner],
-                                                  [[mid]])[0, 0] <= index:
+                    if inertia_counts(bands, [[mid]])[0, 0] <= index:
                         a = mid
                     else:
                         b = mid
                 want.append(0.5 * (a + b))
-            got = eig_periodic_sym_tridiagonal(d, e, corner, k=k, start=start, lower=lower)
+            got = _bisect(bands, k, start, lower)[0]
             np.testing.assert_array_equal(got, want)
 
     def test_batch_with_nodes_matches_lapack(self, monkeypatch):
@@ -566,9 +567,9 @@ class TestPeriodicTridiagonal:
             return count, mantissa, exponent
 
         monkeypatch.setattr(eigen_mod, "_periodic_inertia", spy)
-        vals = eig_periodic_sym_tridiagonal(np.stack([m[0] for m in mats], axis=1),
-                                            np.stack([m[1] for m in mats], axis=1),
-                                            [m[2] for m in mats], k=4)
+        vals = _bisect(_PeriodicBands(np.stack([m[0] for m in mats], axis=1),
+                                      np.stack([m[1] for m in mats], axis=1),
+                                      [m[2] for m in mats]), 4)
         assert sum(nodal) > 0
         for row, bands in zip(vals, mats):
             want = np.linalg.eigvalsh(periodic_dense(*bands))[:4]
@@ -580,15 +581,14 @@ class TestPeriodicTridiagonal:
         d = rng.uniform(1.0, 5.0, (n, p))
         e = rng.standard_normal((n - 1, p))
         corner = rng.standard_normal(p)
-        full = eig_periodic_sym_tridiagonal(d, e, corner, k=4)
-        np.testing.assert_array_equal(
-            eig_periodic_sym_tridiagonal(d, e, corner, k=4, start=2), full[:, 2:])
+        bands = _PeriodicBands(d, e, corner)
+        full = _bisect(bands, 4)
+        np.testing.assert_array_equal(_bisect(bands, 4, 2), full[:, 2:])
         # any point at or below the start-th eigenvalue is a valid lower end
         lower = 0.5 * (full[:, 1] + full[:, 2])
-        part = eig_periodic_sym_tridiagonal(d, e, corner, k=4, start=2, lower=lower)
-        np.testing.assert_allclose(part, full[:, 2:], atol=1e-12)
-        with pytest.raises(ValueError):
-            eig_periodic_sym_tridiagonal(d, e, corner, k=2, start=2)
+        np.testing.assert_allclose(_bisect(bands, 4, 2, lower), full[:, 2:], atol=1e-12)
+        with pytest.raises(ValueError, match="k out of range"):
+            _bisect(bands, 2, 2)
 
     def test_eigenvalue_counts(self):
         rng = np.random.default_rng(31)
@@ -597,14 +597,10 @@ class TestPeriodicTridiagonal:
         e = rng.standard_normal((n - 1, p))
         corner = rng.standard_normal(p)
         x = rng.uniform(-3.0, 3.0, (5, p))
-        counts = periodic_eigenvalue_counts(d, e, corner, x)
+        counts = inertia_counts(_PeriodicBands(d, e, corner), x)
         for j in range(p):
             ev = np.linalg.eigvalsh(periodic_dense(d[:, j], e[:, j], corner[j]))
             np.testing.assert_array_equal(counts[:, j], np.searchsorted(ev, x[:, j]))
-        with pytest.raises(ValueError, match="shifts"):
-            periodic_eigenvalue_counts(d, e, corner, x[:, :2])
-        with pytest.raises(ValueError, match="finite"):
-            periodic_eigenvalue_counts(d, e, np.full(p, np.nan), x)
 
     def test_batch_equals_single(self):
         rng = np.random.default_rng(23)
@@ -612,23 +608,35 @@ class TestPeriodicTridiagonal:
         d = rng.uniform(1.0, 5.0, (n, p))
         e = rng.standard_normal((n - 1, p))
         corner = rng.standard_normal(p)
-        batch = eig_periodic_sym_tridiagonal(d, e, corner, k=3)
+        # P matrices in one batch, and each in a batch of its own
+        batch = _bisect(_PeriodicBands(d, e, corner), 3)
         assert batch.shape == (p, 3)
         for j in range(p):
-            np.testing.assert_array_equal(
-                batch[j], eig_periodic_sym_tridiagonal(d[:, j], e[:, j], corner[j], k=3))
+            alone = _PeriodicBands(d[:, j:j + 1], e[:, j:j + 1], corner[j:j + 1])
+            np.testing.assert_array_equal(batch[j], _bisect(alone, 3)[0])
 
     def test_bad_input_rejected(self):
         with pytest.raises(ValueError, match="offdiag"):
-            eig_periodic_sym_tridiagonal(np.ones(5), np.ones(5), 0.0)
+            _PeriodicBands(np.ones(5), np.ones(5), 0.0)  # 1-D bands are no batch
+        with pytest.raises(ValueError, match="offdiag"):
+            _PeriodicBands(np.ones((5, 1)), np.ones((5, 1)), [0.0])
         with pytest.raises(ValueError, match="k out of range"):
-            eig_periodic_sym_tridiagonal(np.ones(5), np.ones(4), 0.0, k=6)
+            _bisect(_PeriodicBands(np.ones((5, 1)), np.ones((4, 1)), [0.0]), 6)
         with pytest.raises(ValueError, match="finite"):
-            eig_periodic_sym_tridiagonal([np.nan, 1.0, 2.0, 1.0, 2.0], [1.0] * 4, 0.0)
+            _PeriodicBands(np.array([[np.nan], [1.0], [2.0], [1.0], [2.0]]), np.ones((4, 1)),
+                           [0.0])
         with pytest.raises(ValueError, match="finite"):
-            eig_periodic_sym_tridiagonal([1.0, 1.0, 2.0, 1.0, 2.0], [1.0] * 4, np.inf)
-        with pytest.raises(ValueError, match="at least 5 rows, got 4"):
-            eig_periodic_sym_tridiagonal(np.ones(4), np.ones(3), 0.0)
-        with pytest.raises(ValueError, match="at least 5 rows, got 4"):
-            periodic_eigenvalue_counts(np.ones((4, 2)), np.ones((3, 2)), [0.0, 0.0],
-                                       np.zeros((1, 2)))
+            _PeriodicBands(np.array([[1.0], [1.0], [2.0], [1.0], [2.0]]), np.ones((4, 1)),
+                           [np.inf])
+        for p in (1, 2):
+            with pytest.raises(ValueError, match="at least 5 rows, got 4"):
+                _PeriodicBands(np.ones((4, p)), np.ones((3, p)), np.zeros(p))
+
+    def test_certified_k_range(self):
+        # the free Laplacian's zero mode passes the certificate; k counts
+        # it, so 1 <= k <= n
+        d, e, corner = wh_bands(0.0, 8)
+        assert certified_spectra(d[:, None], e[:, None], [corner], 8, ["free"]).shape == (1, 7)
+        for k in (0, 9):
+            with pytest.raises(ValueError, match="k out of range"):
+                certified_spectra(d[:, None], e[:, None], [corner], k, ["free"])

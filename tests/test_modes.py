@@ -4,6 +4,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kohnspec import (
     GridTooCoarse,
@@ -17,7 +18,8 @@ from kohnspec import (
     rayleigh_quotient,
 )
 from kohnspec import shares
-from kohnspec.modes import MAX_TRANSPORT_EXPONENT, ZERO_MODE_TOL, assemble_bands
+from kohnspec.eigen import ZERO_MODE_TOL
+from kohnspec.modes import MAX_TRANSPORT_EXPONENT, assemble_bands
 from oracles import periodic_dense, wh_spectrum
 
 
@@ -48,9 +50,8 @@ def banded_lambda1(diag, off, corner):
     i = np.arange(n)
     j = (i + 1) % n
     np.add.at(band, (np.abs(pos[i] - pos[j]), np.minimum(pos[i], pos[j])), np.append(off, corner))
-    linalg = pytest.importorskip("scipy.linalg")
-    return linalg.eig_banded(band, lower=True, eigvals_only=True, select="i",
-                             select_range=(1, 1))[0]
+    return scipy.linalg.eig_banded(band, lower=True, eigvals_only=True, select="i",
+                                   select_range=(1, 1))[0]
 
 
 def shift_modes(monkeypatch, shifts):
@@ -243,20 +244,28 @@ class TestModeSpectra:
     def test_wide_window_kernel_work(self, monkeypatch):
         # the benchmark's sweep (random_profile(7), grid 512, 8 x 8 window)
         # took 25 kernel calls and 21,386 (shift, matrix) columns with
-        # bisection alone; a fall-back to it would exceed both bounds
+        # bisection alone.  One share validates and scales its 289 matrices
+        # once: the certificate at -tau and tau (the first call) and the
+        # bisection of lambda_1 run on that one batch
         import kohnspec.eigen as eigen_mod
-        columns = []
-        inertia = eigen_mod._periodic_inertia
+        batches, columns = [], []
+        init, inertia = eigen_mod._PeriodicBands.__init__, eigen_mod._periodic_inertia
+
+        def built(self, *args):
+            batches.append(len(args[2]))
+            init(self, *args)
 
         def counted(bands, x):
             columns.append(x.size)
             return inertia(bands, x)
 
+        monkeypatch.setattr(eigen_mod._PeriodicBands, "__init__", built)
         monkeypatch.setattr(eigen_mod, "_periodic_inertia", counted)
         # in one process, so that every share's calls are counted
         monkeypatch.setattr(shares, "_worker_count", lambda items, least: 1)
         mode_spectra(build_curve(random_profile(7), 512), list(ModeWindow(8, 8).modes()))
-        assert len(columns) <= 25 and sum(columns) <= 11_000, (len(columns), sum(columns))
+        assert batches == [289]
+        assert (len(columns), sum(columns), columns[0]) == (22, 7354, 2 * 289)
 
     def test_k1_certifies_without_bisecting(self, monkeypatch):
         # with k = 1 the +-tau certificate is the only kernel call: no

@@ -3,10 +3,12 @@ import signal
 import threading
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 import oracles
 from kohnspec import (
@@ -24,7 +26,7 @@ from kohnspec import (
     verify_E_geq_1,
     whittakerhill,
 )
-from kohnspec.modes import GridTooCoarse
+from kohnspec.eigen import GridTooCoarse
 from kohnspec.whittakerhill import bendixson_floor
 from oracles import (eig_sym_tridiagonal, householder_eigenvalues, periodic_dense, wh_bands,
                      wh_spectrum)
@@ -254,7 +256,6 @@ class TestVerifyFloor:
     def test_bottom_eigenvalue_matches_mpmath(self, a):
         # Newton on the three-term recurrence det(A - E) at 50 digits,
         # started from LAPACK's bottom eigenvalue
-        mpmath = pytest.importorskip("mpmath")
         N = 60
         tri = ince_matrix(a, N)
         start = np.linalg.eigvals(tri.to_dense())
@@ -613,7 +614,6 @@ class TestGeneralTridiagonal:
         # times its condition number |y||x| / |y^H x| (x, y right and left
         # eigenvectors): the large eigenvalues at strong coupling are too
         # ill-conditioned for any double-precision solver to pin down
-        assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
         for N in (2, 10, 60, 120):
             for a in (0.0, 1.0, 5.0, 10.0, 40.0):
                 tri = ince_matrix(a, N)
@@ -622,7 +622,7 @@ class TestGeneralTridiagonal:
                          * np.linalg.norm(vecs, axis=0))
                 mine = np.asarray(eig_general_tridiagonal(tri))
                 cost = np.abs(ref[:, None] - mine[None, :])
-                rows, cols = assignment(cost)
+                rows, cols = linear_sum_assignment(cost)
                 tol = 1e-9 * np.maximum(1.0, np.abs(ref[rows])) * kappa[rows]
                 assert np.all(cost[rows, cols] <= tol), (N, a)
 
