@@ -24,7 +24,8 @@ floats and complex numbers, so ``wh-sweep`` never imports numpy: a
 diagonal similarity to a complex symmetric tridiagonal (off-diagonal
 sqrt(upper * lower)), split where a product vanishes, then the
 implicit-shift QL iteration in complex arithmetic (Cullum & Willoughby),
-O(n) per sweep.
+O(n) per sweep.  ``verify_E_geq_1`` takes only the bottom: QL stops once
+Re w >= lambda_min(Re B) (Bendixson) puts the rest past all a row reads.
 
 The sector-exclusion certificate holds for tridiagonal matrices with
 positive diagonal and nonpositive off-diagonal products: such a matrix has
@@ -134,7 +135,22 @@ def ince_matrix(a: float, N: int) -> Tridiagonal:
 # ---------------------------------------------------------------------------
 
 
-def _tqli_kernel(d, e, max_sweeps):
+def _real_part_exceeds(d, e, start, t) -> bool:
+    """Whether the LDL^T pivots of Re B - t are all > 0, B = (d[start:], e[start:n-1]).
+
+    B is complex symmetric, so (B + B^H) / 2 = Re B: True puts every
+    eigenvalue w of B at Re w > t (field of values).  NaN answers False.
+    """
+    q, off = 1.0, 0.0
+    for k in range(start, len(d)):
+        q = d[k].real - t - off * off / q
+        if not q > 0.0:
+            return False
+        off = e[k].real
+    return True
+
+
+def _tqli_kernel(d, e, max_sweeps, floor=None):
     """Implicit-shift QL on a complex symmetric tridiagonal (d, e), eigenvalues only.
 
     ``d`` and ``e`` are lists of n builtin complex numbers (indexing numpy
@@ -146,6 +162,9 @@ def _tqli_kernel(d, e, max_sweeps):
     -(1 + index) when a rotation met f^2 + g^2 = 0 with (f, g) != 0, also
     after scaling by max(|f|, |g|), where no complex orthogonal rotation
     exists (isotropic breakdown).
+    With a ``floor``, after 1, 2, 4, ... deflations, once the undeflated
+    block has every Re w > max(floor, Re z + 2 |Im z| over the deflated z),
+    the kernel cuts ``d`` to the deflated eigenvalues and returns 0.
     """
     n = len(d)
     eps = 2.220446049250313e-16
@@ -203,10 +222,16 @@ def _tqli_kernel(d, e, max_sweeps):
             d[low] -= p
             e[low] = g
             e[m] = 0.0
+        if floor is not None:
+            floor = max(floor, d[low].real + 2.0 * abs(d[low].imag))
+            # low + 1 deflated, a power of two
+            if low & (low + 1) == 0 and _real_part_exceeds(d, e, low + 1, floor):
+                del d[low + 1:]
+                return 0
     return 0
 
 
-def _ql_eigenvalues(diag, offdiag) -> list:
+def _ql_eigenvalues(diag, offdiag, floor=None) -> list:
     """Eigenvalues of the complex symmetric tridiagonal (diag, offdiag), unsorted.
 
     The matrix is first scaled by a power of two, which is exact, so that
@@ -232,7 +257,7 @@ def _ql_eigenvalues(diag, offdiag) -> list:
               for z in d]
     e = [complex((z.real + z.imag * 0.0) / scale, (z.imag - z.real * 0.0) / scale) for z in e]
     try:
-        status = _tqli_kernel(values, e, _QL_MAX_SWEEPS)
+        status = _tqli_kernel(values, e, _QL_MAX_SWEEPS, None if floor is None else floor / scale)
     except (OverflowError, ZeroDivisionError) as exc:
         raise NoConvergence(f"QL iteration left the floating-point range: {exc}") from exc
     if status > 0:
@@ -296,7 +321,7 @@ def _close_under_conjugation(ev: list) -> list:
     return out
 
 
-def eig_general_tridiagonal(tri: Tridiagonal) -> list:
+def eig_general_tridiagonal(tri: Tridiagonal, floor=None) -> list:
     """All eigenvalues of a real tridiagonal matrix as a list of complex numbers.
 
     Where upper[k] * lower[k] != 0 the matrix is diagonally similar to the
@@ -308,6 +333,9 @@ def eig_general_tridiagonal(tri: Tridiagonal) -> list:
     _QL_MAX_SWEEPS sweeps or a rotation meets isotropic breakdown.  The result
     is closed under conjugation, like the spectrum of any real matrix, and
     sorted by (real, imaginary) part, which keeps conjugate pairs adjacent.
+    With a ``floor``, only what QL deflated before the rest was certified at
+    Re w > t = max(floor, Re z + 2 |Im z| over returned z) comes back, one t
+    for all blocks: the bottom of the full spectrum, bit for bit.
     """
     offdiag, bounds = [], [0]
     for k, (up, lo) in enumerate(zip(tri.upper, tri.lower)):
@@ -316,10 +344,18 @@ def eig_general_tridiagonal(tri: Tridiagonal) -> list:
         if coupling == 0.0:
             bounds.append(k + 1)
     bounds.append(tri.n)
-    ev = []
-    for b0, b1 in zip(bounds, bounds[1:]):
-        ev += _ql_eigenvalues(tri.diag[b0:b1], offdiag[b0:b1 - 1])
-    return sorted(_close_under_conjugation(ev), key=lambda z: (z.real, z.imag))
+    while True:
+        ev, cut = [], None
+        for b0, b1 in zip(bounds, bounds[1:]):
+            block = _ql_eigenvalues(tri.diag[b0:b1], offdiag[b0:b1 - 1], floor)
+            ev += block
+            if floor is not None:
+                floor = max([floor] + [z.real + 2.0 * abs(z.imag) for z in block])
+                if cut is None and len(block) < b1 - b0:
+                    cut = floor
+        # a block cut below a later block's t is solved again from the final t
+        if cut is None or cut == floor:
+            return sorted(_close_under_conjugation(ev), key=lambda z: (z.real, z.imag))
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +439,8 @@ def _floor_row(a: float, N: int) -> dict:
     """One coupling's row of ``verify_E_geq_1``; raises CertificateFailed."""
     tri = ince_matrix(a, N)
     cert = sector_exclusion_certificate(tri, SECTOR_DELTA)
-    eigs = eig_general_tridiagonal(tri)
+    eigs = eig_general_tridiagonal(
+        tri, floor=max(1.0 - REAL_FLOOR_TOL, cert.region.mu if cert.region else 0.0))
     hit = None if cert.region is None else next(
         (z for z in eigs if point_in_sector(z, cert.region)), None)
     if hit is not None and cert.hypotheses_ok:
@@ -448,8 +485,11 @@ def verify_E_geq_1(a_values, N: int = 60) -> dict:
     truncation, compute its eigenvalues, record whether any lies in the
     sector (``in_sector``), raising CertificateFailed when one does while
     the hypotheses hold, and check every real eigenvalue against the floor
-    1 - 1e-8.  Beside that, Bendixson's floor (``bendixson_floor``, min
-    diag = 1 for every truncation, None if its hypothesis fails) bounds
+    1 - 1e-8.  Only the deflated bottom of the spectrum is computed: the
+    Re B bound certifies the rest right of the sector's vertex and of that
+    floor (``eig_general_tridiagonal`` with a ``floor``), so each row is
+    the full spectrum's.  Beside that, Bendixson's floor (``bendixson_floor``,
+    min diag = 1 for every truncation, None if its hypothesis fails) bounds
     Re E below without the spectrum; a row passes only if it is at least 1
     too.  Returns {"all_pass": bool, "table": rows}, one row per coupling in
     the given order.

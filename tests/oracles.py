@@ -12,12 +12,16 @@
   reduction), for the tests of those two kernels.
 * ``inertia_counts``: the inertia kernel's counts of a batch at many
   shifts per matrix, in one kernel call.
+* ``full_spectrum_floor_row``: a ``verify_E_geq_1`` row built from the
+  whole Ince spectrum, against which the bottom-only solve is checked.
 """
 
 import numpy as np
 
 from kohnspec.eigen import _householder_tridiagonalize, _periodic_inertia, certified_spectra
-from kohnspec.whittakerhill import _ql_eigenvalues
+from kohnspec.whittakerhill import (REAL_FLOOR_TOL, REAL_PART_TOL, SECTOR_DELTA, CertificateFailed,
+                                    _ql_eigenvalues, bendixson_floor, eig_general_tridiagonal,
+                                    ince_matrix, point_in_sector, sector_exclusion_certificate)
 
 
 def periodic_dense(diag, offdiag, corner) -> np.ndarray:
@@ -93,3 +97,36 @@ def inertia_counts(bands, shifts) -> np.ndarray:
     cols = np.tile(np.arange(x.shape[1]), x.shape[0])
     work = np.empty(bands.diag.shape[0] * x.size)
     return _periodic_inertia(bands.take(cols, work), x.ravel())[0].reshape(x.shape)
+
+
+def full_spectrum_floor_row(a: float, N: int) -> dict:
+    """The row of coupling a at truncation size N, read off all N eigenvalues.
+
+    Every rule is the row's own: the first eigenvalue in the sector
+    (raising CertificateFailed when the hypotheses hold), the floor
+    1 - REAL_FLOOR_TOL on every real eigenvalue, and the bottom eigenvalue
+    as the smallest real part, the first one on a tie.
+    """
+    tri = ince_matrix(a, N)
+    cert = sector_exclusion_certificate(tri, SECTOR_DELTA)
+    eigs = eig_general_tridiagonal(tri)
+    hit = None if cert.region is None else next(
+        (z for z in eigs if point_in_sector(z, cert.region)), None)
+    if hit is not None and cert.hypotheses_ok:
+        raise CertificateFailed(
+            f"eigenvalue {hit} of the size-{N} truncation at a={a} lies in the excluded sector")
+    floor_ok = all(z.real >= 1.0 - REAL_FLOOR_TOL for z in eigs
+                   if abs(z.imag) <= REAL_PART_TOL * max(1.0, abs(z)))
+    bottom = min(eigs, key=lambda z: z.real)
+    bendixson = bendixson_floor(tri)
+    return {
+        "a": a,
+        "N": N,
+        "E1": float(bottom.real),
+        "complex_bottom": bool(abs(bottom.imag) > REAL_PART_TOL * max(1.0, abs(bottom))),
+        "hypotheses_ok": cert.hypotheses_ok,
+        "bendixson_floor": bendixson,
+        "in_sector": hit is not None,
+        "pass": bool(cert.hypotheses_ok and floor_ok and bendixson is not None
+                     and bendixson >= 1.0),
+    }

@@ -542,8 +542,8 @@ import sys
 import numpy as np
 from kohnspec import cli, whittakerhill
 real = whittakerhill.eig_general_tridiagonal
-def planted(tri):
-    return np.array([0.5 + 0j, 4.0 + 0j]) if tri.upper[0] == 4.0 else real(tri)
+def planted(tri, floor=None):
+    return np.array([0.5 + 0j, 4.0 + 0j]) if tri.upper[0] == 4.0 else real(tri, floor=floor)
 whittakerhill.eig_general_tridiagonal = planted
 sys.exit(cli.main(sys.argv[1:]))
 """

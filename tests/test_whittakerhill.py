@@ -282,7 +282,7 @@ class TestVerifyFloor:
         # a spectrum with a point inside the sector: flagged when the
         # hypotheses fail (delta too large), fatal when they hold
         monkeypatch.setattr(whittakerhill, "eig_general_tridiagonal",
-                            lambda tri: np.array([0.5 + 0.0j, 4.0 + 0.0j]))
+                            lambda tri, floor=None: np.array([0.5 + 0.0j, 4.0 + 0.0j]))
         with monkeypatch.context() as patch:
             patch.setattr(whittakerhill, "SECTOR_DELTA", 10.0)
             row = verify_E_geq_1([1.0], N=2)["table"][0]
@@ -290,6 +290,96 @@ class TestVerifyFloor:
         assert not row["hypotheses_ok"] and not row["pass"]
         with pytest.raises(CertificateFailed):
             verify_E_geq_1([1.0], N=2)
+
+
+def _row_equals_full_spectrum_row(a, N):
+    row = verify_E_geq_1([a], N=N)["table"][0]
+    want = oracles.full_spectrum_floor_row(a, N)
+    assert repr(row) == repr(want) and row == want
+
+
+class TestBottomSolve:
+    """The rows read only the deflated bottom of each spectrum, certified by Re B."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 5, 10, 30, 60, 120, 240])
+    @pytest.mark.parametrize("a", [-10.0, -0.1, 0.0, 1e-8, 0.37, 2.5, 10.0, 17.0, 40.0, 123.0,
+                                   1e3])
+    def test_rows_equal_full_spectrum_rows(self, a, N):
+        _row_equals_full_spectrum_row(a, N)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.floats(-50.0, 50.0), N=st.integers(1, 130))
+    def test_rows_equal_full_spectrum_rows_anywhere(self, a, N):
+        _row_equals_full_spectrum_row(a, N)
+
+    @pytest.mark.parametrize("a, N", [(10.0, 30), (1e6, 500)])
+    def test_uncertified_rows_fall_back_to_the_full_spectrum(self, a, N):
+        # lambda_min(Re B) stays below E1 at every attempt
+        assert len(eig_general_tridiagonal(ince_matrix(a, N), floor=1.0)) == N
+        _row_equals_full_spectrum_row(a, N)
+
+    def test_default_couplings_stop_after_one_deflation(self, monkeypatch):
+        sizes = []
+        real = whittakerhill.eig_general_tridiagonal
+
+        def counted(tri, floor=None):
+            eigs = real(tri, floor=floor)
+            sizes.append(len(eigs))
+            return eigs
+
+        monkeypatch.setattr(whittakerhill, "eig_general_tridiagonal", counted)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert verify_E_geq_1(np.linspace(0.0, 10.0, 41), N=60)["all_pass"]
+        assert sizes == [60] + [1] * 40
+
+    def test_zero_coupling_solves_one_by_one_blocks_without_a_sweep(self, monkeypatch):
+        blocks = []
+        real = whittakerhill._tqli_kernel
+
+        def kernel(d, e, max_sweeps, floor=None):
+            blocks.append(len(d))
+            return real(d, e, max_sweeps, floor)
+
+        monkeypatch.setattr(whittakerhill, "_tqli_kernel", kernel)
+        monkeypatch.setattr(whittakerhill, "_QL_MAX_SWEEPS", 0)
+        eigs = eig_general_tridiagonal(ince_matrix(0.0, 60), floor=1.0)
+        assert eigs == [complex(k * k) for k in range(1, 61)] and blocks == [1] * 60
+
+    @pytest.mark.parametrize("diag, off", [([1.0, 100.0, 200.0, 150.0], [1.0, 1.0, 0.0]),
+                                           ([150.0, 1.0, 100.0, 200.0], [0.0, 1.0, 1.0])])
+    def test_one_threshold_across_blocks(self, diag, off):
+        # the block [150] raises t past the t that cut the other block after
+        # one deflation, so that block is solved again: 100.0001 comes back
+        tri = Tridiagonal(diag, off, off)
+        full = eig_general_tridiagonal(tri)
+        bottom = eig_general_tridiagonal(tri, floor=1.0)
+        assert bottom == full[:3]
+        assert min(z.real for z in full[3:]) > max(z.real + 2 * abs(z.imag) for z in bottom)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 60])
+    def test_certificate_agrees_with_eigvalsh(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            d = rng.normal(size=n) + 1j * rng.normal(size=n)
+            e = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
+            re = np.diag(d.real) + np.diag(e.real, 1) + np.diag(e.real, -1)
+            lowest = np.linalg.eigvalsh(re)[0]
+            margin = 1e-9 * np.abs(re).sum(axis=0).max()
+            # the block follows one deflated entry; e ends in the kernel's workspace
+            dl = [complex(x) for x in np.concatenate([[7 + 7j], d])]
+            el = [complex(x) for x in np.concatenate([[5 + 5j], e, [np.nan]])]
+            assert whittakerhill._real_part_exceeds(dl, el, 1, lowest - margin)
+            assert not whittakerhill._real_part_exceeds(dl, el, 1, lowest + margin)
+
+    def test_certificate_refuses_zero_pivots_and_nan(self):
+        exceeds = whittakerhill._real_part_exceeds
+        assert not exceeds([1 + 5j], [0j], 0, 1.0)
+        # pivots 2 and 0.5 - 1/2 = 0
+        assert not exceeds([2 + 1j, 0.5 - 1j], [1 + 3j, 0j], 0, 0.0)
+        assert exceeds([2 + 1j, 0.5 - 1j], [1 + 3j, 0j], 0, -1e-3)
+        assert not exceeds([complex(np.nan, 0.0), 2.0 + 0j], [0j, 0j], 0, 0.0)
+        assert not exceeds([2.0 + 0j, 2.0 + 0j], [complex(np.nan, 0.0), 0j], 0, 0.0)
+        assert not exceeds([2.0 + 0j], [0j], 0, np.nan)
 
 
 def _coupling(tri):
@@ -382,13 +472,13 @@ class TestParallelSweep:
         eigenvalue in the excluded sector, "stall" raises NoConvergence."""
         real = whittakerhill.eig_general_tridiagonal
 
-        def planted(tri):
+        def planted(tri, floor=None):
             kind = failures.get(_coupling(tri))
             if kind == "sector":
                 return np.array([0.5 + 0.0j, 4.0 + 0.0j])
             if kind == "stall":
                 raise NoConvergence(f"planted stall at a={_coupling(tri)}")
-            return real(tri)
+            return real(tri, floor=floor)
 
         monkeypatch.setattr(whittakerhill, "eig_general_tridiagonal", planted)
 
@@ -413,10 +503,10 @@ class TestParallelSweep:
         parent = os.getpid()
         real = whittakerhill.eig_general_tridiagonal
 
-        def dying(tri):
+        def dying(tri, floor=None):
             if os.getpid() != parent:
                 os._exit(3)
-            return real(tri)
+            return real(tri, floor=floor)
 
         monkeypatch.setattr(whittakerhill, "eig_general_tridiagonal", dying)
         self.cpus(monkeypatch, 2)
@@ -429,12 +519,12 @@ class TestParallelSweep:
         parent = os.getpid()
         real = whittakerhill.eig_general_tridiagonal
 
-        def slow_child(tri):
+        def slow_child(tri, floor=None):
             if os.getpid() != parent:
                 time.sleep(60)
             elif _coupling(tri) == self.COUPLINGS[2]:
                 raise KeyboardInterrupt
-            return real(tri)
+            return real(tri, floor=floor)
 
         monkeypatch.setattr(whittakerhill, "eig_general_tridiagonal", slow_child)
         self.cpus(monkeypatch, 2)
@@ -602,7 +692,7 @@ class TestGeneralTridiagonal:
 
     @pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError])
     def test_kernel_range_errors_raise_no_convergence(self, monkeypatch, error):
-        def kernel(d, e, max_sweeps):
+        def kernel(d, e, max_sweeps, floor=None):
             raise error("out of range")
 
         monkeypatch.setattr(whittakerhill, "_tqli_kernel", kernel)
