@@ -224,7 +224,7 @@ def _tqli_kernel(d, e, max_sweeps, floor=None):
             e[m] = 0.0
         if floor is not None:
             floor = max(floor, d[low].real + 2.0 * abs(d[low].imag))
-            # low + 1 deflated, a power of two
+            # tried when low + 1, the deflations so far, is a power of two
             if low & (low + 1) == 0 and _real_part_exceeds(d, e, low + 1, floor):
                 del d[low + 1:]
                 return 0
