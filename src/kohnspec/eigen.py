@@ -93,14 +93,13 @@ _EPS = 2.0**-52
 #: Fixed cost of one inertia kernel call, in probe columns: at n = 512 a
 #: call costs about 0.8 ms, the overhead of its 31 + 3 row steps and the
 #: 4 x 4 complement, plus about 5 us per column with the determinant (2
-#: CPUs, Python 3.11, numpy 2.4), so about 160 columns.  On the shares of
-#: 145 modes that 8 x 8 windows of random curves split into, 150 to 500
-#: take the same calls, and 150 to 200 about 19% fewer columns than 500;
-#: in one process, 160 and 200 take 24% more calls than 300 but 21% fewer
-#: columns, and sweep faster.  A round probes ``levels`` levels of every
-#: bisecting bracket at once, with levels minimising (_ROW_COST +
-#: brackets * (2^levels - 1)) / levels; polishing brackets add one column
-#: each.
+#: CPUs, Python 3.11, numpy 2.4), so about 160 columns.  On the 289 modes
+#: of 8 x 8 windows of random curves, 160 and 200 take 24% more calls than
+#: 300 but 21% fewer columns, and sweep faster; at 200 the window of seed 7
+#: at grid 512 takes 22 calls and 7,354 columns.  A round probes
+#: ``levels`` levels of every bisecting bracket at once, with levels
+#: minimising (_ROW_COST + brackets * (2^levels - 1)) / levels; polishing
+#: brackets add one column each.
 _ROW_COST = 200
 
 
@@ -672,15 +671,7 @@ def _bisect(bands: _PeriodicBands, k: int, start: int = 0, lower=None) -> np.nda
 
 
 class GridTooCoarse(RuntimeError):
-    """The discrete zero mode strayed from zero: the grid cannot resolve the operator.
-
-    ``index`` is the position of the failing matrix in the batch that
-    ``certified_spectra`` checked.
-    """
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
+    """The discrete zero mode strayed from zero: the grid cannot resolve the operator."""
 
 
 #: Zero-mode acceptance threshold: ``certified_spectra`` certifies that the
@@ -716,7 +707,7 @@ def certified_spectra(diag, offdiag, corner, k: int, labels) -> np.ndarray:
         raise GridTooCoarse(
             f"zero mode of {labels[j]} is not isolated: "
             f"{low[j]} eigenvalue(s) below -{ZERO_MODE_TOL:.0e} and "
-            f"{high[j] - low[j]} in [-{ZERO_MODE_TOL:.0e}, {ZERO_MODE_TOL:.0e})", j)
+            f"{high[j] - low[j]} in [-{ZERO_MODE_TOL:.0e}, {ZERO_MODE_TOL:.0e})")
     if k == 1:
         return np.empty((p, 0))
     return _bisect(bands, k, 1, tau)

@@ -26,15 +26,13 @@ scheme can never push below roundoff.)  The mass matrix is diag(kappa h).
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-from . import shares
 from .curve import GeneratingCurve, periodic_quadrature
-from .eigen import GridTooCoarse, certified_spectra
+from .eigen import certified_spectra
 
 
 class ModeIndex(NamedTuple):
@@ -132,44 +130,17 @@ def _window_bands(curve: GeneratingCurve, modes):
     return diag, off[:, None], np.full(len(index), corner), lam0
 
 
-#: Fewest modes per share of ``mode_spectra``.  Each share pays the
-#: kernel's fixed cost per call in full, and a fork about 3 ms: on 2 CPUs
-#: at grid 512, two shares break even with one process at about 121 modes
-#: (79 ms), and win from there (85 against 96 ms at 169 modes, 102
-#: against 124 ms at 289).
-_SHARE_MODES = 64
-
-
-def _share_spectra(curve: GeneratingCurve, modes, k: int, start: int, step: int):
-    """``mode_spectra`` rows of modes[start::step] and the share's failure.
-
-    The failure is (index in ``modes``, GridTooCoarse) of the first mode of
-    the share that fails the certificate, None if none does.
-    """
-    mine = modes[start::step]
-    diag, off, corner, lam0 = _window_bands(curve, mine)
-    try:
-        upper = certified_spectra(diag, off, corner, k, [f"mode {tuple(mode)}" for mode in mine])
-    except GridTooCoarse as exc:
-        return None, (start + step * exc.index, exc)
-    return np.column_stack([lam0, upper]), None
-
-
 def mode_spectra(curve: GeneratingCurve, modes, k: int = 2) -> np.ndarray:
     """First k eigenvalues of each mode operator, ascending; one row per mode.
 
     The diagonals of the modes are stored once, as an (n, modes) array,
     beside the one coupling they share, and go through
-    ``certified_spectra``: the zero mode is certified by inertia, not
-    bisected, and lambda_0 is reported as the Rayleigh quotient of the
-    sampled kernel, which the factored discretization annihilates up to
-    roundoff.  The modes are independent, so ``shares.interleaved`` splits
-    them into interleaved shares modes[w::workers], one per CPU and at
-    least _SHARE_MODES modes each, shares past the first in forked
-    children; the rows are the same bits as in one process.
-    GridTooCoarse names the first mode, in the given order, that fails
-    the certificate; a ValueError the first that fails
-    ``_check_transport``, which runs here, before the shares fork.
+    ``certified_spectra`` as one batch: the zero mode is certified by
+    inertia, not bisected, and lambda_0 is reported as the Rayleigh
+    quotient of the sampled kernel, which the factored discretization
+    annihilates up to roundoff.  GridTooCoarse names the first mode, in
+    the given order, that fails the certificate; a ValueError the first
+    that fails ``_check_transport``, before any band is built.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -177,8 +148,9 @@ def mode_spectra(curve: GeneratingCurve, modes, k: int = 2) -> np.ndarray:
     _check_transport(curve, modes)
     if not modes:
         return np.empty((0, k))
-    return np.array(shares.interleaved(functools.partial(_share_spectra, curve, modes, k),
-                                       len(modes), _SHARE_MODES))
+    diag, off, corner, lam0 = _window_bands(curve, modes)
+    upper = certified_spectra(diag, off, corner, k, [f"mode {tuple(mode)}" for mode in modes])
+    return np.column_stack([lam0, upper])
 
 
 def kernel_function(curve: GeneratingCurve, mode) -> np.ndarray:

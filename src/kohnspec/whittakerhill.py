@@ -40,11 +40,9 @@ from __future__ import annotations
 
 import cmath
 import collections
-import functools
 import math
 from array import array
 
-from . import shares
 
 #: Sector half-height used in all exclusion sweeps; valid for every
 #: truncation size since sum(1/k^2) < pi^2/6 makes (pi/2)/sum > 3/pi.
@@ -463,21 +461,6 @@ def _floor_row(a: float, N: int) -> dict:
     }
 
 
-def _share_rows(a_values, N: int, start: int, step: int):
-    """Rows of the couplings start, start + step, ... and the share's failure.
-
-    The failure is (index, exception) of the first coupling that raised,
-    None if none did; the share stops there.
-    """
-    rows = []
-    for index in range(start, len(a_values), step):
-        try:
-            rows.append(_floor_row(a_values[index], N))
-        except Exception as exc:
-            return rows, (index, exc)
-    return rows, None
-
-
 def verify_E_geq_1(a_values, N: int = 60) -> dict:
     """Certify the spectral floor E >= 1 for a sweep of couplings.
 
@@ -492,19 +475,10 @@ def verify_E_geq_1(a_values, N: int = 60) -> dict:
     min diag = 1 for every truncation, None if its hypothesis fails) bounds
     Re E below without the spectrum; a row passes only if it is at least 1
     too.  Returns {"all_pass": bool, "table": rows}, one row per coupling in
-    the given order.
-
-    The couplings are independent, so ``shares.interleaved`` splits them
-    into interleaved shares a_values[w::workers], one per CPU this process
-    may run on and at least two couplings each; shares past the first run
-    in forked children.  The rows are the same bits as a run in one
-    process, and of the couplings that raise, the first one's exception is
-    raised, as a run in one process would raise it.  Without ``os.fork``,
-    while another Python thread runs, with one CPU or with fewer than four
-    couplings, everything runs in this process.
+    the given order.  The couplings run in that order, in this process, and
+    the first that raises stops the sweep.
     """
     if not 1 <= N <= MAX_N:
         raise ValueError(f"N must be from 1 to {MAX_N}, got {N}")
-    a_values = [float(a) for a in a_values]
-    table = shares.interleaved(functools.partial(_share_rows, a_values, N), len(a_values), 2)
+    table = [_floor_row(float(a), N) for a in a_values]
     return {"all_pass": all(row["pass"] for row in table), "table": table}

@@ -506,37 +506,8 @@ def test_commands_import_only_what_they_run(tmp_path):
     assert "kohnspec.spectrum" in analyze and "kohnspec.whittakerhill" not in analyze
 
 
-#: Runs the default ``wh-sweep`` on two CPUs and prints, for each fork of
-#: the share runner, the OS threads of the process at that moment.
-THREADS_AT_FORK = """
-import os, sys
-from kohnspec import cli
-os.sched_getaffinity = lambda pid: {0, 1}
-real_fork, threads = os.fork, []
-def fork():
-    threads.append(len(os.listdir("/proc/self/task")))
-    return real_fork()
-os.fork = fork
-code = cli.main(["wh-sweep", "--out", os.devnull])
-print(threads, "numpy" in sys.modules)
-sys.exit(code)
-"""
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or not hasattr(os, "fork"),
-                    reason="needs os.fork and /proc/self/task")
-def test_wh_sweep_forks_with_one_os_thread():
-    # no numpy, so no OpenBLAS thread pool: a fork copies the only thread
-    # there is, and Python 3.12's warning about forking a process with
-    # more threads cannot come from wh-sweep
-    proc = subprocess.run([sys.executable, "-c", THREADS_AT_FORK], capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[1]", "False"]
-
-
 #: Plants an eigenvalue in the excluded sector at the sweep's second
-#: coupling (a = 2), which the forked share computes when there are two CPUs.
+#: coupling (a = 2).
 PLANTED_SECTOR_HIT = """
 import sys
 import numpy as np
@@ -556,7 +527,7 @@ sys.exit(cli.main(sys.argv[1:]))
 ])
 def test_wh_sweep_leaves_no_process_behind(argv, code):
     # the CLI leads a process group of its own; once it has exited, no
-    # forked worker may remain in that group
+    # process may remain in that group
     proc = subprocess.Popen([sys.executable, *argv], start_new_session=True,
                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     try:
@@ -570,6 +541,10 @@ def test_wh_sweep_leaves_no_process_behind(argv, code):
 
 
 def test_default_sweep_same_bytes_on_one_and_two_cpus(tmp_path, monkeypatch):
+    def fork():
+        raise AssertionError("wh-sweep forked")
+
+    monkeypatch.setattr(os, "fork", fork)
     outputs = []
     for cpus in (1, 2):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))

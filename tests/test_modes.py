@@ -1,6 +1,4 @@
 import os
-import signal
-import threading
 
 import numpy as np
 import pytest
@@ -17,7 +15,6 @@ from kohnspec import (
     random_profile,
     rayleigh_quotient,
 )
-from kohnspec import shares
 from kohnspec.eigen import ZERO_MODE_TOL
 from kohnspec.modes import MAX_TRANSPORT_EXPONENT, assemble_bands
 from oracles import periodic_dense, wh_spectrum
@@ -261,8 +258,6 @@ class TestModeSpectra:
 
         monkeypatch.setattr(eigen_mod._PeriodicBands, "__init__", built)
         monkeypatch.setattr(eigen_mod, "_periodic_inertia", counted)
-        # in one process, so that every share's calls are counted
-        monkeypatch.setattr(shares, "_worker_count", lambda items, least: 1)
         mode_spectra(build_curve(random_profile(7), 512), list(ModeWindow(8, 8).modes()))
         assert batches == [289]
         assert (len(columns), sum(columns), columns[0]) == (22, 7354, 2 * 289)
@@ -279,7 +274,6 @@ class TestModeSpectra:
             return inertia(bands, x)
 
         monkeypatch.setattr(eigen_mod, "_periodic_inertia", counted)
-        monkeypatch.setattr(shares, "_worker_count", lambda items, least: 1)
         curve = build_curve(random_profile(7), 128)
         modes = list(ModeWindow(2, 2).modes())
         rows = mode_spectra(curve, modes, k=1)
@@ -375,84 +369,37 @@ class TestPairModes:
 
 
 class TestShares:
-    """mode_spectra split over forked children, against one process."""
+    """mode_spectra where several CPUs are visible: the whole window runs
+    in this process, with the rows and the failure of a one-CPU run."""
 
     @pytest.fixture(autouse=True)
-    def no_child_left(self):
-        # a stuck pipe read or wait fails the test instead of hanging it;
-        # forked children do not inherit the alarm
-        def expire(signum, frame):
-            raise TimeoutError("the sweep did not finish")
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.alarm(60)
-        try:
-            yield
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    @staticmethod
-    def count_forks(monkeypatch):
-        forks = []
-        real_fork = os.fork
-
+    def no_fork(self, monkeypatch):
         def fork():
-            forks.append(os.getpid())
-            return real_fork()
+            raise AssertionError("mode_spectra forked")
 
         monkeypatch.setattr(os, "fork", fork)
-        return forks
 
     @staticmethod
-    def workers(monkeypatch, count):
-        monkeypatch.setattr(shares, "_worker_count", lambda items, least: count)
+    def cpus(monkeypatch, count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
     def test_rows_equal_one_process(self, monkeypatch):
         curve = build_curve(random_profile(7), 512)
         modes = list(ModeWindow(8, 8).modes())
-        self.workers(monkeypatch, 1)
+        self.cpus(monkeypatch, 1)
         serial = mode_spectra(curve, modes)
-        forks = self.count_forks(monkeypatch)
-        self.workers(monkeypatch, 2)
-        parallel = mode_spectra(curve, modes)
-        assert len(forks) == 1
-        assert parallel.tobytes() == serial.tobytes()
+        self.cpus(monkeypatch, 2)
+        assert mode_spectra(curve, modes).tobytes() == serial.tobytes()
 
     @pytest.mark.parametrize("modes", [[(0, 0), (3, 1), (1, -2), (2, 2)],
                                        [(0, 0), (1, -2), (2, 2), (3, 1)]])
     def test_grid_too_coarse_names_the_first_mode_across_shares(self, unit_circle, monkeypatch,
                                                                 modes):
-        # two shares, each with one failing mode: the first failing mode in
-        # the given order is named, whichever share it lands in
+        # two failing modes ahead of the rest of the 8 x 8 window: the first
+        # in the given order is named
         shift_modes(monkeypatch, {(1, -2): -1e-3, (2, 2): -1e-3})
-        forks = self.count_forks(monkeypatch)
-        self.workers(monkeypatch, 2)
+        self.cpus(monkeypatch, 2)
+        window = modes + [mode for mode in ModeWindow(8, 8).modes() if mode not in modes]
         with pytest.raises(GridTooCoarse, match=r"mode \(1, -2\) is not isolated: 1 eigenvalue"):
-            mode_spectra(unit_circle, modes)
-        assert len(forks) == 1
+            mode_spectra(unit_circle, window)
 
-    def test_small_window_stays_in_process(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        forks = self.count_forks(monkeypatch)
-        curve = build_curve(random_profile(7), 128)
-        mode_spectra(curve, [(0, 0)])
-        assert forks == []
-        mode_spectra(curve, list(ModeWindow(8, 8).modes()))
-        assert len(forks) == 1
-
-    def test_no_fork_while_a_thread_runs(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        forks = self.count_forks(monkeypatch)
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait)
-        thread.start()
-        try:
-            rows = mode_spectra(build_curve(random_profile(7), 128), list(ModeWindow(8, 8).modes()))
-        finally:
-            release.set()
-            thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert forks == [] and rows.shape == (289, 2)

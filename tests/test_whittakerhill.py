@@ -1,7 +1,4 @@
 import os
-import signal
-import threading
-import time
 
 import mpmath
 import numpy as np
@@ -13,6 +10,7 @@ from scipy.optimize import linear_sum_assignment
 import oracles
 from kohnspec import (
     CertificateFailed,
+    ModeWindow,
     NoConvergence,
     SectorRegion,
     Tridiagonal,
@@ -22,6 +20,7 @@ from kohnspec import (
     ince_matrix,
     mode_spectra,
     point_in_sector,
+    random_profile,
     sector_exclusion_certificate,
     verify_E_geq_1,
     whittakerhill,
@@ -328,7 +327,6 @@ class TestBottomSolve:
             return eigs
 
         monkeypatch.setattr(whittakerhill, "eig_general_tridiagonal", counted)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert verify_E_geq_1(np.linspace(0.0, 10.0, 41), N=60)["all_pass"]
         assert sizes == [60] + [1] * 40
 
@@ -387,43 +385,33 @@ def _coupling(tri):
     return float(tri.upper[0]) / 2.0
 
 
+def test_both_sweeps_run_in_one_process_on_two_cpus(monkeypatch):
+    def fork():
+        raise AssertionError("a sweep forked")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", fork)
+    rows = mode_spectra(build_curve(random_profile(7), 128), list(ModeWindow(8, 8).modes()))
+    assert rows.shape == (289, 2)
+    assert verify_E_geq_1(np.linspace(0.0, 10.0, 41))["all_pass"]
+
+
 class TestParallelSweep:
-    """verify_E_geq_1 split over forked children, against one process."""
+    """verify_E_geq_1 where several CPUs are visible: the couplings run in
+    this process, with the rows and the failure of a one-CPU run."""
 
     COUPLINGS = [0.5 * i for i in range(8)]
 
     @pytest.fixture(autouse=True)
-    def no_child_left(self):
-        # a stuck pipe read or wait fails the test instead of hanging it;
-        # forked children do not inherit the alarm
-        def expire(signum, frame):
-            raise TimeoutError("the sweep did not finish")
+    def no_fork(self, monkeypatch):
+        def fork():
+            raise AssertionError("verify_E_geq_1 forked")
 
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.alarm(60)
-        try:
-            yield
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        monkeypatch.setattr(os, "fork", fork)
 
     @staticmethod
     def cpus(monkeypatch, count):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-    @staticmethod
-    def count_forks(monkeypatch):
-        forks = []
-        real_fork = os.fork
-
-        def fork():
-            forks.append(os.getpid())
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", fork)
-        return forks
 
     def sweep(self, monkeypatch, cpus, a_values, N):
         self.cpus(monkeypatch, cpus)
@@ -440,31 +428,14 @@ class TestParallelSweep:
     def test_rows_equal_one_process(self, monkeypatch, cpus, count):
         a_values = self.COUPLINGS[:count]
         serial = self.sweep(monkeypatch, 1, a_values, 20)
-        forks = self.count_forks(monkeypatch)
         parallel = self.sweep(monkeypatch, cpus, a_values, 20)
-        assert len(forks) == min(cpus, max(1, count // 2)) - 1
         assert repr(parallel) == repr(serial) and parallel == serial
 
     def test_default_sweep_equals_one_process(self, monkeypatch):
         a_values = np.linspace(0.0, 10.0, 41)
         serial = self.sweep(monkeypatch, 1, a_values, 60)
-        forks = self.count_forks(monkeypatch)
         parallel = self.sweep(monkeypatch, 2, a_values, 60)
-        assert len(forks) == 1
         assert repr(parallel) == repr(serial) and parallel["all_pass"]
-
-    def test_no_fork_while_a_thread_runs(self, monkeypatch):
-        forks = self.count_forks(monkeypatch)
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait)
-        thread.start()
-        try:
-            rows = self.sweep(monkeypatch, 2, self.COUPLINGS, 10)
-        finally:
-            release.set()
-            thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert forks == [] and len(rows["table"]) == len(self.COUPLINGS)
 
     @staticmethod
     def plant(monkeypatch, failures):
@@ -498,40 +469,6 @@ class TestParallelSweep:
         got = self.failure(monkeypatch, 2, self.COUPLINGS)
         assert got == (NoConvergence, f"planted stall at a={self.COUPLINGS[first]}")
         assert got == self.failure(monkeypatch, 1, self.COUPLINGS)
-
-    def test_child_without_result_raises(self, monkeypatch):
-        parent = os.getpid()
-        real = whittakerhill.eig_general_tridiagonal
-
-        def dying(tri, floor=None):
-            if os.getpid() != parent:
-                os._exit(3)
-            return real(tri, floor=floor)
-
-        monkeypatch.setattr(whittakerhill, "eig_general_tridiagonal", dying)
-        self.cpus(monkeypatch, 2)
-        with pytest.raises(RuntimeError,
-                           match=r"share 1 .* did not return its result \(wait status 768\)"):
-            verify_E_geq_1(self.COUPLINGS, N=10)
-
-    def test_interrupt_kills_and_reaps_children(self, monkeypatch):
-        # the child's share would take a minute; the parent's is interrupted
-        parent = os.getpid()
-        real = whittakerhill.eig_general_tridiagonal
-
-        def slow_child(tri, floor=None):
-            if os.getpid() != parent:
-                time.sleep(60)
-            elif _coupling(tri) == self.COUPLINGS[2]:
-                raise KeyboardInterrupt
-            return real(tri, floor=floor)
-
-        monkeypatch.setattr(whittakerhill, "eig_general_tridiagonal", slow_child)
-        self.cpus(monkeypatch, 2)
-        start = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            verify_E_geq_1(self.COUPLINGS, N=10)
-        assert time.monotonic() - start < 30
 
 
 class TestWHGridGuard:
@@ -572,7 +509,7 @@ class TestEqualityPipeline:
         # on a circle of curvature kappa the full mode sweep collapses to
         # the rescaled family: lambda1(m, l) = kappa * E1(a(m, l)) / 2 and
         # the minimum sits at the (0, 0) mode with coupling a = 0
-        from kohnspec import ModeWindow, lambda1_kohn
+        from kohnspec import lambda1_kohn
 
         kappa = 2.0
         rescaled = []
