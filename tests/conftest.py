@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -30,3 +32,12 @@ def asymmetric_curve():
 @pytest.fixture(scope="session")
 def random_curves():
     return [build_curve(random_profile(seed), 512) for seed in range(5)]
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    """``os.fork`` raises: the code under test runs in this process."""
+    def fork():
+        raise AssertionError("os.fork was called")
+
+    monkeypatch.setattr(os, "fork", fork)

@@ -540,11 +540,7 @@ def test_wh_sweep_leaves_no_process_behind(argv, code):
         os.killpg(proc.pid, 0)
 
 
-def test_default_sweep_same_bytes_on_one_and_two_cpus(tmp_path, monkeypatch):
-    def fork():
-        raise AssertionError("wh-sweep forked")
-
-    monkeypatch.setattr(os, "fork", fork)
+def test_default_sweep_same_bytes_on_one_and_two_cpus(tmp_path, monkeypatch, no_fork):
     outputs = []
     for cpus in (1, 2):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))

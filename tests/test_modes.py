@@ -368,16 +368,10 @@ class TestPairModes:
         assert abs(plus - minus) > 1e-3
 
 
+@pytest.mark.usefixtures("no_fork")
 class TestShares:
     """mode_spectra where several CPUs are visible: the whole window runs
     in this process, with the rows and the failure of a one-CPU run."""
-
-    @pytest.fixture(autouse=True)
-    def no_fork(self, monkeypatch):
-        def fork():
-            raise AssertionError("mode_spectra forked")
-
-        monkeypatch.setattr(os, "fork", fork)
 
     @staticmethod
     def cpus(monkeypatch, count):

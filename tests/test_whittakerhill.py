@@ -385,29 +385,19 @@ def _coupling(tri):
     return float(tri.upper[0]) / 2.0
 
 
-def test_both_sweeps_run_in_one_process_on_two_cpus(monkeypatch):
-    def fork():
-        raise AssertionError("a sweep forked")
-
+def test_both_sweeps_run_in_one_process_on_two_cpus(monkeypatch, no_fork):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(os, "fork", fork)
     rows = mode_spectra(build_curve(random_profile(7), 128), list(ModeWindow(8, 8).modes()))
     assert rows.shape == (289, 2)
     assert verify_E_geq_1(np.linspace(0.0, 10.0, 41))["all_pass"]
 
 
+@pytest.mark.usefixtures("no_fork")
 class TestParallelSweep:
     """verify_E_geq_1 where several CPUs are visible: the couplings run in
     this process, with the rows and the failure of a one-CPU run."""
 
     COUPLINGS = [0.5 * i for i in range(8)]
-
-    @pytest.fixture(autouse=True)
-    def no_fork(self, monkeypatch):
-        def fork():
-            raise AssertionError("verify_E_geq_1 forked")
-
-        monkeypatch.setattr(os, "fork", fork)
 
     @staticmethod
     def cpus(monkeypatch, count):
