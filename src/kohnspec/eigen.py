@@ -25,7 +25,6 @@ compiles the other's solver.
 from __future__ import annotations
 
 import copy
-import math
 
 import numpy as np
 
@@ -216,70 +215,56 @@ def _cycle_negatives(t):
     return sum(piv < 0.0 for piv in pivots), pivots[0] * pivots[1] * pivots[2] * pivots[3]
 
 
-def _householder_tridiagonalize(matrix: np.ndarray):
-    """Reduce a symmetric matrix to tridiagonal form by Householder similarity.
+def _cycle_counts(diag, off):
+    """Negative eigenvalues of C cyclic matrices of one length L, shape (C,).
 
-    Returns (diag, offdiag).  The reflector of step i annihilates row i left
-    of the subdiagonal; the rank-2 update runs on the shrinking leading
-    block, so the whole reduction is BLAS-2 bound.
+    ``diag`` and ``off`` (C, L), L >= 3, hold each cycle's diagonal and its
+    couplings (k, k+1 mod L).  Each matrix is equilibrated by a congruence
+    with powers of two, which keeps its inertia exactly: row i is scaled
+    by about one over the square root of its largest entry.  A cycle of
+    separators and nodes can be graded: on the Whittaker-Hill operator at
+    a = 40, n = 256, one holds -1.7e10 next to 1.6e-4, and its count turns
+    on an eigenvalue of about 1e-7, which a reduction of the unequilibrated
+    matrix loses in roundoff.  Scaled below 1 and flushed, the (C, L, L)
+    stack is reduced to tridiagonal form by Householder similarity, step i
+    annihilating row i left of the subdiagonal of every matrix at once,
+    and counted by Sturm pivots.
     """
-    a = np.array(matrix, dtype=float, copy=True)
-    n = a.shape[0]
-    e = np.zeros(max(n - 1, 0))
-    # the caller scales the matrix's largest entry into [1/2, 1): a product
-    # that underflows is below 2^-1022, which moves the reduction by far
-    # less than its own roundoff of about 2^-53 per entry
-    with np.errstate(under="ignore"):
-        for i in range(n - 1, 0, -1):
-            if i > 1:
-                row = a[i, :i].copy()
-                scale = np.abs(row).sum()
-                if scale == 0.0:
-                    e[i - 1] = 0.0
-                    continue
-                u = row / scale
-                h = u @ u
-                f = u[-1]
-                g = -math.copysign(math.sqrt(h), f)
-                e[i - 1] = scale * g
-                h -= f * g
-                u[-1] = f - g
-                block = a[:i, :i]
-                p = (block @ u) / h
-                k = (u @ p) / (2.0 * h)
-                q = p - k * u
-                block -= np.outer(q, u)
-                block -= np.outer(u, q)
-            else:
-                e[0] = a[1, 0]
-    return np.diag(a).copy(), e
-
-
-def _small_negatives(diag, off):
-    """Negative eigenvalues of the cycle of separators and nodes of one column.
-
-    ``diag`` and ``off`` hold the cycle's diagonal and its couplings (k,
-    k+1 mod len(diag)), at least 4 of each.  Householder reduction of the
-    scaled dense matrix, then a Sturm count.  The matrix is first
-    equilibrated by a congruence with powers of two, which keeps its
-    inertia exactly: row i is scaled by about one over the square root of
-    its largest entry.  A cycle of separators and nodes can be graded: on
-    the Whittaker-Hill operator at a = 40, n = 256, one holds -1.7e10 next
-    to 1.6e-4, and its count turns on an eigenvalue of about 1e-7, which a
-    reduction of the unequilibrated matrix loses in roundoff.
-    """
-    n = len(diag)
-    mat = np.diag(diag) + np.diag(off[:n - 1], 1)
-    mat[0, -1] += off[-1]
-    mat = mat + np.triu(mat, 1).T
-    big = np.abs(mat).max(axis=1)
+    c, n = diag.shape
+    r = np.arange(n)
+    mat = np.zeros((c, n, n))
+    mat[:, r, r] = diag
+    mat[:, r, r - 1] = mat[:, r - 1, r] = off[:, r - 1]  # the corner at r = 0
+    mat += 0.0  # zeros are +0, whose sign picks a reflector
+    big = np.abs(mat).max(axis=2)
     t = np.ldexp(1.0, -(np.frexp(np.where(big > 0.0, big, 1.0))[1] // 2))
-    mat = t[:, None] * mat * t[None, :]
-    mat *= math.ldexp(1.0, -math.frexp(np.abs(mat).max())[1])
+    mat = t[:, :, None] * mat * t[:, None, :]
+    mat *= np.ldexp(1.0, -np.frexp(np.abs(mat).max(axis=(1, 2)))[1])[:, None, None]
     _flush(mat)
-    d, e = _householder_tridiagonalize(mat)
+    e = np.zeros((c, n - 1))
+    # a product that underflows is below 2^-1022, which moves the reduction
+    # by far less than its own roundoff of about 2^-53 per entry
+    with np.errstate(under="ignore"):
+        for i in range(n - 1, 1, -1):
+            row = mat[:, i, :i]
+            scale = np.abs(row).sum(axis=1)
+            u = row / np.where(scale > 0.0, scale, 1.0)[:, None]
+            h = (u[:, None, :] @ u[:, :, None])[:, 0, 0]
+            f = u[:, -1].copy()
+            g = -np.copysign(np.sqrt(h), f)
+            e[:, i - 1] = scale * g
+            h = np.where(scale > 0.0, h - f * g, 1.0)  # a zero row: u = 0 leaves the block
+            u[:, -1] = f - g
+            block = mat[:, :i, :i]
+            p = (block @ u[:, :, None])[:, :, 0] / h[:, None]
+            k = (u[:, None, :] @ p[:, :, None])[:, 0, 0] / (2.0 * h)
+            q = p - k[:, None] * u
+            block -= q[:, :, None] * u[:, None, :]
+            block -= u[:, :, None] * q[:, None, :]
+    e[:, 0] = mat[:, 1, 0]
     _flush(e)
-    return int(sum(piv < 0.0 for piv in _sturm_pivots(d, e)))
+    pivots = _sturm_pivots(mat[:, r, r].T, e.T)
+    return sum(piv < 0.0 for piv in pivots)
 
 
 def _periodic_inertia(bands: _PeriodicBands, x: np.ndarray):
@@ -323,8 +308,10 @@ def _inertia(diag, off, corner, x, scale):
     No pivot within _NODE_REL of the matrix scale is divided by: its row
     stays beside S as a node, and the rest of its block opens on that row
     as on a separator.  The separators and nodes of such a column then form
-    a longer cycle, free of huge entries, which ``_small_negatives``
-    counts in place of S, whose column is set to the identity.
+    a longer cycle, free of huge entries, counted in place of S, whose
+    column is set to the identity.  The node rows are kept as arrays and
+    put in cycle order by one sort; ``_cycle_counts`` then counts all
+    cycles of one length as one stack.
 
     The determinant is the product of the blocks' pivots, kept as a
     mantissa renormalised every _DET_ROWS rows and an exponent, times
@@ -364,17 +351,18 @@ def _inertia(diag, off, corner, x, scale):
     a_next, f_next, buf = np.empty(shape), np.empty(shape), np.empty(shape)
     mask = np.empty(shape, dtype=bool)
     det, det_exp, exp_buf = np.ones(shape), np.zeros(shape, dtype=np.intp), np.empty(shape, np.intc)
-    nodes = {}
+    nodes = []
     for i in range(rows):
         e, tiny = couplings[i], None
         absolute(a, buf)
         if smallest(buf, None) <= screen:
-            # nodes, keyed by (block, column): (pivot, fill to the row their
-            # part of the block opened on, that row's update g)
+            # nodes: row, block, column, pivot, fill to the row their part of
+            # the block opened on, and that row's update g
             tiny = buf <= _NODE_REL * scale
             flip = sign * (-1.0) ** (rows - i)
-            for key in zip(*np.nonzero(tiny)):
-                nodes.setdefault(key, []).append((a[key], flip[key[0], 0] * f[key], g[key]))
+            block, column = np.nonzero(tiny)
+            nodes.append((np.full(len(block), i), block, column, a[tiny],
+                          flip[block, 0] * f[tiny], g[tiny]))
             a[tiny], g[tiny] = np.inf, 0.0
             buf[tiny] = 1.0  # keeps the product finite; the column has no det
         if i < rem:
@@ -411,21 +399,29 @@ def _inertia(diag, off, corner, x, scale):
     t[1:blocks] += a[:-1]  # block j closes on separator j + 1
     t[0] += a[-1]
     so = t[blocks:]
-    # columns with nodes: the cycle of separators and nodes replaces S,
-    # g going to the last row each part of a block opened on
-    cycles = {}
-    for k in sorted({k for _, k in nodes}):
-        cycle_diag, cycle_off = [], []
-        for j in range(blocks):
-            chain = nodes.get((j, k), [])
-            updates = [node[2] for node in chain] + [g[j, k]]
-            cycle_diag.append(diag[seps[j], k] - x[k] + updates[0] + a[j - 1, k])
-            for (pivot, fill, _), update in zip(chain, updates[1:]):
-                cycle_off.append(fill)
-                cycle_diag.append(pivot + update)
-            cycle_off.append(so[j, k])
-        cycles[k] = _small_negatives(cycle_diag, cycle_off)
-        t[:blocks, k], so[:, k] = 1.0, 0.0  # S is the identity there: no negatives
+    # columns with nodes: the cycle of separators and nodes replaces S.  The
+    # separators join the nodes as rows -1, sorted by column, block and row;
+    # a row takes the fill and g of the node after it in its block, and the
+    # last row of a block takes so and the block's g
+    nodal = []
+    if nodes:
+        nodal = np.unique(np.concatenate([node[2] for node in nodes]))
+        sep_block, sep_column = np.tile(np.arange(blocks), len(nodal)), np.repeat(nodal, blocks)
+        nodes.append((np.full(len(sep_block), -1), sep_block, sep_column,
+                      (diag[seps] - x)[sep_block, sep_column], *np.zeros((2, len(sep_block)))))
+        fields = [np.concatenate(field) for field in zip(*nodes)]
+        order = np.lexsort(fields[:3])  # by column, then block, then row
+        row, block, column, pivot, fill, update = (field[order] for field in fields)
+        follows = np.roll(row, -1) >= 0  # a node follows in the same block
+        cycle_off = np.where(follows, np.roll(fill, -1), so[block, column])
+        cycle_diag = pivot + np.where(follows, np.roll(update, -1), g[block, column])
+        cycle_diag[row < 0] += a[block[row < 0] - 1, column[row < 0]]
+        start = np.flatnonzero(row < 0)[::blocks]  # separator 0 opens each cycle
+        length = np.diff(start, append=len(row))
+        for size in np.unique(length):
+            at = start[length == size, None] + np.arange(size)
+            count[nodal[length == size]] += _cycle_counts(cycle_diag[at], cycle_off[at])
+        t[:blocks, nodal], so[:, nodal] = 1.0, 0.0  # S is the identity there: no negatives
     # each column's largest entry scaled into [1/2, 1): det S = det t 2^(K s_exp)
     t_scale, s_exp = np.frexp(np.abs(t).max(axis=0))
     t *= np.ldexp(1.0, -s_exp)
@@ -445,9 +441,7 @@ def _inertia(diag, off, corner, x, scale):
     mantissa, exponent = np.frexp(np.abs(block_det * s_det))
     exponent = exponent + block_exp + s_exp
     mantissa[count % 2 == 1] *= -1.0
-    for k, cycle in cycles.items():
-        count[k] += cycle
-        mantissa[k] = np.nan
+    mantissa[nodal] = np.nan
     return count, mantissa, exponent
 
 

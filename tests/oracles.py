@@ -7,9 +7,8 @@
   (mode sweep, Ince truncation, direct solve) for constant curvature.  A
   mode (m, l) on a circle of curvature kappa is the Whittaker-Hill
   operator at a = hypot(m, l) / kappa, with lambda = kappa * E / 2.
-* ``eig_sym_tridiagonal`` and ``householder_eigenvalues``: whole symmetric
-  spectra through the library's QL kernel (after its Householder
-  reduction), for the tests of those two kernels.
+* ``eig_sym_tridiagonal``: whole symmetric tridiagonal spectra through the
+  library's QL kernel, for the tests of that kernel.
 * ``inertia_counts``: the inertia kernel's counts of a batch at many
   shifts per matrix, in one kernel call.
 * ``full_spectrum_floor_row``: a ``verify_E_geq_1`` row built from the
@@ -18,7 +17,7 @@
 
 import numpy as np
 
-from kohnspec.eigen import _householder_tridiagonalize, _periodic_inertia, certified_spectra
+from kohnspec.eigen import _periodic_inertia, certified_spectra
 from kohnspec.whittakerhill import (REAL_FLOOR_TOL, REAL_PART_TOL, SECTOR_DELTA, CertificateFailed,
                                     _ql_eigenvalues, bendixson_floor, eig_general_tridiagonal,
                                     ince_matrix, point_in_sector, sector_exclusion_certificate)
@@ -80,11 +79,6 @@ def wh_spectrum(a: float, n: int = 1024, k: int = 2) -> np.ndarray:
 def eig_sym_tridiagonal(d, e) -> np.ndarray:
     """Eigenvalues of the symmetric tridiagonal (d, e) by the QL kernel, ascending."""
     return np.sort(np.asarray(_ql_eigenvalues(d, e)).real)
-
-
-def householder_eigenvalues(a) -> np.ndarray:
-    """Eigenvalues of a dense symmetric matrix, ascending: Householder, then QL."""
-    return eig_sym_tridiagonal(*_householder_tridiagonalize(a))
 
 
 def inertia_counts(bands, shifts) -> np.ndarray:

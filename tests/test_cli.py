@@ -36,6 +36,12 @@ ANALYZE_SEED7 = ROOT / "tests" / "data" / "analyze_seed7.csv"
 #: complement steps became one: its probes meet hundreds of nodes.
 ANALYZE_CIRCLE10 = ROOT / "tests" / "data" / "analyze_circle10.csv"
 
+#: ``analyze --grid 512 --window 3 3 --format csv`` of ``make-curve circle
+#: --radius 30``, as written before the inertia kernel counted its nodal
+#: cycles in one batch per length: its probes count cycles of 5, 6 and 17
+#: rows.
+ANALYZE_CIRCLE30_W3 = ROOT / "tests" / "data" / "analyze_circle30_w3.csv"
+
 #: ``analyze --grid 1000 --window 2 2 --format csv`` of ``make-curve random
 #: --seed 7``: K = 31 blocks with remainder 8, and remainder 3 in the Schur
 #: complement, the uneven block split.
@@ -344,6 +350,11 @@ def test_nodal_circle_analyze_bytes_unchanged(tmp_path):
     assert report == ANALYZE_CIRCLE10.read_bytes()
 
 
+def test_long_cycles_analyze_bytes_unchanged(tmp_path):
+    report = analyze_csv(tmp_path, ["circle", "--radius", "30"], ["3", "3"])
+    assert report == ANALYZE_CIRCLE30_W3.read_bytes()
+
+
 def test_uneven_blocks_analyze_bytes_unchanged(tmp_path):
     report = analyze_csv(tmp_path, ["random", "--seed", "7"], ["2", "2"], grid="1000")
     assert report == ANALYZE_SEED7_GRID1000.read_bytes()
@@ -557,8 +568,8 @@ def test_default_sweep_same_bytes_on_one_and_two_cpus(tmp_path, monkeypatch, no_
 #: Numbers of random specs: up to 2 in magnitude, and the extremes (tiny,
 #: huge, non-finite, past the float range).  Radii between 2 and 1e15 stay
 #: out: a circle of radius 300 takes minutes at grid 512, in the inertia
-#: kernel's dense count of nodal cycles, which a gate of hundreds of runs
-#: cannot afford.
+#: kernel's dense counts of the long nodal cycles of its graded modes,
+#: which a gate of hundreds of runs cannot afford.
 spec_numbers = st.floats(-2.0, 2.0) | st.sampled_from(
     [float("nan"), float("inf"), -1e308, 1e308, 1e15, 1e-100, 1e-300, 5e-324, 10**400])
 json_leaves = st.one_of(st.none(), st.booleans(), spec_numbers, st.integers(-2, 2),

@@ -1,13 +1,16 @@
 import functools
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kohnspec import (
+    ModeWindow,
     build_curve,
     circle_profile,
+    mode_spectra,
     random_profile,
     NoConvergence,
 )
@@ -16,13 +19,13 @@ import kohnspec.whittakerhill as whittakerhill
 from kohnspec.eigen import (
     _PeriodicBands,
     _bisect,
+    _cycle_counts,
     _dyadic_points,
     _periodic_inertia,
     certified_spectra,
 )
 from kohnspec.modes import assemble_bands
-from oracles import (eig_sym_tridiagonal, householder_eigenvalues, inertia_counts, periodic_dense,
-                     wh_bands)
+from oracles import eig_sym_tridiagonal, inertia_counts, periodic_dense, wh_bands
 
 
 def tridiagonal_count(d, e, x) -> int:
@@ -34,7 +37,8 @@ def charpoly_bisection_roots(a, samples=20000):
     """Oracle: roots of det(A - x I) by sign-change bisection.
 
     Uses LU determinants and plain bisection, sharing nothing with the
-    Householder + QL path it checks.  Assumes simple eigenvalues.
+    Householder reduction and Sturm count it checks.  Assumes simple
+    eigenvalues.
     """
     radius = np.max(np.sum(np.abs(a), axis=1))
     xs = np.linspace(-radius, radius, samples)
@@ -59,48 +63,94 @@ def charpoly_bisection_roots(a, samples=20000):
     return np.array(roots)
 
 
+def cycle_dense(diag, off):
+    """Dense matrix of the cycle with diagonal ``diag`` and couplings (k, k+1 mod L) ``off``."""
+    return periodic_dense(diag, off[:-1], off[-1])
+
+
+def check_cycle_counts(diag, off, shifts, eigenvalues):
+    """``_cycle_counts`` of every cycle c at every shift of ``shifts[c]``, as
+    one (C, L) stack, against the count of ``eigenvalues[c]`` below it."""
+    rows = [(d - x, o, np.count_nonzero(np.asarray(ev) < x))
+            for d, o, xs, ev in zip(diag, off, shifts, eigenvalues) for x in xs]
+    d, o, want = (np.array(v) for v in zip(*rows))
+    with np.errstate(all="raise"):
+        np.testing.assert_array_equal(_cycle_counts(d, o), want)
+
+
+def between(ev):
+    """Shifts below, between and above the eigenvalues ``ev``, away from them."""
+    ev = np.sort(ev)
+    width = max(1.0, np.abs(ev).max())
+    mids = [0.5 * (a + b) for a, b in zip(ev[:-1], ev[1:]) if b - a > 1e-6 * width]
+    return [ev[0] - 0.5 * width, *mids, ev[-1] + 0.5 * width]
+
+
 class TestDenseSymmetric:
-    """Householder reduction, which ``_small_negatives`` runs on the cycle
-    of separators and nodes, checked through the QL eigenvalues of its
-    result."""
+    """``_cycle_counts``, the dense count of the cycles of separators and
+    nodes, on (C, L) stacks of cycles."""
 
+    @pytest.mark.usefixtures("raise_fp")
     def test_identity(self):
-        np.testing.assert_allclose(householder_eigenvalues(np.eye(3)), [1, 1, 1])
+        one = np.ones((2, 5))
+        np.testing.assert_array_equal(_cycle_counts(one - [[0.5], [1.5]], 0.0 * one), [0, 5])
 
-    def test_two_by_two(self):
-        np.testing.assert_allclose(householder_eigenvalues(np.array([[2.0, 1], [1, 2]])),
-                                   [1.0, 3.0], atol=1e-14)
+    @pytest.mark.parametrize("length", [4, 5, 6, 17, 40])
+    def test_stacks_match_lapack(self, length):
+        # random and small-integer cycles, a cycle whose last row is all
+        # zero, so that the first Householder step finds a zero row, one
+        # with a zero row inside, and the zero cycle
+        rng = np.random.default_rng(length)
+        diag = [rng.standard_normal(length) for _ in range(3)] + [
+            rng.integers(-2, 3, length).astype(float) for _ in range(3)]
+        off = [rng.standard_normal(length) for _ in range(3)] + [
+            rng.integers(-2, 3, length).astype(float) for _ in range(3)]
+        for j in (1, 4):
+            diag[j][-1] = off[j][-2] = off[j][-1] = 0.0
+        diag[2][length // 2] = off[2][length // 2 - 1] = off[2][length // 2] = 0.0
+        diag.append(np.zeros(length))
+        off.append(np.zeros(length))
+        ev = [np.linalg.eigvalsh(cycle_dense(d, o)) for d, o in zip(diag, off)]
+        check_cycle_counts(diag, off, [between(v) for v in ev], ev)
 
+    def test_graded_cycle(self):
+        # a cycle of separators and nodes of the Whittaker-Hill operator at
+        # a = 40, n = 256: -1.7e10 next to 1.6e-4, and an eigenvalue of
+        # -1.09e-6, which LAPACK on the dense matrix puts at -5.3e-7;
+        # 60-digit mpmath is the oracle
+        d = np.array([10.7322638, 2418.81912, 3702.32997, 2296.01574, 1.62318111e-4,
+                      -1.69774852e10, -7.72538124, 3702.32997, 2418.81912])
+        o = np.array([-1.98865581e-2, -2.76622800e-9, -4.19205183e-9, -0.611505419,
+                      -1660.04627, -6.25393780e6, -4.19205183e-9, -2.76622800e-9, -1.98865581e-2])
+        with mpmath.workdps(60):
+            ev = sorted(float(v) for v in mpmath.eigsy(mpmath.matrix(cycle_dense(d, o).tolist()),
+                                                       eigvals_only=True))
+        assert -1.1e-6 < ev[1] < -1.09e-6
+        shifts = [0.0] + [v * s for v in ev for s in (0.5, 1.5, 1.0 - 1e-6, 1.0 + 1e-6)]
+        check_cycle_counts([d], [o], [shifts], [ev])
+
+    @pytest.mark.usefixtures("raise_fp")
     def test_random_vs_charpoly_oracle(self):
         rng = np.random.default_rng(42)
-        a = rng.standard_normal((6, 6))
-        a = a + a.T
-        mine = householder_eigenvalues(a)
-        oracle = charpoly_bisection_roots(a)
+        d, o = rng.standard_normal(6), rng.standard_normal(6)
+        oracle = charpoly_bisection_roots(cycle_dense(d, o))
         assert len(oracle) == 6
-        np.testing.assert_allclose(mine, oracle, atol=1e-9)
-
-    def test_ascending_and_trace(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((40, 40))
-        a = a + a.T
-        vals = householder_eigenvalues(a)
-        assert np.all(np.diff(vals) >= 0)
-        assert vals.sum() == pytest.approx(np.trace(a), rel=1e-9)
+        check_cycle_counts([d], [o], [between(oracle)], [oracle])
 
     def test_no_convergence_raised(self, monkeypatch):
         rng = np.random.default_rng(5)
-        a = rng.standard_normal((8, 8))
-        a = a + a.T
+        d, e = rng.standard_normal(8), rng.standard_normal(7)
         monkeypatch.setattr(whittakerhill, "_QL_MAX_SWEEPS", 0)
         with pytest.raises(NoConvergence):
-            householder_eigenvalues(a)
+            eig_sym_tridiagonal(d, e)
 
+    @pytest.mark.usefixtures("raise_fp")
     def test_matches_ql_on_tridiagonal_input(self):
+        # the cycle's last coupling 0: a tridiagonal, against QL's eigenvalues
         rng = np.random.default_rng(11)
         d, e = rng.standard_normal(30), rng.standard_normal(29)
-        np.testing.assert_allclose(householder_eigenvalues(periodic_dense(d, e, 0.0)),
-                                   eig_sym_tridiagonal(d, e), atol=1e-10)
+        ev = eig_sym_tridiagonal(d, e)
+        check_cycle_counts([d], [np.append(e, 0.0)], [between(ev)], [ev])
 
     @pytest.mark.usefixtures("raise_fp")
     def test_sturm_counts_agree(self):
@@ -280,13 +330,13 @@ class TestPeriodicInertia:
         # elimination meets zero pivots at the quarter steps y = j / 2
         monkeypatch.setattr(eigen_mod, "_BLOCK_ROWS", 2)
         dense = []
-        small = eigen_mod._small_negatives
+        small = eigen_mod._cycle_counts
 
         def spy(diag, off):
-            dense.append(len(diag))
+            dense.append(diag.shape)
             return small(diag, off)
 
-        monkeypatch.setattr(eigen_mod, "_small_negatives", spy)
+        monkeypatch.setattr(eigen_mod, "_cycle_counts", spy)
         for k in (10, 14, 22, 26):
             for y in np.arange(0.5, 4.0, 0.5):
                 d = np.ones(2 * k)
@@ -295,6 +345,29 @@ class TestPeriodicInertia:
                 ev = np.linalg.eigvalsh(periodic_dense(d, e, 1.0))
                 check_counts((d, e, 1.0), ev, [0.0])
         assert dense  # nodes were counted inside S, the blocks have none
+
+    def test_one_dense_count_per_cycle_length(self, monkeypatch):
+        # the sweep of a circle meets thousands of nodal columns; each kernel
+        # call counts all its cycles of one length in one batch
+        kernel, dense = eigen_mod._periodic_inertia, eigen_mod._cycle_counts
+        stacks = []  # per kernel call, the (cycles, length) of each dense count
+
+        def kernel_spy(bands, x):
+            stacks.append([])
+            return kernel(bands, x)
+
+        def dense_spy(diag, off):
+            stacks[-1].append(diag.shape)
+            return dense(diag, off)
+
+        monkeypatch.setattr(eigen_mod, "_periodic_inertia", kernel_spy)
+        monkeypatch.setattr(eigen_mod, "_cycle_counts", dense_spy)
+        mode_spectra(build_curve(circle_profile(10.0), 512), list(ModeWindow(2, 2).modes()))
+        for call in stacks:
+            lengths = [length for _, length in call]
+            assert len(lengths) == len(set(lengths)), lengths
+        dense_calls = sum(map(len, stacks))
+        assert sum(cycles for call in stacks for cycles, _ in call) > 10 * dense_calls > 0
 
     def test_counts_monotone_next_to_double_eigenvalues(self):
         # the circle's mode (0, 0), the paper's equality case, and the free
