@@ -568,8 +568,8 @@ def test_default_sweep_same_bytes_on_one_and_two_cpus(tmp_path, monkeypatch, no_
 #: Numbers of random specs: up to 2 in magnitude, and the extremes (tiny,
 #: huge, non-finite, past the float range).  Radii between 2 and 1e15 stay
 #: out: a circle of radius 300 takes minutes at grid 512, in the inertia
-#: kernel's dense counts of the long nodal cycles of its graded modes,
-#: which a gate of hundreds of runs cannot afford.
+#: kernel's dense counts of the long nodal cycles of its graded modes
+#: (ROADMAP item 10), which a gate of hundreds of runs cannot afford.
 spec_numbers = st.floats(-2.0, 2.0) | st.sampled_from(
     [float("nan"), float("inf"), -1e308, 1e308, 1e15, 1e-100, 1e-300, 5e-324, 10**400])
 json_leaves = st.one_of(st.none(), st.booleans(), spec_numbers, st.integers(-2, 2),
