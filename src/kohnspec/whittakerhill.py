@@ -22,10 +22,10 @@ The truncations are general real tridiagonal matrices, non-normal and
 possibly with complex spectra.  Their eigensolver lives here, on builtin
 floats and complex numbers, so ``wh-sweep`` never imports numpy: a
 diagonal similarity to a complex symmetric tridiagonal (off-diagonal
-sqrt(upper * lower)), split where a product vanishes, then the
-implicit-shift QL iteration in complex arithmetic (Cullum & Willoughby),
-O(n) per sweep.  ``verify_E_geq_1`` takes only the bottom: QL stops once
-Re w >= lambda_min(Re B) (Bendixson) puts the rest past all a row reads.
+sqrt(upper * lower)), then one implicit-shift QL pass in complex
+arithmetic (Cullum & Willoughby), O(n) per sweep.  QL stops once Re w >=
+lambda_min(Re B) (Bendixson) puts the undeflated rest past a floor, so
+``verify_E_geq_1`` solves only the bottom.
 
 The sector-exclusion certificate holds for tridiagonal matrices with
 positive diagonal and nonpositive off-diagonal products: such a matrix has
@@ -54,9 +54,9 @@ REAL_FLOOR_TOL = 1e-8
 #: Imag parts below this (relative) are eigensolver roundoff on a real eigenvalue.
 REAL_PART_TOL = 1e-8
 
-#: Largest truncation size: a solve peaks at about 270 bytes per row (the
+#: Largest truncation size: a solve peaks at about 200 bytes per row (the
 #: bands as arrays of doubles, then lists of builtin complex), so this
-#: keeps one solve under 75 MB.
+#: keeps one solve under 55 MB.
 MAX_N = 2**18
 
 #: Sweeps that QL may spend deflating one eigenvalue before NoConvergence.
@@ -148,7 +148,7 @@ def _real_part_exceeds(d, e, start, t) -> bool:
     return True
 
 
-def _tqli_kernel(d, e, max_sweeps, floor=None):
+def _tqli_kernel(d, e, max_sweeps, floor):
     """Implicit-shift QL on a complex symmetric tridiagonal (d, e), eigenvalues only.
 
     ``d`` and ``e`` are lists of n builtin complex numbers (indexing numpy
@@ -160,9 +160,11 @@ def _tqli_kernel(d, e, max_sweeps, floor=None):
     -(1 + index) when a rotation met f^2 + g^2 = 0 with (f, g) != 0, also
     after scaling by max(|f|, |g|), where no complex orthogonal rotation
     exists (isotropic breakdown).
-    With a ``floor``, after 1, 2, 4, ... deflations, once the undeflated
-    block has every Re w > max(floor, Re z + 2 |Im z| over the deflated z),
-    the kernel cuts ``d`` to the deflated eigenvalues and returns 0.
+    A coupling with |e[m]| <= eps (|d[m]| + |d[m+1]|), a zero one too,
+    splits the matrix: no rotation crosses it.  After 1, 2, 4, ...
+    deflations, once the undeflated rows have every Re w > t = max(floor,
+    Re z + 2 |Im z| over the deflated z), the kernel cuts ``d`` to the
+    deflated eigenvalues and returns 0; a ``floor`` of +inf keeps them all.
     """
     n = len(d)
     eps = 2.220446049250313e-16
@@ -220,17 +222,17 @@ def _tqli_kernel(d, e, max_sweeps, floor=None):
             d[low] -= p
             e[low] = g
             e[m] = 0.0
-        if floor is not None:
-            floor = max(floor, d[low].real + 2.0 * abs(d[low].imag))
-            # tried when low + 1, the deflations so far, is a power of two
-            if low & (low + 1) == 0 and _real_part_exceeds(d, e, low + 1, floor):
-                del d[low + 1:]
-                return 0
+        floor = max(floor, d[low].real + 2.0 * abs(d[low].imag))
+        # tried when low + 1, the deflations so far, is a power of two
+        if low & (low + 1) == 0 and _real_part_exceeds(d, e, low + 1, floor):
+            del d[low + 1:]
+            return 0
     return 0
 
 
-def _ql_eigenvalues(diag, offdiag, floor=None) -> list:
-    """Eigenvalues of the complex symmetric tridiagonal (diag, offdiag), unsorted.
+def _ql_eigenvalues(diag, offdiag, floor=math.inf) -> list:
+    """Eigenvalues of the complex symmetric tridiagonal (diag, offdiag), unsorted;
+    below a finite ``floor``, only those ``_tqli_kernel`` deflated.
 
     The matrix is first scaled by a power of two, which is exact, so that
     its largest entry lies in [1/2, 1), or in [1, 2) from 2^1023 on: the
@@ -255,7 +257,7 @@ def _ql_eigenvalues(diag, offdiag, floor=None) -> list:
               for z in d]
     e = [complex((z.real + z.imag * 0.0) / scale, (z.imag - z.real * 0.0) / scale) for z in e]
     try:
-        status = _tqli_kernel(values, e, _QL_MAX_SWEEPS, None if floor is None else floor / scale)
+        status = _tqli_kernel(values, e, _QL_MAX_SWEEPS, floor / scale)
     except (OverflowError, ZeroDivisionError) as exc:
         raise NoConvergence(f"QL iteration left the floating-point range: {exc}") from exc
     if status > 0:
@@ -288,22 +290,13 @@ def _close_under_conjugation(ev: list) -> list:
     """
     out = list(ev)
     free = [True] * len(ev)
-    # |w - conj z| >= |Re w - Re z| >= sep, the distance in real part from
-    # z to its nearest neighbour, so where 2 |Im z| <= sep, z is real
-    # without a look at the others
-    sep = [math.inf] * len(ev)
-    by_real = sorted(range(len(ev)), key=lambda k: ev[k].real)
-    for a, b in zip(by_real, by_real[1:]):
-        sep[b] = abs(ev[b].real - ev[a].real)
-        sep[a] = min(sep[a], sep[b])
     for i in sorted(range(len(ev)), key=lambda k: abs(ev[k].imag)):
         if not free[i]:
             continue
         free[i] = False
         z = ev[i]
         conj = z.conjugate()
-        gaps = [] if 2.0 * abs(z.imag) <= sep[i] else [
-            abs(w - conj) if f else math.inf for w, f in zip(ev, free)]
+        gaps = [abs(w - conj) if f else math.inf for w, f in zip(ev, free)]
         gap = min(gaps, default=math.inf)
         if 2.0 * abs(z.imag) <= gap:
             out[i] = complex(z.real)
@@ -319,41 +312,29 @@ def _close_under_conjugation(ev: list) -> list:
     return out
 
 
-def eig_general_tridiagonal(tri: Tridiagonal, floor=None) -> list:
-    """All eigenvalues of a real tridiagonal matrix as a list of complex numbers.
+def eig_general_tridiagonal(tri: Tridiagonal, floor=math.inf) -> list:
+    """The bottom of a real tridiagonal spectrum, by default all of it, as complex numbers.
 
     Where upper[k] * lower[k] != 0 the matrix is diagonally similar to the
     complex symmetric tridiagonal with the same diagonal and off-diagonal
     sqrt(upper[k] * lower[k]); where the product vanishes it is block
-    triangular and its spectrum is the union of the diagonal blocks'.  Each
-    block runs through implicit-shift QL in complex arithmetic, O(n) per
-    sweep.  NoConvergence is raised when one eigenvalue needs more than
+    triangular, and the zero coupling splits the QL iteration there.  One
+    implicit-shift QL pass in complex arithmetic, O(n) per sweep, solves
+    it.  NoConvergence is raised when one eigenvalue needs more than
     _QL_MAX_SWEEPS sweeps or a rotation meets isotropic breakdown.  The result
     is closed under conjugation, like the spectrum of any real matrix, and
     sorted by (real, imaginary) part, which keeps conjugate pairs adjacent.
-    With a ``floor``, only what QL deflated before the rest was certified at
-    Re w > t = max(floor, Re z + 2 |Im z| over returned z) comes back, one t
-    for all blocks: the bottom of the full spectrum, bit for bit.
+    Only what QL deflated before the rest was certified at Re w > t =
+    max(floor, Re z + 2 |Im z| over returned z) comes back: the bottom of
+    the whole spectrum, bit for bit, and with the default floor of +inf
+    the whole spectrum.
     """
-    offdiag, bounds = [], [0]
-    for k, (up, lo) in enumerate(zip(tri.upper, tri.lower)):
+    offdiag = []
+    for up, lo in zip(tri.upper, tri.lower):
         coupling = math.sqrt(abs(up)) * math.sqrt(abs(lo))
         offdiag.append(complex(0.0, coupling) if (up < 0.0) != (lo < 0.0) else complex(coupling))
-        if coupling == 0.0:
-            bounds.append(k + 1)
-    bounds.append(tri.n)
-    while True:
-        ev, cut = [], None
-        for b0, b1 in zip(bounds, bounds[1:]):
-            block = _ql_eigenvalues(tri.diag[b0:b1], offdiag[b0:b1 - 1], floor)
-            ev += block
-            if floor is not None:
-                floor = max([floor] + [z.real + 2.0 * abs(z.imag) for z in block])
-                if cut is None and len(block) < b1 - b0:
-                    cut = floor
-        # a block cut below a later block's t is solved again from the final t
-        if cut is None or cut == floor:
-            return sorted(_close_under_conjugation(ev), key=lambda z: (z.real, z.imag))
+    ev = _ql_eigenvalues(tri.diag, offdiag, floor)
+    return sorted(_close_under_conjugation(ev), key=lambda z: (z.real, z.imag))
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +451,7 @@ def verify_E_geq_1(a_values, N: int = 60) -> dict:
     the hypotheses hold, and check every real eigenvalue against the floor
     1 - 1e-8.  Only the deflated bottom of the spectrum is computed: the
     Re B bound certifies the rest right of the sector's vertex and of that
-    floor (``eig_general_tridiagonal`` with a ``floor``), so each row is
+    floor (the ``floor`` of ``eig_general_tridiagonal``), so each row is
     the full spectrum's.  Beside that, Bendixson's floor (``bendixson_floor``,
     min diag = 1 for every truncation, None if its hypothesis fails) bounds
     Re E below without the spectrum; a row passes only if it is at least 1

@@ -1,3 +1,4 @@
+import math
 import os
 
 import mpmath
@@ -280,7 +281,7 @@ class TestVerifyFloor:
         # a spectrum with a point inside the sector: flagged when the
         # hypotheses fail (delta too large), fatal when they hold
         monkeypatch.setattr(whittakerhill, "eig_general_tridiagonal",
-                            lambda tri, floor=None: np.array([0.5 + 0.0j, 4.0 + 0.0j]))
+                            lambda tri, floor=math.inf: np.array([0.5 + 0.0j, 4.0 + 0.0j]))
         with monkeypatch.context() as patch:
             patch.setattr(whittakerhill, "SECTOR_DELTA", 10.0)
             row = verify_E_geq_1([1.0], N=2)["table"][0]
@@ -294,6 +295,30 @@ def _row_equals_full_spectrum_row(a, N):
     row = verify_E_geq_1([a], N=N)["table"][0]
     want = oracles.full_spectrum_floor_row(a, N)
     assert repr(row) == repr(want) and row == want
+
+
+@st.composite
+def split_tridiagonals(draw):
+    """Real tridiagonals cut into blocks by planted zero couplings, each
+    block scaled by its own power of two within 2^+-60."""
+    entries = st.floats(-4.0, 4.0).filter(lambda x: x == 0.0 or abs(x) >= 2.0**-20)
+    diag, upper, lower = [], [], []
+    for size in draw(st.lists(st.integers(1, 8), min_size=1, max_size=5)):
+        scale = 2.0 ** draw(st.integers(-60, 60))
+        if diag:
+            # block triangular: one entry of the coupling is zero, or both
+            up, lo = draw(st.sampled_from([(1.0, 0.0), (0.0, 1.0), (0.0, 0.0)]))
+            x = draw(entries) * scale
+            upper.append(up * x)
+            lower.append(lo * x)
+        diag += [draw(entries) * scale for _ in range(size)]
+        upper += [draw(entries) * scale for _ in range(size - 1)]
+        lower += [draw(entries) * scale for _ in range(size - 1)]
+    return Tridiagonal(diag, upper, lower)
+
+
+def _largest_entry(tri):
+    return max(map(abs, [*tri.diag, *tri.upper, *tri.lower]))
 
 
 class TestBottomSolve:
@@ -320,38 +345,81 @@ class TestBottomSolve:
         sizes = []
         real = whittakerhill.eig_general_tridiagonal
 
-        def counted(tri, floor=None):
+        def counted(tri, floor=math.inf):
             eigs = real(tri, floor=floor)
             sizes.append(len(eigs))
             return eigs
 
         monkeypatch.setattr(whittakerhill, "eig_general_tridiagonal", counted)
         assert verify_E_geq_1(np.linspace(0.0, 10.0, 41), N=60)["all_pass"]
-        assert sizes == [60] + [1] * 40
+        assert sizes == [1] * 41
 
     def test_zero_coupling_solves_one_by_one_blocks_without_a_sweep(self, monkeypatch):
-        blocks = []
+        # the 60 one-by-one blocks deflate in one kernel call: the bottom
+        # entry with a floor, all 60 with the default floor of +inf
+        calls = []
         real = whittakerhill._tqli_kernel
 
-        def kernel(d, e, max_sweeps, floor=None):
-            blocks.append(len(d))
+        def kernel(d, e, max_sweeps, floor):
+            calls.append(len(d))
             return real(d, e, max_sweeps, floor)
 
         monkeypatch.setattr(whittakerhill, "_tqli_kernel", kernel)
         monkeypatch.setattr(whittakerhill, "_QL_MAX_SWEEPS", 0)
-        eigs = eig_general_tridiagonal(ince_matrix(0.0, 60), floor=1.0)
-        assert eigs == [complex(k * k) for k in range(1, 61)] and blocks == [1] * 60
+        assert eig_general_tridiagonal(ince_matrix(0.0, 60), floor=1.0) == [1 + 0j]
+        assert calls == [60]
+        assert eig_general_tridiagonal(ince_matrix(0.0, 60)) == [complex(k * k)
+                                                                 for k in range(1, 61)]
+        assert calls == [60, 60]
 
-    @pytest.mark.parametrize("diag, off", [([1.0, 100.0, 200.0, 150.0], [1.0, 1.0, 0.0]),
-                                           ([150.0, 1.0, 100.0, 200.0], [0.0, 1.0, 1.0])])
-    def test_one_threshold_across_blocks(self, diag, off):
-        # the block [150] raises t past the t that cut the other block after
-        # one deflation, so that block is solved again: 100.0001 comes back
+    @pytest.mark.parametrize("diag, off, count",
+                             [([1.0, 100.0, 200.0, 150.0], [1.0, 1.0, 0.0], 1),
+                              ([150.0, 1.0, 100.0, 200.0], [0.0, 1.0, 1.0], 4)],
+                             ids=["diag0-off0", "diag1-off1"])
+    def test_one_threshold_across_blocks(self, diag, off, count):
+        # one t spans both blocks, in the order QL deflates: after 1.0 the
+        # rest of both blocks lies above t = 1; deflated first, 150 puts t
+        # above 100.0001, and every eigenvalue comes back
         tri = Tridiagonal(diag, off, off)
         full = eig_general_tridiagonal(tri)
         bottom = eig_general_tridiagonal(tri, floor=1.0)
-        assert bottom == full[:3]
-        assert min(z.real for z in full[3:]) > max(z.real + 2 * abs(z.imag) for z in bottom)
+        assert len(bottom) == count and bottom == full[:count]
+        t = max([1.0] + [z.real + 2 * abs(z.imag) for z in bottom])
+        assert all(w.real > t for w in full[count:])
+
+    @settings(max_examples=300, deadline=None)
+    @given(tri=split_tridiagonals(), floor=st.floats(-1e3, 1e3))
+    def test_floor_returns_a_prefix_and_omits_only_what_lies_above_t(self, tri, floor):
+        try:
+            full = eig_general_tridiagonal(tri)
+        except NoConvergence:
+            return
+        bottom = eig_general_tridiagonal(tri, floor=floor * _largest_entry(tri))
+        assert bottom == full[:len(bottom)]
+        t = max([floor * _largest_entry(tri)] + [z.real + 2 * abs(z.imag) for z in bottom])
+        assert all(w.real > t for w in full[len(bottom):])
+
+    @settings(max_examples=300, deadline=None)
+    @given(tri=split_tridiagonals())
+    def test_whole_spectrum_is_the_union_of_the_blocks(self, tri):
+        # the kernel splits at the zero couplings, and scaling each block
+        # on its own or all of them at once is exact within 2^+-60
+        blocks, start = [], 0
+        for k, (up, lo) in enumerate(zip(tri.upper, tri.lower)):
+            if up == 0.0 or lo == 0.0:
+                blocks.append(slice(start, k + 1))
+                start = k + 1
+        blocks.append(slice(start, tri.n))
+        try:
+            full = eig_general_tridiagonal(tri)
+        except NoConvergence:
+            return
+        union = []
+        for b in blocks:
+            inner = slice(b.start, b.stop - 1)
+            union += eig_general_tridiagonal(Tridiagonal(tri.diag[b], tri.upper[inner],
+                                                         tri.lower[inner]))
+        assert full == sorted(union, key=lambda z: (z.real, z.imag))
 
     @pytest.mark.parametrize("n", [1, 2, 5, 60])
     def test_certificate_agrees_with_eigvalsh(self, n):
@@ -432,7 +500,7 @@ class TestParallelSweep:
         eigenvalue in the excluded sector, "stall" raises NoConvergence."""
         real = whittakerhill.eig_general_tridiagonal
 
-        def planted(tri, floor=None):
+        def planted(tri, floor=math.inf):
             kind = failures.get(_coupling(tri))
             if kind == "sector":
                 return np.array([0.5 + 0.0j, 4.0 + 0.0j])
@@ -621,7 +689,7 @@ class TestGeneralTridiagonal:
 
     @pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError])
     def test_kernel_range_errors_raise_no_convergence(self, monkeypatch, error):
-        def kernel(d, e, max_sweeps, floor=None):
+        def kernel(d, e, max_sweeps, floor):
             raise error("out of range")
 
         monkeypatch.setattr(whittakerhill, "_tqli_kernel", kernel)
