@@ -234,14 +234,18 @@ def _ql_eigenvalues(diag, offdiag, floor=math.inf) -> list:
     """Eigenvalues of the complex symmetric tridiagonal (diag, offdiag), unsorted;
     below a finite ``floor``, only those ``_tqli_kernel`` deflated.
 
-    The matrix is first scaled by a power of two, which is exact, so that
-    its largest entry lies in [1/2, 1), or in [1, 2) from 2^1023 on: the
-    rotations square their inputs, and the scaling keeps those squares
-    clear of overflow.  The kernel runs
-    on lists of builtin complex; where that arithmetic raises, it counts as
-    a non-finite result.  Raises NoConvergence when an eigenvalue needs
-    more than _QL_MAX_SWEEPS sweeps, when a rotation breaks down, or when
-    the result is not finite, and ValueError on a non-finite entry.
+    The matrix is first scaled by one power of two so that its largest
+    entry lies in [1/2, 1), or in [1, 2) from 2^1023 on: the rotations
+    square their inputs, and the scaling keeps those squares clear of
+    overflow.  It is exact on the entries it leaves normal, but a block
+    between zero couplings far below the largest entry shares it: from
+    about 2^-480 of that entry the block can lose bits, and below 2^-1074
+    of it an entry flushes to 0 ([1e300, 1e-300] gives 0 for 1e-300).
+    The kernel runs on lists of builtin complex; where that arithmetic
+    raises, it counts as a non-finite result.  Raises NoConvergence when
+    an eigenvalue needs more than _QL_MAX_SWEEPS sweeps, when a rotation
+    breaks down, or when the result is not finite, and ValueError on a
+    non-finite entry.
     """
     d = [complex(x) for x in diag]
     e = [complex(x) for x in offdiag] + [0j]
@@ -327,7 +331,7 @@ def eig_general_tridiagonal(tri: Tridiagonal, floor=math.inf) -> list:
     Only what QL deflated before the rest was certified at Re w > t =
     max(floor, Re z + 2 |Im z| over returned z) comes back: the bottom of
     the whole spectrum, bit for bit, and with the default floor of +inf
-    the whole spectrum.
+    the whole spectrum.  Far-off blocks can lose bits (``_ql_eigenvalues``).
     """
     offdiag = []
     for up, lo in zip(tri.upper, tri.lower):

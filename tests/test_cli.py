@@ -520,11 +520,12 @@ def test_commands_import_only_what_they_run(tmp_path):
 #: Plants an eigenvalue in the excluded sector at the sweep's second
 #: coupling (a = 2).
 PLANTED_SECTOR_HIT = """
+import math
 import sys
 import numpy as np
 from kohnspec import cli, whittakerhill
 real = whittakerhill.eig_general_tridiagonal
-def planted(tri, floor=None):
+def planted(tri, floor=math.inf):
     return np.array([0.5 + 0j, 4.0 + 0j]) if tri.upper[0] == 4.0 else real(tri, floor=floor)
 whittakerhill.eig_general_tridiagonal = planted
 sys.exit(cli.main(sys.argv[1:]))

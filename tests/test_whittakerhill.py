@@ -421,6 +421,15 @@ class TestBottomSolve:
                                                          tri.lower[inner]))
         assert full == sorted(union, key=lambda z: (z.real, z.imag))
 
+    def test_blocks_far_below_the_largest_entry_share_its_scale(self):
+        # one power of two scales every block: 1 stays normal at 2^-1001
+        # and keeps its bits, but 1e-300 flushes to 0 at about 2^-1993
+        # (documented in _ql_eigenvalues)
+        tri = Tridiagonal([2.0**1000, 1.0], [0.0], [0.0])
+        assert eig_general_tridiagonal(tri) == [1 + 0j, complex(2.0**1000)]
+        tri = Tridiagonal([1e300, 1e-300], [0.0], [0.0])
+        assert eig_general_tridiagonal(tri) == [0j, 1e300 + 0j]
+
     @pytest.mark.parametrize("n", [1, 2, 5, 60])
     def test_certificate_agrees_with_eigvalsh(self, n):
         rng = np.random.default_rng(n)
