@@ -12,7 +12,7 @@ reductions and a tridiagonal sector-exclusion certificate.
 import importlib
 
 #: Public names, by the submodule that defines them.  They are imported on
-#: first use (PEP 562), so that each command compiles only the modules it
+#: first use (PEP 562), so that each command imports only the modules it
 #: runs.
 _EXPORTS = {
     "curve": (

@@ -15,10 +15,10 @@ import json
 import math
 import sys
 
-# Each command imports the modules it runs, so that no run compiles the
+# Each command imports the modules it runs, so that no run imports the
 # others, and only ``analyze`` and ``make-curve`` import numpy.  The curve
-# errors are ValueErrors.
-_INPUT_ERRORS = (ValueError, KeyError, OSError, json.JSONDecodeError)
+# errors, GridTooCoarse and json.JSONDecodeError are ValueErrors.
+_INPUT_ERRORS = (ValueError, KeyError, OSError)
 
 #: Most couplings of a ``wh-sweep``: each row of its table holds about 650
 #: bytes until the table is written, so this keeps the table under 200 MB.
@@ -70,17 +70,12 @@ def _write_output(data: bytes, out: str | None) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     from . import curve as curve_mod
-    from .eigen import GridTooCoarse
     from .spectrum import ModeWindow, emit_report, lambda1_kohn
 
     with open(args.input) as handle:
         spec = json.load(handle)
     curve = curve_mod.curve_from_spec(spec, grid=args.grid)
-    try:
-        report = lambda1_kohn(curve, ModeWindow(*args.window))
-    except GridTooCoarse as exc:  # the grid cannot resolve this curve: an input error
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = lambda1_kohn(curve, ModeWindow(*args.window))
     _write_output(emit_report(report, args.format), args.out)
     if not report.holds:
         print(f"error: eigenvalue estimate {report.lambda1_estimate!r} exceeds "

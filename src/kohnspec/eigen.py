@@ -19,12 +19,10 @@ same batch from tau.
 The general real tridiagonal matrices of ``wh-sweep`` (the Ince
 truncations), their QL eigensolver and the sector-exclusion certificate
 live in ``whittakerhill``, on builtin floats, so that neither command
-compiles the other's solver.
+imports the other's solver.
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 
@@ -114,7 +112,9 @@ class _PeriodicBands:
     and the bands are kept as given.  Otherwise it is the power of two
     that brings each scale into [1, 2), and every matrix is divided by it,
     exactly; ``_periodic_inertia`` divides the shifts by it and
-    ``gershgorin`` multiplies its bounds by it.
+    ``gershgorin`` multiplies its bounds by it.  ``work`` is the flat
+    workspace that ``_periodic_inertia`` gathers diagonals into, grown to
+    the largest call and kept: a fresh copy per call costs page faults.
     """
 
     def __init__(self, diag, offdiag, corner):
@@ -138,21 +138,7 @@ class _PeriodicBands:
             scale = scale / self.unit
         self.diag, self.offdiag, self.corner = diag, offdiag, corner
         self.scale = np.maximum(scale, _MIN_SCALE)
-
-    def take(self, cols, work):
-        """The matrices ``cols`` (repeats allowed) as a batch of their own.
-
-        Its diagonal is written to the front of the flat array ``work``,
-        which callers reuse: a fresh copy in every round costs page faults.
-        """
-        sub = copy.copy(self)
-        # mode="clip" writes straight into ``work``: "raise" buffers the copy
-        sub.diag = self.diag.take(cols, 1, work[:self.diag.shape[0] * len(cols)].reshape(
-            -1, len(cols)), mode="clip")
-        sub.corner, sub.scale, sub.unit = self.corner[cols], self.scale[cols], self.unit[cols]
-        if self.offdiag.shape[1] > 1:
-            sub.offdiag = self.offdiag.take(cols, 1)
-        return sub
+        self.work = np.empty(0)
 
     def gershgorin(self):
         """Per-matrix bounds (lo, hi) on the spectrum, each of shape (P,)."""
@@ -267,20 +253,27 @@ def _cycle_counts(diag, off):
     return sum(piv < 0.0 for piv in pivots)
 
 
-def _periodic_inertia(bands: _PeriodicBands, x: np.ndarray):
-    """Eigenvalues below x[p] of matrix p of ``bands``, and det(A - x[p]).
+def _periodic_inertia(bands: _PeriodicBands, cols, x: np.ndarray):
+    """Eigenvalues below x[j] of matrix cols[j] of ``bands``, and det(A - x[j]).
 
-    ``x`` is (P,), one shift per matrix.  Returns three (P,) arrays: the
-    counts, and det(A - x) of the matrix divided by ``bands.unit`` (1 in
-    range) as a mantissa, of magnitude in [1/2, 1) and sign (-1)^count,
-    and a base-2 exponent; NaN mantissas where the count met a node (see
-    ``_inertia``).  The shifts are divided by ``bands.unit`` too.
+    ``cols`` (repeats allowed) and ``x`` are (C,).  Returns three (C,)
+    arrays: the counts, and det(A - x) of the matrix divided by its
+    ``bands.unit`` (1 in range) as a mantissa, of magnitude in [1/2, 1) and
+    sign (-1)^count, and a base-2 exponent; NaN mantissas where the count
+    met a node (see ``_inertia``).  The shifts are divided by ``unit`` too.
     """
+    n, size = bands.diag.shape[0], len(cols)
+    if bands.work.size < n * size:
+        bands.work = np.empty(n * size)
+    # mode="clip" writes straight into the workspace: "raise" buffers the copy
+    diag = bands.diag.take(cols, 1, bands.work[:n * size].reshape(n, size), mode="clip")
+    off = bands.offdiag if bands.offdiag.shape[1] == 1 else bands.offdiag.take(cols, 1)
+    scale = bands.scale[cols]
     # eigenvalues lie within 3 scale: a shift saturated past them keeps its
     # count, and pivots stay below 2^21 scale
     with np.errstate(over="ignore"):  # x / unit overflows only out of range
-        x = np.clip(x / bands.unit, -8.0 * bands.scale, 8.0 * bands.scale)
-    return _inertia(bands.diag, bands.offdiag, bands.corner, x, bands.scale)
+        x = np.clip(x / bands.unit[cols], -8.0 * scale, 8.0 * scale)
+    return _inertia(diag, off, bands.corner[cols], x, scale)
 
 
 def _inertia(diag, off, corner, x, scale):
@@ -603,7 +596,6 @@ def _bisect(bands: _PeriodicBands, k: int, start: int = 0, lower=None) -> np.nda
     mantissa, exponent = np.full((size, 2), np.nan), np.zeros((size, 2), dtype=np.intp)
     polishing, polished = np.zeros(size, dtype=bool), np.zeros(size, dtype=np.intp)
     toms = _Toms748(size)
-    work = np.empty(0)  # the gathered diagonals, reused across rounds
 
     def converged(sel, lo, hi):
         return hi - lo <= _BISECT_TOL * np.maximum(floor[sel], np.abs(lo) + np.abs(hi))
@@ -622,10 +614,7 @@ def _bisect(bands: _PeriodicBands, k: int, start: int = 0, lower=None) -> np.nda
             shifts.append(toms.points(pol, a, b, np.maximum(
                 0.5 * _BISECT_TOL * np.maximum(floor[pol], np.abs(a) + np.abs(b)), room[pol])))
         ids = np.concatenate(([np.repeat(bis, top - 1)] if len(bis) else []) + [pol])
-        if work.size < bands.diag.shape[0] * len(ids):
-            work = np.empty(bands.diag.shape[0] * len(ids))
-        c_all, m_all, e_all = _periodic_inertia(bands.take(col[ids], work),
-                                                np.concatenate(shifts))
+        c_all, m_all, e_all = _periodic_inertia(bands, col[ids], np.concatenate(shifts))
         cut = len(ids) - len(pol)
         if len(bis):
             # count and det at every dyadic point, the brackets' ends included
@@ -664,7 +653,7 @@ def _bisect(bands: _PeriodicBands, k: int, start: int = 0, lower=None) -> np.nda
     return 0.5 * (lo + hi).reshape(p, width)
 
 
-class GridTooCoarse(RuntimeError):
+class GridTooCoarse(ValueError):
     """The discrete zero mode strayed from zero: the grid cannot resolve the operator."""
 
 
@@ -693,8 +682,7 @@ def certified_spectra(diag, offdiag, corner, k: int, labels) -> np.ndarray:
     p = len(bands.corner)
     tau = np.full(p, ZERO_MODE_TOL)
     cols = np.tile(np.arange(p), 2)  # every matrix at -tau, then at tau
-    low, high = _periodic_inertia(bands.take(cols, np.empty(bands.diag.shape[0] * 2 * p)),
-                                  np.concatenate([-tau, tau]))[0].reshape(2, p)
+    low, high = _periodic_inertia(bands, cols, np.concatenate([-tau, tau]))[0].reshape(2, p)
     failed = np.flatnonzero((low != 0) | (high != 1))
     if len(failed):
         j = failed[0]

@@ -89,8 +89,7 @@ def inertia_counts(bands, shifts) -> np.ndarray:
     """
     x = np.asarray(shifts, dtype=float)
     cols = np.tile(np.arange(x.shape[1]), x.shape[0])
-    work = np.empty(bands.diag.shape[0] * x.size)
-    return _periodic_inertia(bands.take(cols, work), x.ravel())[0].reshape(x.shape)
+    return _periodic_inertia(bands, cols, x.ravel())[0].reshape(x.shape)
 
 
 def full_spectrum_floor_row(a: float, N: int) -> dict:

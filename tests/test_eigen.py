@@ -188,7 +188,7 @@ def check_counts(bands, ev, shifts):
     batch = _PeriodicBands(np.repeat(diag[:, None], len(x), axis=1), offdiag[:, None],
                            np.full(len(x), corner))
     with np.errstate(all="raise"):
-        counts = _periodic_inertia(batch, x)[0]
+        counts = _periodic_inertia(batch, np.arange(len(x)), x)[0]
     scale = np.abs(ev).max()
     for xi, count in zip(x, counts):
         if np.min(np.abs(ev - xi)) > 1e-9 * scale:
@@ -352,9 +352,9 @@ class TestPeriodicInertia:
         kernel, dense = eigen_mod._periodic_inertia, eigen_mod._cycle_counts
         stacks = []  # per kernel call, the (cycles, length) of each dense count
 
-        def kernel_spy(bands, x):
+        def kernel_spy(bands, cols, x):
             stacks.append([])
-            return kernel(bands, x)
+            return kernel(bands, cols, x)
 
         def dense_spy(diag, off):
             stacks[-1].append(diag.shape)
@@ -413,15 +413,31 @@ class TestPeriodicInertia:
         x[:, 1] = np.linspace(-1.0, 2.0 * np.abs(mats[1][0]).max(), len(x))
         # one column per (matrix, shift), row i of x after row i - 1
         cols = np.tile(np.arange(len(mats)), len(x))
-        batched = [v.reshape(x.shape) for v in
-                   _periodic_inertia(batch.take(cols, np.empty(n * x.size)), x.ravel())]
+        batched = [v.reshape(x.shape) for v in _periodic_inertia(batch, cols, x.ravel())]
         for p, bands in enumerate(mats):
             single = _PeriodicBands(bands[0][:, None], bands[1][:, None],
                                     np.array([bands[2]]))
             for i in range(len(x)):
                 # counts and determinants (NaN mantissas where a column has nodes)
-                for got, want in zip(batched, _periodic_inertia(single, x[i, p:p + 1])):
+                for got, want in zip(batched, _periodic_inertia(single, [0], x[i, p:p + 1])):
                     np.testing.assert_array_equal(got[i, p], want[0])
+        # one batch keeps its workspace through calls that grow it, shrink
+        # and grow it again, on unsorted repeated columns; the fourth matrix,
+        # 2^40 times the second, puts unit != 1: the same bits as on fresh
+        # batches
+        mats.append(tuple(band * 2.0**40 for band in mats[1]))
+        arrays = [np.stack([m[j] for m in mats], axis=-1) for j in range(3)]
+        x[:, 2] = np.linspace(-1.0, 2.0 * np.abs(mats[2][0]).max(), len(x))
+        x = np.column_stack([x, x[:, 1] * 2.0**40])
+        kept = _PeriodicBands(*arrays)
+        assert (kept.unit != 1.0).all()
+        for cols, size in (([3, 0, 2, 2, 1, 3, 0], 7), ([2, 3], 7),
+                           ([1, 3, 3, 0, 2, 0, 1, 2, 3, 1, 0], 11)):
+            shifts = x[np.linspace(0, len(x) - 1, len(cols)).astype(int), cols]
+            got = _periodic_inertia(kept, cols, shifts)
+            assert kept.work.size == n * size
+            for got, want in zip(got, _periodic_inertia(_PeriodicBands(*arrays), cols, shifts)):
+                assert got.tobytes() == want.tobytes()
 
     def test_matrices_scaled_far_from_one(self):
         # the kernel squares entries: scaled by 2^k, the periodic Laplacian
@@ -543,9 +559,9 @@ class TestPeriodicTridiagonal:
         n = 64
         widths = []
 
-        def spy(bands, x):
+        def spy(bands, cols, x):
             widths.append(len(x))
-            return _periodic_inertia(bands, x)
+            return _periodic_inertia(bands, cols, x)
 
         monkeypatch.setattr(eigen_mod, "_periodic_inertia", spy)
         vals = _bisect(_PeriodicBands(np.full((n, 1), 2.0), np.full((n - 1, 1), -1.0), [-1.0]),
@@ -581,9 +597,9 @@ class TestPeriodicTridiagonal:
         multi = _bisect(bands, 4, 1, 1e-6)[0]
         shifts = []
 
-        def spy(bands, x):
+        def spy(bands, cols, x):
             shifts.append(x.copy())
-            return _periodic_inertia(bands, x)
+            return _periodic_inertia(bands, cols, x)
 
         monkeypatch.setattr(eigen_mod, "_ROW_COST", 0)
         monkeypatch.setattr(eigen_mod, "_periodic_inertia", spy)
@@ -634,8 +650,8 @@ class TestPeriodicTridiagonal:
         nodal = []
         inertia = eigen_mod._periodic_inertia
 
-        def spy(bands, x):
-            count, mantissa, exponent = inertia(bands, x)
+        def spy(bands, cols, x):
+            count, mantissa, exponent = inertia(bands, cols, x)
             nodal.append(np.isnan(mantissa).sum())
             return count, mantissa, exponent
 

@@ -155,7 +155,7 @@ class TestModeSpectrum:
         assert abs(vals[0]) < 1e-8
 
     def test_invalid_k(self, unit_circle):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="k must be >= 1"):
             mode_spectrum(unit_circle, (0, 0), k=0)
 
 
@@ -241,7 +241,7 @@ class TestModeSpectra:
     def test_wide_window_kernel_work(self, monkeypatch):
         # the benchmark's sweep (random_profile(7), grid 512, 8 x 8 window)
         # took 25 kernel calls and 21,386 (shift, matrix) columns with
-        # bisection alone.  One share validates and scales its 289 matrices
+        # bisection alone.  The window validates and scales its 289 matrices
         # once: the certificate at -tau and tau (the first call) and the
         # bisection of lambda_1 run on that one batch
         import kohnspec.eigen as eigen_mod
@@ -252,9 +252,9 @@ class TestModeSpectra:
             batches.append(len(args[2]))
             init(self, *args)
 
-        def counted(bands, x):
+        def counted(bands, cols, x):
             columns.append(x.size)
-            return inertia(bands, x)
+            return inertia(bands, cols, x)
 
         monkeypatch.setattr(eigen_mod._PeriodicBands, "__init__", built)
         monkeypatch.setattr(eigen_mod, "_periodic_inertia", counted)
@@ -269,9 +269,9 @@ class TestModeSpectra:
         calls = []
         inertia = eigen_mod._periodic_inertia
 
-        def counted(bands, x):
+        def counted(bands, cols, x):
             calls.append(x.size)
-            return inertia(bands, x)
+            return inertia(bands, cols, x)
 
         monkeypatch.setattr(eigen_mod, "_periodic_inertia", counted)
         curve = build_curve(random_profile(7), 128)

@@ -88,11 +88,11 @@ class TestWHSpectrum:
             assert wh_spectrum(a, n=1024, k=2)[1] >= 1.0 - 1e-5
 
     def test_grid_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="grid must be even"):
             wh_spectrum(1.0, n=62)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="grid must be even"):
             wh_spectrum(1.0, n=129)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonnegative"):
             wh_spectrum(-1.0, n=128)
 
 
@@ -540,8 +540,9 @@ class TestParallelSweep:
 class TestWHGridGuard:
     def test_guard_type_exists(self):
         # the ground state is pinned by construction; the guard only fires
-        # on a genuinely broken discretization
-        assert issubclass(GridTooCoarse, RuntimeError)
+        # on a genuinely broken discretization, an input error like any
+        # other ValueError
+        assert issubclass(GridTooCoarse, ValueError)
 
     def test_certificate_names_the_coupling(self, monkeypatch):
         # the ground state drifts to -1e-3: the shared zero-mode
