@@ -36,8 +36,9 @@ EQUALITY_TOL = 1e-4
 KAPPA_VARIANCE_TOL = 1e-10
 
 #: Largest grid x modes of a sweep: the (grid, modes) diagonal bands take
-#: 8 bytes an entry, and the inertia kernel's workspace of grid x columns
-#: up to about three columns a mode, so this keeps each under 100 MiB.
+#: 8 bytes an entry, and so does the one inertia-kernel workspace the
+#: batch owns, grid x the columns of the sweep's largest call, up to about
+#: three columns a mode, so this keeps each under 100 MiB.
 MAX_BAND_ENTRIES = 2**22
 
 WINDOW_CAVEAT = ("window truncation is heuristic: no growth rate of the "

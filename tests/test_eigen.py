@@ -424,7 +424,7 @@ class TestPeriodicInertia:
         # one batch keeps its workspace through calls that grow it, shrink
         # and grow it again, on unsorted repeated columns; the fourth matrix,
         # 2^40 times the second, puts unit != 1: the same bits as on fresh
-        # batches
+        # batches, and the counts of each matrix alone
         mats.append(tuple(band * 2.0**40 for band in mats[1]))
         arrays = [np.stack([m[j] for m in mats], axis=-1) for j in range(3)]
         x[:, 2] = np.linspace(-1.0, 2.0 * np.abs(mats[2][0]).max(), len(x))
@@ -436,8 +436,11 @@ class TestPeriodicInertia:
             shifts = x[np.linspace(0, len(x) - 1, len(cols)).astype(int), cols]
             got = _periodic_inertia(kept, cols, shifts)
             assert kept.work.size == n * size
-            for got, want in zip(got, _periodic_inertia(_PeriodicBands(*arrays), cols, shifts)):
-                assert got.tobytes() == want.tobytes()
+            want = _periodic_inertia(_PeriodicBands(*arrays), cols, shifts)
+            assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+            alone = [_periodic_inertia(_PeriodicBands(*(a[..., c:c + 1] for a in arrays)),
+                                       [0], [shift])[0][0] for c, shift in zip(cols, shifts)]
+            assert got[0].tolist() == alone
 
     def test_matrices_scaled_far_from_one(self):
         # the kernel squares entries: scaled by 2^k, the periodic Laplacian
